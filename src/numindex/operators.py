@@ -19,8 +19,8 @@ import numpy as np
 from . import spaces
 from .spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch,
                      SpaceDescriptor, descriptor_to_text, dual_descriptor,
-                     norm, norming_functional, parse_descriptor,
-                     projection_matrix, unit_sphere_sample)
+                     SpaceError, parse_descriptor, phase, projection_matrix,
+                     unit_sphere_sample)
 
 OP_NORM_MAX_ITERS = 500
 OP_NORM_VALUE_TOL = 1e-10
@@ -42,6 +42,7 @@ class Operator:
         if m.shape != (d, d):
             raise DescriptorMismatch(
                 f"matrix shape {m.shape} on a space of dimension {d}")
+        _check_finite("matrix", m)
         if self.descriptor.field == REAL and np.iscomplexobj(m):
             if np.any(m.imag != 0):
                 raise DescriptorMismatch("complex matrix on a real descriptor")
@@ -55,6 +56,11 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.descriptor.total_dim
+
+
+def _check_finite(what: str, a: np.ndarray):
+    if not np.all(np.isfinite(a)):
+        raise SpaceError(f"{what} has non-finite entries (NaN or infinity)")
 
 
 @dataclass(frozen=True)
@@ -89,63 +95,55 @@ def op_norm(T: Operator, budget: int = 16,
     starts (coordinate directions first, then random samples).
     """
     desc = T.descriptor
-    if desc.is_flat and desc.p == 1:
-        col = np.abs(T.matrix).sum(axis=0)
-        j = int(np.argmax(col))
-        w = np.zeros(desc.total_dim, dtype=desc.dtype)
-        w[j] = 1.0
-        return OperatorNormEstimate(float(col[j]), w, "exact", 0.0)
-    if desc.is_flat and desc.p == math.inf:
-        row = np.abs(T.matrix).sum(axis=1)
-        i = int(np.argmax(row))
-        w = np.conj(_signs(T.matrix[i]))
-        return OperatorNormEstimate(float(row[i]), w, "exact", 0.0)
+    if desc.is_flat and desc.p in (1.0, math.inf):
+        # the largest column sum, attained at e_j (l1), or row sum (linf)
+        sums = np.abs(T.matrix).sum(axis=0 if desc.p == 1 else 1)
+        i = int(np.argmax(sums))
+        w = (np.eye(desc.total_dim, dtype=desc.dtype)[i] if desc.p == 1
+             else np.conj(phase(T.matrix[i])))
+        return OperatorNormEstimate(float(sums[i]), w, "exact", 0.0)
 
     rng = _as_rng(rng)
-    ddual = dual_descriptor(desc)
+    plan, dplan = desc.plan, dual_descriptor(desc).plan
     starts = list(np.eye(desc.total_dim, dtype=desc.dtype))
     while len(starts) < max(budget, 1):
         starts.append(unit_sphere_sample(desc, rng))
-    starts = starts[:max(budget, 1)]
-
-    best_val, best_x, best_defect = -1.0, starts[0], np.inf
-    for x0 in starts:
-        x = np.asarray(x0, dtype=desc.dtype)
-        n0 = norm(desc, x)
-        if n0 == 0:
-            continue
-        x = x / n0
-        val = norm(desc, T.matrix @ x)
-        defect = np.inf
-        for _ in range(OP_NORM_MAX_ITERS):
-            y = T.matrix @ x
-            ny = norm(desc, y)
-            if ny == 0.0:
-                val, defect = 0.0, 0.0
-                break
-            f = norming_functional(desc, y / ny)
-            g = T.matrix.T @ f            # bilinear adjoint of the pairing
-            ng = norm(ddual, g)
-            if ng == 0.0:
-                defect = 0.0
-                break
-            x_new = norming_functional(ddual, g / ng)
-            new_val = norm(desc, T.matrix @ x_new)
-            defect = abs(new_val - val)
-            if new_val < val:            # nonsmooth kink; keep the best seen
-                break
-            x, val = x_new, new_val
-            if defect < OP_NORM_VALUE_TOL:
-                break
-        if val > best_val + 1e-15:
-            best_val, best_x, best_defect = val, x, defect
-    return OperatorNormEstimate(float(best_val), best_x, "ascent", float(best_defect))
+    x = np.array(starts[:max(budget, 1)])            # unit vectors
+    m = T.matrix
+    val = plan.norm(_apply_rows(m, x))
+    defect = np.full(len(x), np.inf)
+    active = np.ones(len(x), dtype=bool)
+    # every start runs its own fixed point; the rows advance together
+    for _ in range(OP_NORM_MAX_ITERS):
+        a = np.flatnonzero(active)
+        if a.size == 0:
+            break
+        f, _ = plan.norming(_apply_rows(m, x[a]))
+        # bilinear adjoint of the pairing; J is 0-homogeneous, so no rescaling
+        x_new, ng = dplan.norming(_apply_rows(m.T, f))
+        stuck = ng == 0.0                 # Tx = 0, or T^adj J(Tx) = 0
+        defect[a[stuck]] = 0.0
+        active[a[stuck]] = False
+        a, x_new = a[~stuck], x_new[~stuck]
+        new_val = plan.norm(_apply_rows(m, x_new))
+        defect[a] = np.abs(new_val - val[a])
+        kink = new_val < val[a]           # nonsmooth kink; keep the best seen
+        step = a[~kink]
+        x[step], val[step] = x_new[~kink], new_val[~kink]
+        active[a[kink]] = False
+        active[step[defect[step] < OP_NORM_VALUE_TOL]] = False
+    best = 0
+    for i in range(1, len(val)):
+        if val[i] > val[best] + 1e-15:
+            best = i
+    return OperatorNormEstimate(float(val[best]), x[best], "ascent", float(defect[best]))
 
 
-def _signs(row: np.ndarray) -> np.ndarray:
-    a = np.abs(row)
-    out = np.where(a > 0, row / np.where(a > 0, a, 1.0), 1.0)
-    return out.astype(row.dtype)
+def _apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ v for every row v of a (B, d) batch.  Unlike a matmul, whose one-row
+    case takes another BLAS path, a row's rounding does not depend on B, so
+    batched restarts follow exactly the trajectories they would follow alone."""
+    return np.einsum("ij,bj->bi", m, x)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -242,6 +240,7 @@ class HomogeneousPolynomial:
         if t.shape != (d,) * (k + 1):
             raise DescriptorMismatch(
                 f"tensor shape {t.shape}, expected {(d,) * (k + 1)}")
+        _check_finite("tensor", t)
         object.__setattr__(self, "tensor", _symmetrize(t, k))
 
 
@@ -262,9 +261,14 @@ def poly_from_operator(T: Operator) -> HomogeneousPolynomial:
 def poly_apply(P: HomogeneousPolynomial, v: np.ndarray) -> np.ndarray:
     """Contract the symmetric tensor with k copies of v."""
     v = spaces.check_vector(P.descriptor, v)
-    out = P.tensor
-    for _ in range(P.degree):
-        out = out @ v
+    return _poly_rows(P, v[None])[0]
+
+
+def _poly_rows(P: HomogeneousPolynomial, x: np.ndarray) -> np.ndarray:
+    """P(x) for every row of a (B, d) batch."""
+    out = np.einsum("...j,bj->b...", P.tensor, x)
+    for _ in range(P.degree - 1):
+        out = np.einsum("b...j,bj->b...", out, x)
     return out
 
 

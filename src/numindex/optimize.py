@@ -3,8 +3,10 @@
 The sphere is the norm-one set of a space descriptor.  Complex
 coordinates are optimized as interleaved real/imaginary parameters.
 Gradients are central finite differences of the normalized objective,
-followed by backtracking steps and renormalization; the reduction over
-restarts is deterministic (best value, earliest restart wins ties).
+followed by backtracking steps and renormalization.  The restarts advance
+in lockstep as rows of one array, each with its own step size and stall
+count; the reduction over restarts is deterministic (best value, earliest
+restart wins ties).
 """
 
 from __future__ import annotations
@@ -20,22 +22,23 @@ VALUE_TOL = 1e-10
 
 def _to_params(x: np.ndarray, complex_field: bool) -> np.ndarray:
     if not complex_field:
-        return x.astype(float).copy()
-    return np.concatenate([x.real, x.imag])
+        return x.astype(float)
+    return np.concatenate([x.real, x.imag], axis=-1)
 
 
 def _from_params(y: np.ndarray, complex_field: bool) -> np.ndarray:
     if not complex_field:
         return y
-    d = y.size // 2
-    return y[:d] + 1j * y[d:]
+    d = y.shape[-1] // 2
+    return y[..., :d] + 1j * y[..., d:]
 
 
 def maximize_on_sphere(desc: SpaceDescriptor, objective, rng: np.random.Generator,
                        restarts: int = 64, max_iters: int = 500,
                        extra_starts=()):
     """Return (best_x, best_value, evals) for ``objective`` over the unit
-    sphere of ``desc``.  ``objective`` receives a norm-one vector.
+    sphere of ``desc``.  ``objective`` maps a (B, d) batch of norm-one rows
+    to their B values; ``evals`` counts evaluated rows.
 
     Starts: the given extra starts, the coordinate directions, then random
     sphere samples up to ``restarts`` total; the start list grows with
@@ -43,69 +46,77 @@ def maximize_on_sphere(desc: SpaceDescriptor, objective, rng: np.random.Generato
     under a shared seed.
     """
     cplx = desc.field == COMPLEX
+    plan = desc.plan
     starts = [np.asarray(s, dtype=desc.dtype) for s in extra_starts]
-    eye = np.eye(desc.total_dim, dtype=desc.dtype)
-    starts.extend(eye)
+    starts.extend(np.eye(desc.total_dim, dtype=desc.dtype))
     while len(starts) < max(restarts, 1):
         starts.append(unit_sphere_sample(desc, rng))
-    starts = starts[:max(restarts, len(extra_starts))]
+    starts = np.array(starts[:max(restarts, len(extra_starts))])
 
     evals = 0
 
-    def normed_obj(y: np.ndarray) -> float:
+    def normed_obj(y: np.ndarray) -> np.ndarray:
         nonlocal evals
         x = _from_params(y, cplx)
-        n = norm(desc, x)
-        if n == 0.0:
-            return 0.0
-        evals += 1
-        return float(objective(x / n))
+        n = plan.norm(x)
+        out = np.zeros(len(y))
+        ok = n != 0.0
+        evals += int(ok.sum())
+        out[ok] = objective(x[ok] / n[ok, None])
+        return out
 
-    best_x, best_val = None, -np.inf
-    for x0 in starts:
-        n0 = norm(desc, x0)
-        if n0 == 0.0:
-            continue
-        y = _to_params(np.asarray(x0) / n0, cplx)
-        x, val = _ascend(normed_obj, y, max_iters)
-        if val > best_val + 1e-15:
-            best_val = val
-            best_x = x
-    x = _from_params(best_x, cplx)
+    n0 = plan.norm(starts)
+    ok = n0 != 0.0
+    ys, vals = _ascend(normed_obj, _to_params(starts[ok] / n0[ok, None], cplx),
+                       max_iters)
+    best = 0
+    for i in range(1, len(vals)):
+        if vals[i] > vals[best] + 1e-15:
+            best = i
+    x = _from_params(ys[best], cplx)
     x = x / norm(desc, x)
-    return x, best_val, evals
+    return x, float(vals[best]), evals
 
 
 def _ascend(obj, y: np.ndarray, max_iters: int):
+    """Gradient ascent of every row of ``y``; returns (y, values).  Each
+    iteration takes the central differences of all active rows in one
+    batch, then the rows still line-searching try their next step sizes in
+    one batch per backtracking sub-step."""
+    r, d = y.shape
     val = obj(y)
-    step = 0.25
-    stall = 0
-    d = y.size
+    step = np.full(r, 0.25)
+    stall = np.zeros(r, dtype=int)
+    active = np.ones(r, dtype=bool)
+    e = FD_STEP * np.eye(d)
     for _ in range(max_iters):
-        grad = np.zeros(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = FD_STEP
-            grad[i] = (obj(y + e) - obj(y - e)) / (2 * FD_STEP)
-        gn = np.linalg.norm(grad)
-        if gn < 1e-12:
+        a = np.flatnonzero(active)
+        if a.size == 0:
             break
-        direction = grad / gn
-        prev = val
-        improved = False
-        s = step
-        while s > 1e-14:
-            cand = y + s * direction
-            cval = obj(cand)
-            if cval > val + 1e-15:
-                y, val = cand, cval
-                step = min(s * 2.0, 1.0)
-                improved = True
+        ya = y[a][:, None, :]
+        fd = obj(np.concatenate([ya + e, ya - e], axis=1).reshape(-1, d))
+        fd = fd.reshape(a.size, 2, d)
+        grad = (fd[:, 0] - fd[:, 1]) / (2 * FD_STEP)
+        gn = np.linalg.norm(grad, axis=1)
+        moving = gn >= 1e-12              # a vanishing gradient ends the row
+        direction = grad / np.where(moving, gn, 1.0)[:, None]
+        searching = moving.copy()
+        prev, s = val[a], step[a]
+        while True:
+            k = np.flatnonzero(searching & (s > 1e-14))
+            if k.size == 0:
                 break
-            s *= 0.5
-        if not improved:
-            break
-        stall = stall + 1 if val - prev < VALUE_TOL else 0
-        if stall >= STALL_ITERS:
-            break
+            cand = y[a[k]] + s[k, None] * direction[k]
+            cval = obj(cand)
+            up = cval > val[a[k]] + 1e-15
+            ku, rows = k[up], a[k[up]]
+            y[rows], val[rows] = cand[up], cval[up]
+            step[rows] = np.minimum(s[ku] * 2.0, 1.0)
+            searching[ku] = False
+            s[k[~up]] *= 0.5
+        improved = moving & ~searching    # rows still searching found no step
+        active[a[~improved]] = False
+        a, prev = a[improved], prev[improved]
+        stall[a] = np.where(val[a] - prev < VALUE_TOL, stall[a] + 1, 0)
+        active[a[stall[a] >= STALL_ITERS]] = False
     return y, val

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (HomogeneousPolynomial, Operator, _as_rng, poly_apply)
+from .operators import (HomogeneousPolynomial, Operator, _apply_rows, _as_rng,
+                        _poly_rows, poly_apply)
 from .optimize import maximize_on_sphere
-from .spaces import (COMPLEX, REAL, DegenerateInput, NormingPair,
-                     SpaceDescriptor, eval_pair, lp, norm, norming_functional)
+from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
+                     eval_pair, lp, norming_functional, phase)
 
 #: default restart budget for the ascent backend
 DEFAULT_RESTARTS = 64
@@ -54,13 +55,13 @@ def _estimate_at(T: Operator, x: np.ndarray, method: str, guarantee: str,
 
 
 def radius_objective(T: Operator):
-    """x (unit) -> |J(x) . Tx|, the quantity whose sup over Pi(X) is nu(T)."""
-    desc = T.descriptor
+    """Unit rows x -> |J(x) . Tx|, the quantity whose sup over Pi(X) is nu(T)."""
+    plan = T.descriptor.plan
     m = T.matrix
 
-    def g(x: np.ndarray) -> float:
-        f = norming_functional(desc, x)
-        return abs(eval_pair(f, m @ x))
+    def g(x: np.ndarray) -> np.ndarray:
+        f, _ = plan.norming(x)
+        return np.abs(np.sum(f * _apply_rows(m, x), axis=1))
 
     return g
 
@@ -101,13 +102,6 @@ def radius_ascent(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
 # exact enumeration on flat l1 / linf
 # ---------------------------------------------------------------------------
 
-def _sgn(z, dtype):
-    a = abs(z)
-    if a == 0:
-        return dtype(1)
-    return dtype(z / a)
-
-
 def radius_enumerate(T: Operator) -> RadiusEstimate:
     """Exhaustive maximization over the finite candidate set of extreme
     points and compatible face functionals (flat p in {1, inf} only).
@@ -122,42 +116,20 @@ def radius_enumerate(T: Operator) -> RadiusEstimate:
     if flat is None or flat.p not in (1.0, math.inf):
         raise DegenerateInput("enumeration needs a flat (or uniformly nested) "
                               "l1/linf descriptor")
-    p = flat.p
     m = T.matrix
     d = desc.total_dim
-    dt = complex if desc.field == COMPLEX else float
-    best = (-1.0, None, None)
-    for i in range(d):
-        if p == 1:
-            # x = e_i, f_i = 1, free coordinates aligned with column i
-            val = abs(m[i, i]) + sum(abs(m[j, i]) for j in range(d) if j != i)
-            x = np.zeros(d, dtype=desc.dtype)
-            x[i] = 1.0
-            f = np.empty(d, dtype=desc.dtype)
-            si = _sgn(m[i, i], dt)
-            for j in range(d):
-                f[j] = 1.0 if j == i else np.conj(_sgn(m[j, i], dt)) * si
-        else:
-            # f = e_i, x_i = 1, partner coordinates aligned with row i
-            val = abs(m[i, i]) + sum(abs(m[i, j]) for j in range(d) if j != i)
-            f = np.zeros(d, dtype=desc.dtype)
-            f[i] = 1.0
-            x = np.empty(d, dtype=desc.dtype)
-            si = _sgn(m[i, i], dt)
-            for j in range(d):
-                x[j] = 1.0 if j == i else np.conj(_sgn(m[i, j], dt)) * si
-        if val > best[0] + 1e-15:
-            best = (val, x, f)
-    val, x, f = best
-    pair = NormingPair(x, f, _pair_slack(desc, x, f))
-    return RadiusEstimate(float(val), pair, "enumerate", "exact-enumeration", d)
-
-
-def _pair_slack(desc, x, f) -> float:
-    from .spaces import dual_descriptor
-    return float(max(abs(norm(desc, x) - 1.0),
-                     abs(norm(dual_descriptor(desc), f) - 1.0),
-                     abs(eval_pair(f, x) - 1.0)))
+    # l1: x = e_i with the face functional aligned with column i;
+    # linf dually: f = e_i with x aligned with row i
+    lines = m.T if flat.p == 1 else m
+    vals = np.abs(lines).sum(axis=1)
+    i = int(np.argmax(vals))
+    e = np.zeros(d, dtype=desc.dtype)
+    e[i] = 1.0
+    aligned = np.conj(phase(lines[i])) * phase(m[i, i])
+    aligned[i] = 1.0
+    x, f = (e, aligned) if flat.p == 1 else (aligned, e)
+    return RadiusEstimate(float(vals[i]), NormingPair.of(desc, x, f), "enumerate",
+                          "exact-enumeration", d)
 
 
 def _as_uniform_flat(desc: SpaceDescriptor) -> SpaceDescriptor | None:
@@ -184,21 +156,14 @@ def radius_grid_oracle(T: Operator, resolution: int = 2000,
     numerical radius integrand (flat spaces only).
     """
     desc = T.descriptor
-    d = desc.total_dim
-    cap = GRID_DIM_CAP_COMPLEX if desc.field == COMPLEX else GRID_DIM_CAP_REAL
-    if d > cap:
-        raise BudgetExceeded(
-            f"grid oracle capped at dimension {cap} for {desc.field} spaces")
-    if desc.field == COMPLEX:
-        xs = _complex_grid(resolution) if d == 2 else np.ones((1, 1), dtype=complex)
+    xs = _grid_points(desc, resolution)
+    if desc.is_flat and absolute:
+        objective = absolute_radius_objective(T)
+    elif desc.is_flat and desc.p in (1.0, math.inf):
+        objective = _face_objective(T)
     else:
-        xs = _grid_points(desc, resolution)
-    if desc.is_flat and not absolute:
-        val, x = _grid_sweep_flat(T, xs)
-    elif desc.is_flat and absolute:
-        val, x = _grid_sweep_flat_absolute(T, xs)
-    else:
-        val, x = _grid_sweep_generic(T, xs)
+        objective = radius_objective(T)
+    val, x = _grid_sweep(desc, xs, objective)
     if absolute:
         pair = NormingPair.at(desc, x)
         return RadiusEstimate(float(val), pair, "grid",
@@ -207,8 +172,7 @@ def radius_grid_oracle(T: Operator, resolution: int = 2000,
     if est.value < val - 1e-12:
         # canonical selection lost a face maximum; keep the swept value with
         # the explicit face functional as witness
-        f = _best_face_functional(desc, x, T.matrix @ x)
-        pair = NormingPair(x, f, _pair_slack(desc, x, f))
+        pair = NormingPair.of(desc, x, _best_face_functional(desc, x, T.matrix @ x))
         est = RadiusEstimate(float(val), pair, "grid",
                              "certified-lower-bound", len(xs))
     return est
@@ -224,88 +188,52 @@ def _complex_grid(resolution: int) -> np.ndarray:
                             (np.sin(TT) * np.exp(1j * PP)).ravel()])
 
 
-def _normalize_rows(desc: SpaceDescriptor, xs: np.ndarray) -> np.ndarray:
-    p = desc.p
-    a = np.abs(xs)
-    if p == math.inf:
-        ns = a.max(axis=1)
-    elif p == 1:
-        ns = a.sum(axis=1)
-    else:
-        ns = (a ** p).sum(axis=1) ** (1.0 / p)
-    return xs / ns[:, None]
-
-
-def _grid_sweep_flat(T: Operator, xs: np.ndarray):
-    desc = T.descriptor
-    p = desc.p
-    xs = _normalize_rows(desc, xs.astype(desc.dtype))
-    ys = xs @ T.matrix.T
-    a = np.abs(xs)
-    if 1 < p < math.inf:
-        fs = np.where(a > 0, a ** (p - 1.0) * np.conj(np.where(a > 0, xs, 1)) /
-                      np.where(a > 0, a, 1.0), 0.0)
-        vals = np.abs((fs * ys).sum(axis=1))
-    elif p == 1:
-        sgn = np.where(a > 0, np.conj(xs) / np.where(a > 0, a, 1.0), 0.0)
-        fixed = (sgn * ys).sum(axis=1)
-        free = (np.abs(ys) * (a == 0)).sum(axis=1)
-        vals = np.abs(fixed) + free
-    else:  # p == inf: face extremes are sign(conj(x_i)) e_i over argmax coords
-        amax = a.max(axis=1)
-        mask = a >= amax[:, None] - 1e-15
-        cand = np.abs(ys) * mask
-        vals = cand.max(axis=1)
+def _grid_sweep(desc: SpaceDescriptor, xs: np.ndarray, objective):
+    """Best (value, point) of a batched objective over the grid rows,
+    normalized onto the unit sphere; the first maximal row wins."""
+    xs = xs.astype(desc.dtype)
+    n = desc.plan.norm(xs)
+    xs = xs[n > 0] / n[n > 0, None]
+    vals = objective(xs)
     k = int(np.argmax(vals))
     return float(vals[k]), xs[k]
 
 
-def _grid_sweep_flat_absolute(T: Operator, xs: np.ndarray):
-    desc = T.descriptor
-    p = desc.p
-    xs = _normalize_rows(desc, xs.astype(desc.dtype))
-    ys = xs @ T.matrix.T
-    w = np.ones_like(np.abs(xs)) if p == 1 else np.abs(xs) ** (p - 1.0)
-    vals = (w * np.abs(ys)).sum(axis=1)
-    k = int(np.argmax(vals))
-    return float(vals[k]), xs[k]
+def _face_objective(T: Operator):
+    """Unit rows x of flat l1 / linf -> max |f(Tx)| over the dual face at x
+    (free coordinates off the support at p = 1; the extremes e_i over the
+    max-modulus coordinates at p = inf)."""
+    p = T.descriptor.p
+    m = T.matrix
 
+    def g(x: np.ndarray) -> np.ndarray:
+        y = _apply_rows(m, x)
+        a = np.abs(x)
+        if p == 1:
+            sgn = np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
+            return np.abs((sgn * y).sum(axis=1)) + (np.abs(y) * (a == 0)).sum(axis=1)
+        top = a >= a.max(axis=1, keepdims=True) - 1e-15
+        return (np.abs(y) * top).max(axis=1)
 
-def _grid_sweep_generic(T: Operator, xs: np.ndarray):
-    desc = T.descriptor
-    g = radius_objective(T)
-    best, bx = -1.0, None
-    for row in xs.astype(desc.dtype):
-        n = norm(desc, row)
-        if n == 0:
-            continue
-        x = row / n
-        v = g(x)
-        if v > best + 1e-15:
-            best, bx = v, x
-    return best, bx
+    return g
 
 
 def _best_face_functional(desc: SpaceDescriptor, x: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
     """Maximizer of |f(y)| over the dual face at x (flat p in {1, inf})."""
     a = np.abs(x)
-    f = np.zeros(desc.total_dim, dtype=desc.dtype)
     if desc.p == 1:
-        fixed = sum(np.conj(x[i]) / a[i] * y[i] for i in range(len(x)) if a[i] > 0)
-        s = _sgn(fixed, complex if desc.field == COMPLEX else float)
-        for i in range(len(x)):
-            if a[i] > 0:
-                f[i] = np.conj(x[i]) / a[i]
-            else:
-                f[i] = np.conj(_sgn(y[i], complex if desc.field == COMPLEX else float)) * s
-    elif desc.p == math.inf:
-        idx = [i for i in range(len(x)) if a[i] >= a.max() - 1e-15]
-        i = max(idx, key=lambda i: abs(y[i]))
+        f = np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
+        free = a == 0
+        f[free] = np.conj(phase(y[free])) * phase(np.sum(f * y))
+        return f
+    if desc.p == math.inf:
+        top = np.flatnonzero(a >= a.max() - 1e-15)
+        i = top[np.argmax(np.abs(y[top]))]
+        f = np.zeros_like(x)
         f[i] = np.conj(x[i]) / a[i]
-    else:
-        return norming_functional(desc, x)
-    return f
+        return f
+    return norming_functional(desc, x)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +241,12 @@ def _best_face_functional(desc: SpaceDescriptor, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def absolute_radius_objective(T: Operator):
-    """x (unit, flat lp^m) -> sum_i |x_i|^{p-1} |(Tx)_i| (weight 1 at p=1)."""
-    desc = T.descriptor
-    p = desc.p
+    """Unit rows x (flat lp^m) -> sum_i |x_i|^{p-1} |(Tx)_i| (weight 1 at p=1)."""
+    pm1 = T.descriptor.p - 1.0
     m = T.matrix
 
-    def h(x: np.ndarray) -> float:
-        ax = np.abs(x)
-        w = np.ones_like(ax) if p == 1 else ax ** (p - 1.0)
-        return float((w * np.abs(m @ x)).sum())
+    def h(x: np.ndarray) -> np.ndarray:
+        return (np.abs(x) ** pm1 * np.abs(_apply_rows(m, x))).sum(axis=1)
 
     return h
 
@@ -353,22 +278,10 @@ def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
     """nu(P) = sup |J(x) . P(x)| over the unit sphere."""
     desc = P.descriptor
     if method == "grid":
-        cap = GRID_DIM_CAP_COMPLEX if desc.field == COMPLEX else GRID_DIM_CAP_REAL
-        if desc.total_dim > cap:
-            raise BudgetExceeded(f"grid oracle capped at dimension {cap}")
         xs = _grid_points(desc, resolution)
-        g = _poly_objective(P)
-        best, bx = -1.0, None
-        for row in xs.astype(desc.dtype):
-            n = norm(desc, row)
-            if n == 0:
-                continue
-            x = row / n
-            v = g(x)
-            if v > best + 1e-15:
-                best, bx = v, x
+        best, bx = _grid_sweep(desc, xs, _poly_objective(P))
         pair = NormingPair.at(desc, bx)
-        return RadiusEstimate(float(best), pair, "grid",
+        return RadiusEstimate(best, pair, "grid",
                               "certified-lower-bound", len(xs))
     rng = _as_rng(rng)
     x, _, evals = maximize_on_sphere(desc, _poly_objective(P), rng,
@@ -380,11 +293,12 @@ def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
 
 
 def _poly_objective(P: HomogeneousPolynomial):
-    desc = P.descriptor
+    """Unit rows x -> |J(x) . P(x)|."""
+    plan = P.descriptor.plan
 
-    def g(x: np.ndarray) -> float:
-        f = norming_functional(desc, x)
-        return abs(eval_pair(f, poly_apply(P, x)))
+    def g(x: np.ndarray) -> np.ndarray:
+        f, _ = plan.norming(x)
+        return np.abs(np.sum(f * _poly_rows(P, x), axis=1))
 
     return g
 
@@ -395,19 +309,24 @@ def poly_norm(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
     desc = P.descriptor
     rng = _as_rng(rng)
 
-    def g(x):
-        return norm(desc, poly_apply(P, x))
+    def g(x: np.ndarray) -> np.ndarray:
+        return desc.plan.norm(_poly_rows(P, x))
 
     x, val, evals = maximize_on_sphere(desc, g, rng, restarts=budget)
     return float(val), x
 
 
 def _grid_points(desc: SpaceDescriptor, resolution: int) -> np.ndarray:
-    """Real direction grid, always including the +-1/0 kink directions so
-    the sweep is sharp at the extreme points of l1/linf balls."""
+    """Direction grid of the grid oracle.  Real grids always include the
+    +-1/0 kink directions so the sweep is sharp at the extreme points of
+    l1/linf balls; complex grids fix the global phase."""
     d = desc.total_dim
+    cap = GRID_DIM_CAP_COMPLEX if desc.field == COMPLEX else GRID_DIM_CAP_REAL
+    if d > cap:
+        raise BudgetExceeded(
+            f"grid oracle capped at dimension {cap} for {desc.field} spaces")
     if desc.field == COMPLEX:
-        return _complex_grid(resolution)
+        return _complex_grid(resolution) if d == 2 else np.ones((1, 1), dtype=complex)
     corners = np.array([c for c in itertools.product((-1.0, 0.0, 1.0), repeat=d)
                         if any(c)])
     if d == 1:

@@ -14,6 +14,7 @@ real and nonnegative.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,10 @@ COMPLEX = "complex"
 
 #: default tolerance for exact algebraic identities
 DEFAULT_TOL = 1e-9
+
+#: largest total dimension of a descriptor; operators are dense d x d
+#: matrices, so the cap keeps every space at desk scale
+MAX_TOTAL_DIM = 1024
 
 
 class SpaceError(ValueError):
@@ -101,6 +106,7 @@ class SpaceDescriptor:
             for c in self.children:
                 if c.field != self.field:
                     raise SpaceError("mixed scalar fields in one descriptor")
+            _check_total_dim(self.total_dim)
 
     @property
     def is_leaf(self) -> bool:
@@ -111,6 +117,15 @@ class SpaceDescriptor:
         if self.is_leaf:
             return 1
         return sum(c.total_dim for c in self.children)
+
+    @cached_property
+    def plan(self) -> "NormPlan":
+        """Batched norm / norming-functional evaluator, built on first use."""
+        return NormPlan(self)
+
+    @cached_property
+    def _dual(self) -> "SpaceDescriptor":
+        return _conjugated(self)
 
     @cached_property
     def is_flat(self) -> bool:
@@ -156,6 +171,11 @@ class SpaceDescriptor:
         return f"SpaceDescriptor({descriptor_to_text(self)})"
 
 
+def _check_total_dim(dim: int):
+    if dim > MAX_TOTAL_DIM:
+        raise SpaceError(f"total dimension {dim} exceeds the cap {MAX_TOTAL_DIM}")
+
+
 def scalar(field: str = REAL) -> SpaceDescriptor:
     return SpaceDescriptor(None, (), field)
 
@@ -165,6 +185,7 @@ def lp(p: float, dim: int, field: str = REAL) -> SpaceDescriptor:
     (scalar) space, so the leaf is returned and text round-trips stay exact."""
     if dim < 1:
         raise SpaceError("dim must be >= 1")
+    _check_total_dim(dim)
     if not (1.0 <= float(p)):
         raise SpaceError(f"exponent must lie in [1, inf], got {p!r}")
     if dim == 1:
@@ -232,37 +253,112 @@ def check_vector(desc: SpaceDescriptor, v: np.ndarray) -> np.ndarray:
 
 
 def norm(desc: SpaceDescriptor, v: np.ndarray) -> float:
-    """Recursive p-sum norm of ``v`` on ``desc``."""
+    """p-sum norm of ``v`` on ``desc`` (the one-row case of its plan)."""
     v = check_vector(desc, v)
-    return _node_norm(desc, v)
+    return float(desc.plan.norm(v[None])[0])
 
 
-def _combine(p: float, block_norms: np.ndarray) -> float:
-    if p == math.inf:
-        return float(np.max(block_norms))
-    if p == 1:
-        return float(np.sum(block_norms))
-    return float(np.sum(block_norms ** p) ** (1.0 / p))
+class NormPlan:
+    """A descriptor tree compiled for batched evaluation on (B, d) arrays.
+
+    Coordinates stay in leaf order.  Stage h reduces contiguous segments of
+    the block norms below it (``np.add.reduceat`` of |.|^p, a max-reduce at
+    p = inf) into the nodes of height h; a block whose parent sits higher
+    passes through as a one-column segment with exponent 1, which is exact.
+    The norming functional runs back down, multiplying block weights."""
+
+    __slots__ = ("stages",)
+
+    def __init__(self, desc: SpaceDescriptor):
+        self.stages = [_Stage(_segments(desc, h)) for h in range(1, _height(desc) + 1)]
+
+    def _levels(self, a: np.ndarray) -> list[np.ndarray]:
+        """Block norms of every stage, leaves (|x|) first, root last."""
+        levels = [a]
+        for st in self.stages:
+            levels.append(st.reduce(levels[-1]))
+        return levels
+
+    def norm(self, x: np.ndarray) -> np.ndarray:
+        """Norm of every row of ``x``."""
+        return self._levels(np.abs(x))[-1][:, 0]
+
+    def norming(self, x: np.ndarray):
+        """(J, n): canonical norming functional and norm of every row.
+
+        Smooth blocks get the weight (||x_s|| / ||x||)^{p-1}; p = 1 gives
+        every block weight 1, which leaves zero blocks at zero; p = inf puts
+        full weight on the lowest-index max-norm block.  Complex leaves use
+        conj(x_i)/|x_i|, so the pairing with x comes out real."""
+        a = np.abs(x)
+        levels = self._levels(a)
+        w = np.ones((len(x), 1))
+        for st, below, above in zip(self.stages[::-1], levels[-2::-1], levels[:0:-1]):
+            w = w[:, st.parent] * st.weights(below, above)
+        unit = np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
+        return w * unit, levels[-1][:, 0]
 
 
-def _node_norm(desc: SpaceDescriptor, v: np.ndarray) -> float:
-    if desc.is_leaf:
-        return float(abs(v[0]))
-    if desc.is_flat:
-        a = np.abs(v)
-        return _combine(desc.p, a)
-    ns = np.array([_node_norm(c, v[o:o + d]) for c, (o, d) in
-                   zip(desc.children, desc.child_spans)])
-    return _combine(desc.p, ns)
+class _Stage:
+    """One reduction of a :class:`NormPlan`."""
+
+    __slots__ = ("starts", "parent", "inf_seg", "p", "inv_p")
+
+    def __init__(self, segments):
+        lens, exps = (np.array(v) for v in zip(*segments))
+        self.starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+        self.parent = np.repeat(np.arange(len(lens)), lens)
+        inf_seg = exps == math.inf
+        self.inf_seg = inf_seg if inf_seg.any() else None
+        p = np.where(inf_seg, 1.0, exps)
+        self.p, self.inv_p = p[self.parent], 1.0 / p
+        if np.all(p == p[0]):     # a scalar exponent takes numpy's fast paths
+            self.p, self.inv_p = float(p[0]), 1.0 / float(p[0])
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        out = np.add.reduceat(a ** self.p, self.starts, axis=1) ** self.inv_p
+        if self.inf_seg is not None:
+            out = np.where(self.inf_seg, np.maximum.reduceat(a, self.starts, axis=1), out)
+        return out
+
+    def weights(self, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+        """Weight of every block of ``below`` inside its segment of ``above``."""
+        total = above[:, self.parent]
+        ratio = np.divide(below, total, out=np.zeros_like(below), where=total > 0)
+        w = ratio ** (self.p - 1.0)
+        if self.inf_seg is not None:
+            hit = below == total
+            before = np.cumsum(hit, axis=1) - hit      # lowest index wins ties
+            first = hit & (before == before[:, self.starts][:, self.parent])
+            w = np.where(self.inf_seg[self.parent], first, w)
+        return w
+
+
+def _height(desc: SpaceDescriptor) -> int:
+    return 0 if desc.is_leaf else 1 + max(_height(c) for c in desc.children)
+
+
+def _segments(desc: SpaceDescriptor, h: int) -> list:
+    """(length, exponent) of every segment that stage h reduces, in leaf order."""
+    height = _height(desc)
+    if height < h:
+        return [(1, 1.0)]
+    if height == h:
+        return [(len(desc.children), desc.p)]
+    return [seg for c in desc.children for seg in _segments(c, h)]
 
 
 def dual_descriptor(desc: SpaceDescriptor) -> SpaceDescriptor:
-    """Same tree shape with every exponent conjugated; an involution."""
+    """Same tree shape with every exponent conjugated; an involution.
+    Cached on the descriptor, so its plan is built once."""
+    return desc._dual
+
+
+def _conjugated(desc: SpaceDescriptor) -> SpaceDescriptor:
     if desc.is_leaf:
         return desc
     return SpaceDescriptor(conjugate_exponent(desc.p),
-                           tuple(dual_descriptor(c) for c in desc.children),
-                           desc.field)
+                           tuple(_conjugated(c) for c in desc.children), desc.field)
 
 
 def dual_norm(desc: SpaceDescriptor, f: np.ndarray) -> float:
@@ -281,56 +377,20 @@ def eval_pair(f: np.ndarray, v: np.ndarray):
     return val if val.imag != 0 else val.real
 
 
-def _sign(z):
-    a = abs(z)
-    return z / a if a > 0 else type(z)(1)
+def phase(z) -> np.ndarray:
+    """Elementwise z/|z|, and 1 where z = 0: a unimodular sign of the same dtype."""
+    z = np.asarray(z)
+    a = np.abs(z)
+    return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0).astype(z.dtype)
 
 
 def norming_functional(desc: SpaceDescriptor, x: np.ndarray) -> np.ndarray:
-    """Canonical norming functional: unit dual norm with f . x = ||x||.
-
-    Smooth blocks use the weight ||x_s||^{p-1} / ||x||^{p-1}; p = 1 puts the
-    block functional on every nonzero block (zero on zero blocks); p = inf
-    puts full weight on the lowest-index max-norm block.  Complex leaves use
-    conj(x_i)/|x_i| so the pairing with x comes out real.
-    """
+    """Canonical norming functional (see NormPlan.norming): ||f||* = 1, f . x = ||x||."""
     x = check_vector(desc, x)
-    n = _node_norm(desc, x)
-    if n == 0.0:
+    f, n = desc.plan.norming(x[None])
+    if n[0] == 0.0:
         raise DegenerateInput("norming functional of the zero vector")
-    f, _ = _norming(desc, x)
-    return f
-
-
-def _norming(desc: SpaceDescriptor, x: np.ndarray):
-    """Return (f, n) with n the block norm and, when n > 0, f of unit dual
-    norm on the block satisfying f . x = n.  Zero blocks yield f = 0."""
-    if desc.is_leaf:
-        n = float(abs(x[0]))
-        if n == 0.0:
-            return np.zeros(1, dtype=desc.dtype), 0.0
-        f = np.array([np.conj(x[0]) / n], dtype=desc.dtype)
-        return f, n
-    parts = [_norming(c, x[o:o + d]) for c, (o, d) in
-             zip(desc.children, desc.child_spans)]
-    ns = np.array([p[1] for p in parts])
-    total = _combine(desc.p, ns)
-    f = np.zeros(desc.total_dim, dtype=desc.dtype)
-    if total == 0.0:
-        return f, 0.0
-    if desc.p == 1:
-        for (o, d), (fs, nb) in zip(desc.child_spans, parts):
-            if nb > 0:
-                f[o:o + d] = fs
-    elif desc.p == math.inf:
-        i = int(np.argmax(ns))          # lowest index wins ties
-        o, d = desc.child_spans[i]
-        f[o:o + d] = parts[i][0]
-    else:
-        for (o, d), (fs, nb) in zip(desc.child_spans, parts):
-            if nb > 0:
-                f[o:o + d] = (nb / total) ** (desc.p - 1.0) * fs
-    return f, total
+    return f[0]
 
 
 @dataclass(frozen=True)
@@ -345,15 +405,19 @@ class NormingPair:
     def at(desc: SpaceDescriptor, x: np.ndarray) -> "NormingPair":
         """Norming pair through the canonical duality map at x / ||x||."""
         x = check_vector(desc, x)
-        n = _node_norm(desc, x)
+        n = norm(desc, x)
         if n == 0.0:
             raise DegenerateInput("norming pair at the zero vector")
         u = x / n
-        f = norming_functional(desc, u)
-        slack = max(abs(_node_norm(desc, u) - 1.0),
-                    abs(norm(dual_descriptor(desc), f) - 1.0),
-                    abs(eval_pair(f, u) - 1.0))
-        return NormingPair(u, f, float(slack))
+        return NormingPair.of(desc, u, norming_functional(desc, u))
+
+    @staticmethod
+    def of(desc: SpaceDescriptor, x: np.ndarray, xstar: np.ndarray) -> "NormingPair":
+        """The pair (x, xstar) with its slack: the largest defect among
+        ||x|| = 1, ||xstar||* = 1 and xstar . x = 1."""
+        slack = max(abs(norm(desc, x) - 1.0), abs(dual_norm(desc, xstar) - 1.0),
+                    abs(eval_pair(xstar, x) - 1.0))
+        return NormingPair(x, xstar, float(slack))
 
 
 def projection_matrix(desc: SpaceDescriptor, keep) -> np.ndarray:
@@ -381,7 +445,7 @@ def unit_sphere_sample(desc: SpaceDescriptor, rng: np.random.Generator) -> np.nd
             g = g + 1j * rng.standard_normal(desc.total_dim)
         if np.all(g != 0):
             break
-    return g / _node_norm(desc, g.astype(desc.dtype))
+    return g / norm(desc, g)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +475,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text.replace(" ", "")
         self.i = 0
+        self.total_dim = 0
 
     def error(self, what: str):
         raise SpaceError(f"descriptor parse error at position {self.i}: {what} "
@@ -440,15 +505,15 @@ class _Parser:
         self.i = j
         return val
 
-    def field_opt(self) -> str | None:
+    def field_opt(self):
+        """Skip a ,field= annotation; parse_descriptor reads them all first."""
         if self.peek(",field="):
             self.i += len(",field=")
             for f in (REAL, COMPLEX):
                 if self.peek(f):
                     self.i += len(f)
-                    return f
+                    return
             self.error("field must be real or complex")
-        return None
 
     def space(self, field: str):
         if self.peek("lp("):
@@ -459,9 +524,12 @@ class _Parser:
             dim = self.number()
             if dim != int(dim) or dim < 1:
                 self.error("dim must be a positive integer")
-            f = self.field_opt() or field
+            self.total_dim += int(dim)
+            if self.total_dim > MAX_TOTAL_DIM:
+                self.error(f"total dimension exceeds the cap {MAX_TOTAL_DIM}")
+            self.field_opt()
             self.expect(")")
-            return lp(p, int(dim), f)
+            return lp(p, int(dim), field)
         if self.peek("psum("):
             self.expect("psum(")
             self.expect("p=")
@@ -474,23 +542,21 @@ class _Parser:
                 self.expect(",")
                 children.append(self.space(field))
             self.expect("]")
-            f = self.field_opt() or field
+            self.field_opt()
             self.expect(")")
-            return psum(p, children, f)
+            return psum(p, children, field)
         self.error("expected lp( or psum(")
 
 
 def parse_descriptor(text: str, field: str | None = None) -> SpaceDescriptor:
     """Parse the descriptor text format; ``field`` overrides the default
-    real field but not an explicit field= in the text."""
+    real field but not an explicit field= in the text.  The field must be
+    uniform, so conflicting field= annotations are an error."""
     parser = _Parser(text)
-    # peek the trailing root field first so children inherit it
-    root_field = field or REAL
-    if ",field=complex" in parser.text:
-        root_field = COMPLEX
-    elif ",field=real" in parser.text:
-        root_field = REAL
-    desc = parser.space(root_field)
+    fields = set(re.findall(r",field=(real|complex)", parser.text))
+    if len(fields) > 1:
+        raise SpaceError(f"conflicting field annotations in {parser.text!r}")
+    desc = parser.space(fields.pop() if fields else field or REAL)
     if parser.i != len(parser.text):
         parser.error("trailing characters")
-    return _refield(desc, root_field)
+    return desc

@@ -72,6 +72,19 @@ def test_radius_bad_descriptor(id2, capsys):
     assert code == EXIT_INPUT
 
 
+def test_radius_rejects_non_finite_entries(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"descriptor": "lp(p=2,dim=2)", "field": "real",
+                                "matrix": [1.0, math.nan, 0.0, 1.0]}))
+    code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", str(path)])
+    assert code == EXIT_INPUT
+    assert "non-finite" in capsys.readouterr().err
+    code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", str(path),
+                 "--poly-k", "1"])
+    assert code == EXIT_INPUT
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_radius_writes_report_and_manifest(id2, tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", id2,

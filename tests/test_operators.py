@@ -24,6 +24,7 @@ from numindex.operators import (
 from numindex.spaces import (
     DegenerateInput,
     DescriptorMismatch,
+    SpaceError,
     dual_descriptor,
     lp,
     norm,
@@ -265,6 +266,16 @@ def test_poly_tensor_symmetrized():
     P = HomogeneousPolynomial(2, t, d)
     np.testing.assert_allclose(P.tensor[0, 0, 1], 1.0)
     np.testing.assert_allclose(P.tensor[0, 1, 0], 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_entries_rejected(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(SpaceError, match="non-finite"):
+        Operator(m, lp(2, 2, "complex"))
+    with pytest.raises(SpaceError, match="non-finite"):
+        HomogeneousPolynomial(1, m, lp(2, 2, "complex"))
 
 
 def test_poly_cap_and_shape_errors():

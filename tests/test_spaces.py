@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from numindex.spaces import (
     DEFAULT_TOL,
+    MAX_TOTAL_DIM,
     DegenerateInput,
     DescriptorMismatch,
     NormingPair,
@@ -244,6 +245,22 @@ def test_parse_examples():
 def test_parse_errors(bad):
     with pytest.raises(SpaceError):
         parse_descriptor(bad)
+
+
+def test_parse_rejects_conflicting_fields():
+    with pytest.raises(SpaceError, match="conflicting field"):
+        parse_descriptor("psum(p=2,[lp(p=2,dim=2,field=real),lp(p=3,dim=1)],field=complex)")
+    d = parse_descriptor("psum(p=2,[lp(p=2,dim=2,field=complex),lp(p=3,dim=1)],field=complex)")
+    assert d.field == "complex" and all(c.field == "complex" for c in d.children)
+
+
+def test_parse_rejects_total_dimension_over_cap():
+    # rejected while parsing, before any leaf of the space is built
+    with pytest.raises(SpaceError, match="exceeds the cap"):
+        parse_descriptor("lp(p=2,dim=100000000)")
+    half = MAX_TOTAL_DIM // 2 + 1
+    with pytest.raises(SpaceError, match="exceeds the cap"):
+        parse_descriptor(f"psum(p=1,[lp(p=2,dim={half}),lp(p=3,dim={half})])")
 
 
 @given(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
