@@ -25,7 +25,7 @@ from . import __version__
 from .index import (absolute_index_estimate, mp_constant,
                     numerical_index_estimate, poly_index_estimate,
                     rank_r_index_estimate, theoretical_bounds)
-from .operators import (HomogeneousPolynomial, Operator, operator_from_json)
+from .operators import operator_from_json, poly_from_json
 from .radius import (BudgetExceeded, absolute_radius, numerical_radius,
                      poly_radius)
 from .spaces import SpaceError, parse_descriptor
@@ -47,11 +47,6 @@ class InputError(ValueError):
 def _default_seed() -> int:
     env = os.environ.get("NUMINDEX_SEED")
     return int(env) if env else DEFAULT_SEED
-
-
-def _threads() -> int:
-    env = os.environ.get("NUMINDEX_THREADS")
-    return max(int(env), 1) if env else 1
 
 
 @dataclass
@@ -102,15 +97,16 @@ def _load_space(args) -> "SpaceDescriptor":
         raise InputError(f"bad --space: {exc}") from exc
 
 
-def _load_operator(args, desc) -> Operator:
+def _load_matrix(args, parse):
+    """``parse`` applied to the text of the --matrix file."""
     if not args.matrix:
         raise InputError("missing --matrix")
     try:
         with open(args.matrix) as fh:
-            return operator_from_json(fh.read(), descriptor=desc)
+            return parse(fh.read())
     except FileNotFoundError as exc:
         raise InputError(f"matrix file not found: {args.matrix}") from exc
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad --matrix file {args.matrix}: {exc}") from exc
 
 
@@ -121,19 +117,12 @@ def cmd_radius(args) -> int:
                        args.budget, args.resolution, args.seed, args.out,
                        {"absolute": args.absolute, "poly_k": args.poly_k})
     if args.poly_k:
-        d = desc.total_dim
-        with open(args.matrix) as fh:
-            obj = json.load(fh)
-        flat = np.array(obj["matrix"], dtype=float)
-        k = args.poly_k
-        if flat.size != d ** (k + 1):
-            raise InputError(f"tensor needs {d ** (k + 1)} entries for degree {k}")
-        P = HomogeneousPolynomial(k, flat.reshape((d,) * (k + 1)), desc)
+        P = _load_matrix(args, lambda text: poly_from_json(text, args.poly_k, desc))
         est = poly_radius(P, budget=args.budget, rng=args.seed,
                           method="grid" if args.method == "grid" else "ascent",
                           resolution=args.resolution)
     else:
-        T = _load_operator(args, desc)
+        T = _load_matrix(args, lambda text: operator_from_json(text, desc))
         try:
             if args.absolute:
                 est = absolute_radius(T, budget=args.budget, rng=args.seed,
@@ -297,15 +286,13 @@ def _run_suite(name: str, args) -> SuiteReport:
     seed = args.seed
     cases = args.cases
     budget = args.budget
-    threads = _threads()
     if name == "lcc":
         tw = tower([3.0, 3.0])
-        return lcc_check(tw, m=1, j=1, cases=cases, seed=seed,
-                         budget=budget, threads=threads)
+        return lcc_check(tw, m=1, j=1, cases=cases, seed=seed, budget=budget)
     if name == "gcc":
         space = lp(1.5, 3)
         return gcc_check(space, subset=(0, 1), cases=cases, seed=seed,
-                         budget=budget, threads=threads)
+                         budget=budget)
     if name == "sums":
         from .spaces import scalar
         return sum_index_check([scalar(), scalar()], mode="linf",
@@ -313,7 +300,7 @@ def _run_suite(name: str, args) -> SuiteReport:
     if name == "duality":
         desc = parse_descriptor(args.space) if args.space else lp(3, 2)
         return duality_check(desc, cases=cases, budget=budget, seed=seed,
-                             index_budget=max(budget, 60), threads=threads)
+                             index_budget=max(budget, 60))
     if name == "bounds":
         return bounds_check([1.5, 3.0], [2], budget=max(budget, 100), seed=seed)
     raise InputError(f"unknown suite {name!r}")

@@ -11,15 +11,16 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import operators as ops
-from .operators import (HomogeneousPolynomial, Operator, _as_rng, op_norm,
-                        rank_one)
-from .radius import (absolute_radius, numerical_radius, poly_norm,
-                     poly_radius)
+from .operators import (HomogeneousPolynomial, Operator, _as_rng,
+                        op_norm_stack, rank_one)
+from .radius import (absolute_radius_stack, poly_norm, poly_radius,
+                     radius_stack)
 from .spaces import (COMPLEX, DegenerateInput, SpaceDescriptor,
                      dual_descriptor, unit_sphere_sample)
 
@@ -32,6 +33,9 @@ RADIUS_BUDGET_IN_SEARCH = 6
 
 #: a ratio this small cannot be improved; stop searching
 EARLY_EXIT = 1e-9
+
+#: most descent perturbations scored in one stacked call
+SPECULATIVE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -122,14 +126,29 @@ def _eval_rng(T: Operator):
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def _ratio(T: Operator, radius_budget: int, radius_method: str = "auto"):
-    erng = _eval_rng(T)
-    nrm = op_norm(T, budget=4, rng=erng)
-    if nrm.value < 1e-13:
-        return None
-    est = numerical_radius(T, method=radius_method, budget=radius_budget,
-                           rng=erng)
-    return est.value / nrm.value, est.method
+def _ratios(Ts, norm_budget: int, radii, radius_budget: int) -> list:
+    """(nu(T) / ||T||, radius method) of every operator of a stack sharing
+    one descriptor, or None where ||T|| vanishes.  Operator k's norm and then
+    its radius draw from its own ``_eval_rng``; ``radii(Ts, budget, rngs)``
+    is a stacked radius estimator."""
+    erngs = [_eval_rng(T) for T in Ts]
+    norms = op_norm_stack(Ts, norm_budget, erngs)
+    live = [k for k, n in enumerate(norms) if n.value >= 1e-13]
+    out = [None] * len(Ts)
+    if live:
+        nus = radii([Ts[k] for k in live], radius_budget, [erngs[k] for k in live])
+        for k, nu in zip(live, nus):
+            out[k] = (nu.value / norms[k].value, nu.method)
+    return out
+
+
+def _gaussian(desc: SpaceDescriptor, rng, shape=None) -> np.ndarray:
+    """Gaussian entries of the field of ``desc``, d x d by default."""
+    shape = shape or (desc.total_dim,) * 2
+    g = rng.standard_normal(shape)
+    if desc.field == COMPLEX:
+        g = g + 1j * rng.standard_normal(shape)
+    return g
 
 
 def _start_portfolio(desc: SpaceDescriptor, rng, dense: int = 4):
@@ -137,9 +156,7 @@ def _start_portfolio(desc: SpaceDescriptor, rng, dense: int = 4):
     dense Gaussian.  Order is deterministic."""
     d = desc.total_dim
     out = []
-    g = rng.standard_normal((d, d))
-    if desc.field == COMPLEX:
-        g = g + 1j * rng.standard_normal((d, d))
+    g = _gaussian(desc, rng)
     out.append(Operator((g - g.T) / 2.0, desc))           # antisymmetric
     if d >= 2:
         shift = np.zeros((d, d))
@@ -153,63 +170,63 @@ def _start_portfolio(desc: SpaceDescriptor, rng, dense: int = 4):
     out.append(rank_one(desc, unit_sphere_sample(ddual, rng),
                         unit_sphere_sample(desc, rng)))
     for _ in range(dense):
-        g = rng.standard_normal((d, d))
-        if desc.field == COMPLEX:
-            g = g + 1j * rng.standard_normal((d, d))
-        out.append(Operator(g, desc))
+        out.append(Operator(_gaussian(desc, rng), desc))
     return out
 
 
-def _perturb_dense(T: Operator, scale: float, rng) -> Operator:
-    d = T.dim
-    g = rng.standard_normal((d, d))
-    if T.field == COMPLEX:
-        g = g + 1j * rng.standard_normal((d, d))
+def _perturb_dense(T: Operator, scale: float, noise: np.ndarray) -> Operator:
     base = max(np.abs(T.matrix).max(), 1e-6)
-    return Operator(T.matrix + scale * base * g, T.descriptor)
+    return Operator(T.matrix + scale * base * noise, T.descriptor)
 
 
-def _minimize_ratio(desc: SpaceDescriptor, candidates, perturb, budget: int,
-                    rng, radius_budget: int = RADIUS_BUDGET_IN_SEARCH,
-                    radius_method: str = "auto"):
+def _after_fail(scale: float, fails: int):
+    """Step schedule of the descent: halve the scale after 8 failures in a row."""
+    return (scale * 0.5, 0) if fails + 1 >= 8 else (scale, fails + 1)
+
+
+def _minimize_ratio(candidates, draw, perturb, ratios, budget: int, rng):
     """Evaluate the candidate portfolio, then refine the best by random
-    perturbation descent with shrinking step.  ``budget`` counts ratio
+    perturbation descent with shrinking step.  ``ratios`` scores a list of
+    operators; ``draw(rng)`` draws the noise of one perturbation and
+    ``perturb(T, scale, noise)`` applies it.  ``budget`` counts ratio
     evaluations; the evaluation sequence for budget B is a prefix of the
     sequence for budget 2B under a shared seed, so enlarging the budget
-    never raises the reported bound."""
+    never raises the reported bound.
+
+    The portfolio is scored in one call.  The descent is speculative: it
+    draws the next perturbations as if all of them will fail, scores them
+    in one call and keeps the outcomes up to the first accepted or
+    degenerate one; the rest are rebuilt around the new best from the noise
+    already drawn.  A ratio is a pure function of its operator, so the
+    result equals that of a one-at-a-time descent bit for bit (``rng`` may
+    end up advanced past the last draw used)."""
     best = None          # (ratio, Operator, method)
     evals = 0
-    for T in candidates:
-        if evals >= budget:
-            break
-        r = _ratio(T, radius_budget, radius_method)
+    for T, r in zip(candidates, ratios(candidates[:budget])):
         evals += 1
-        if r is None:
-            continue
-        if best is None or r[0] < best[0] - 1e-15:
+        if r is not None and (best is None or r[0] < best[0] - 1e-15):
             best = (r[0], T, r[1])
-        if best[0] < EARLY_EXIT:
+        if best is not None and best[0] < EARLY_EXIT:
             return best, evals
     if best is None:
         raise DegenerateInput("no usable candidate operator")
-    scale = 0.3
-    fails = 0
-    while evals < budget and scale > 1e-6:
-        T2 = perturb(best[1], scale, rng)
-        r = _ratio(T2, radius_budget, radius_method)
-        evals += 1
-        if r is None:
-            continue
-        if r[0] < best[0] - 1e-15:
-            best = (r[0], T2, r[1])
-            fails = 0
-        else:
-            fails += 1
-            if fails >= 8:
-                scale *= 0.5
-                fails = 0
-        if best[0] < EARLY_EXIT:
-            break
+    scale, fails, noise = 0.3, 0, []
+    while evals < budget and scale > 1e-6 and best[0] >= EARLY_EXIT:
+        scales, s, f = [], scale, fails
+        while len(scales) < min(budget - evals, SPECULATIVE_BATCH) and s > 1e-6:
+            scales.append(s)
+            s, f = _after_fail(s, f)
+        noise += [draw(rng) for _ in range(len(scales) - len(noise))]
+        batch = [perturb(best[1], s, z) for s, z in zip(scales, noise)]
+        for T2, r in zip(batch, ratios(batch)):
+            evals += 1
+            noise.pop(0)
+            if r is None:
+                break
+            if r[0] < best[0] - 1e-15:
+                best, fails = (r[0], T2, r[1]), 0
+                break
+            scale, fails = _after_fail(scale, fails)
     return best, evals
 
 
@@ -223,8 +240,9 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
         return IndexEstimate(1.0, ops.identity(desc), 0, "exact",
                              bounds.lower, bounds.lower_tag, desc.field)
     candidates = list(extra_starts) + _start_portfolio(desc, rng)
-    best, evals = _minimize_ratio(desc, candidates, _perturb_dense, budget,
-                                  rng, radius_budget)
+    best, evals = _minimize_ratio(
+        candidates, partial(_gaussian, desc), _perturb_dense,
+        lambda Ts: _ratios(Ts, 4, radius_stack, radius_budget), budget, rng)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
                          bounds.lower, bounds.lower_tag, desc.field)
 
@@ -233,35 +251,35 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
                           rng=None, extra_starts=(),
                           radius_budget: int = RADIUS_BUDGET_IN_SEARCH) -> IndexEstimate:
     """Upper bound of the rank-r index n_r(X); candidates and perturbations
-    act on rank-one factor pairs so the rank constraint holds exactly."""
-    if not (1 <= r <= desc.total_dim):
-        raise DegenerateInput(f"rank {r} out of range 1..{desc.total_dim}")
+    act on rank-one factor pairs so the rank constraint holds exactly.  An
+    extra start is factored by its SVD; one of rank above r is rejected."""
+    d = desc.total_dim
+    if not (1 <= r <= d):
+        raise DegenerateInput(f"rank {r} out of range 1..{d}")
     rng = _as_rng(rng)
     ddual = dual_descriptor(desc)
+    factors = {}         # matrix bytes -> rank-one factor pairs (f, y)
 
-    def factors_to_op(pairs) -> Operator:
-        m = sum(np.outer(y, f) for f, y in pairs)
-        return _FactoredOperator(m, desc, tuple(pairs))
+    def factored(pairs) -> Operator:
+        T = Operator(sum(np.outer(y, f) for f, y in pairs), desc)
+        factors[T.matrix.tobytes()] = pairs
+        return T
 
-    def sample(_rng) -> Operator:
-        pairs = [(unit_sphere_sample(ddual, _rng), unit_sphere_sample(desc, _rng))
-                 for _ in range(r)]
-        return factors_to_op(pairs)
+    def perturb(T: Operator, scale: float, noise) -> Operator:
+        return factored([(f + scale * df, y + scale * dy) for (f, y), (df, dy)
+                         in zip(factors[T.matrix.tobytes()], noise)])
 
-    def perturb(T: Operator, scale: float, _rng) -> Operator:
-        pairs = []
-        for f, y in T.factors:
-            df = _rng.standard_normal(desc.total_dim)
-            dy = _rng.standard_normal(desc.total_dim)
-            if desc.field == COMPLEX:
-                df = df + 1j * _rng.standard_normal(desc.total_dim)
-                dy = dy + 1j * _rng.standard_normal(desc.total_dim)
-            pairs.append((f + scale * df, y + scale * dy))
-        return factors_to_op(pairs)
-
-    candidates = list(extra_starts) + [sample(rng) for _ in range(8)]
-    best, evals = _minimize_ratio(desc, candidates, perturb, budget, rng,
-                                  radius_budget)
+    for T in extra_starts:
+        if np.linalg.matrix_rank(T.matrix) > r:
+            raise DegenerateInput(f"extra start of rank above {r}")
+        u, s, vh = np.linalg.svd(T.matrix)
+        factors[T.matrix.tobytes()] = [(vh[i], s[i] * u[:, i]) for i in range(r)]
+    candidates = list(extra_starts) + [
+        factored([(unit_sphere_sample(ddual, rng), unit_sphere_sample(desc, rng))
+                  for _ in range(r)]) for _ in range(8)]
+    best, evals = _minimize_ratio(
+        candidates, lambda _rng: [_gaussian(desc, _rng, (2, d)) for _ in range(r)],
+        perturb, lambda Ts: _ratios(Ts, 4, radius_stack, radius_budget), budget, rng)
     if r == 1:
         lb, tag = INV_E, "rank-one-lower-bound"
     else:
@@ -269,14 +287,6 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
         lb, tag = b.lower, b.lower_tag
     return IndexEstimate(float(best[0]), best[1], evals, best[2], lb, tag,
                          desc.field)
-
-
-class _FactoredOperator(Operator):
-    """Operator remembering its rank-one factors for rank-safe perturbation."""
-
-    def __init__(self, matrix, descriptor, factors):
-        object.__setattr__(self, "factors", factors)
-        super().__init__(matrix, descriptor)
 
 
 def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
@@ -290,36 +300,9 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     p = desc.p
     q = p / (p - 1.0)
     target = 1.0 / (p ** (1.0 / p) * q ** (1.0 / q))
-
-    def ratio(T: Operator):
-        nrm = op_norm(T, budget=8, rng=rng)
-        if nrm.value < 1e-13:
-            return None
-        est = absolute_radius(T, budget=radius_budget, rng=rng)
-        return est.value / nrm.value, est.method
-
-    best = None
-    evals = 0
-    for T in _start_portfolio(desc, rng):
-        if evals >= budget:
-            break
-        r = ratio(T)
-        evals += 1
-        if r and (best is None or r[0] < best[0] - 1e-15):
-            best = (r[0], T, r[1])
-    scale, fails = 0.3, 0
-    while evals < budget and scale > 1e-6:
-        T2 = _perturb_dense(best[1], scale, rng)
-        r = ratio(T2)
-        evals += 1
-        if r is None:
-            continue
-        if r[0] < best[0] - 1e-15:
-            best, fails = (r[0], T2, r[1]), 0
-        else:
-            fails += 1
-            if fails >= 8:
-                scale, fails = scale * 0.5, 0
+    best, evals = _minimize_ratio(
+        _start_portfolio(desc, rng), partial(_gaussian, desc), _perturb_dense,
+        lambda Ts: _ratios(Ts, 8, absolute_radius_stack, radius_budget), budget, rng)
     b = theoretical_bounds(desc)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
                          b.lower, b.lower_tag, desc.field, target=target)
@@ -331,14 +314,7 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     """Upper bound of the order-k polynomial index over random symmetric
     coefficient tensors with perturbation descent."""
     rng = _as_rng(rng)
-    d = desc.total_dim
-
-    def random_tensor(scale: float = 1.0) -> np.ndarray:
-        shape = (d,) * (k + 1)
-        g = rng.standard_normal(shape)
-        if desc.field == COMPLEX:
-            g = g + 1j * rng.standard_normal(shape)
-        return scale * g
+    shape = (desc.total_dim,) * (k + 1)
 
     def ratio(P: HomogeneousPolynomial):
         nrm, _ = poly_norm(P, budget=radius_budget, rng=rng)
@@ -365,7 +341,7 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
             break
     while ((best is None or evals < max(budget // 4, 2))
            and not (best and best[0] < EARLY_EXIT)):
-        P = HomogeneousPolynomial(k, random_tensor(), desc)
+        P = HomogeneousPolynomial(k, _gaussian(desc, rng, shape), desc)
         r = ratio(P)
         evals += 1
         if r and (best is None or r[0] < best[0] - 1e-15):
@@ -373,7 +349,7 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     scale = 0.3
     fails = 0
     while evals < budget and scale > 1e-6 and best[0] >= EARLY_EXIT:
-        P2 = HomogeneousPolynomial(k, best[1].tensor + scale * random_tensor(),
+        P2 = HomogeneousPolynomial(k, best[1].tensor + scale * _gaussian(desc, rng, shape),
                                    desc)
         r = ratio(P2)
         evals += 1

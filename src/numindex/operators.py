@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
+from .optimize import best_rows
 from .spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch,
                      SpaceDescriptor, descriptor_to_text, dual_descriptor,
                      SpaceError, parse_descriptor, phase, projection_matrix,
-                     unit_sphere_sample)
+                     sphere_starts, unit_sphere_sample)
 
 OP_NORM_MAX_ITERS = 500
 OP_NORM_VALUE_TOL = 1e-10
@@ -92,25 +93,30 @@ def op_norm(T: Operator, budget: int = 16,
 
     Flat l1/linf descriptors are exact (column/row enumeration); otherwise a
     duality-map fixed-point iteration x <- J*(T^adj J(Tx)) runs from ``budget``
-    starts (coordinate directions first, then random samples).
+    starts (coordinate directions first, then random samples).  The
+    one-operator case of :func:`op_norm_stack`.
     """
-    desc = T.descriptor
+    return op_norm_stack([T], budget, [_as_rng(rng)])[0]
+
+
+def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
+    """:func:`op_norm` of every operator of a stack sharing one descriptor,
+    operator k drawing its starts from ``rngs[k]``.  The fixed points of all
+    starts of all operators advance together as rows of one array, each
+    row's rounding independent of the others, so every estimate equals its
+    one-operator call bit for bit."""
+    if not Ts:
+        return []
+    desc, m = operator_stack(Ts)
     if desc.is_flat and desc.p in (1.0, math.inf):
         # the largest column sum, attained at e_j (l1), or row sum (linf)
-        sums = np.abs(T.matrix).sum(axis=0 if desc.p == 1 else 1)
-        i = int(np.argmax(sums))
-        w = (np.eye(desc.total_dim, dtype=desc.dtype)[i] if desc.p == 1
-             else np.conj(phase(T.matrix[i])))
-        return OperatorNormEstimate(float(sums[i]), w, "exact", 0.0)
+        return [_exact_norm(T) for T in Ts]
 
-    rng = _as_rng(rng)
     plan, dplan = desc.plan, dual_descriptor(desc).plan
-    starts = list(np.eye(desc.total_dim, dtype=desc.dtype))
-    while len(starts) < max(budget, 1):
-        starts.append(unit_sphere_sample(desc, rng))
-    x = np.array(starts[:max(budget, 1)])            # unit vectors
-    m = T.matrix
-    val = plan.norm(_apply_rows(m, x))
+    x = np.concatenate([sphere_starts(desc, rng, budget) for rng in rngs])
+    g = np.repeat(np.arange(len(Ts)), len(x) // len(Ts))
+    mt = m.transpose(0, 2, 1)
+    val = plan.norm(_apply_rows(m, x, g))
     defect = np.full(len(x), np.inf)
     active = np.ones(len(x), dtype=bool)
     # every start runs its own fixed point; the rows advance together
@@ -118,32 +124,49 @@ def op_norm(T: Operator, budget: int = 16,
         a = np.flatnonzero(active)
         if a.size == 0:
             break
-        f, _ = plan.norming(_apply_rows(m, x[a]))
+        f, _ = plan.norming(_apply_rows(m, x[a], g[a]))
         # bilinear adjoint of the pairing; J is 0-homogeneous, so no rescaling
-        x_new, ng = dplan.norming(_apply_rows(m.T, f))
+        x_new, ng = dplan.norming(_apply_rows(mt, f, g[a]))
         stuck = ng == 0.0                 # Tx = 0, or T^adj J(Tx) = 0
         defect[a[stuck]] = 0.0
         active[a[stuck]] = False
         a, x_new = a[~stuck], x_new[~stuck]
-        new_val = plan.norm(_apply_rows(m, x_new))
+        new_val = plan.norm(_apply_rows(m, x_new, g[a]))
         defect[a] = np.abs(new_val - val[a])
         kink = new_val < val[a]           # nonsmooth kink; keep the best seen
         step = a[~kink]
         x[step], val[step] = x_new[~kink], new_val[~kink]
         active[a[kink]] = False
         active[step[defect[step] < OP_NORM_VALUE_TOL]] = False
-    best = 0
-    for i in range(1, len(val)):
-        if val[i] > val[best] + 1e-15:
-            best = i
-    return OperatorNormEstimate(float(val[best]), x[best], "ascent", float(defect[best]))
+    return [OperatorNormEstimate(float(val[i]), x[i], "ascent", float(defect[i]))
+            for i in best_rows(val, g, len(Ts))]
 
 
-def _apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ v for every row v of a (B, d) batch.  Unlike a matmul, whose one-row
-    case takes another BLAS path, a row's rounding does not depend on B, so
-    batched restarts follow exactly the trajectories they would follow alone."""
-    return np.einsum("ij,bj->bi", m, x)
+def _exact_norm(T: Operator) -> OperatorNormEstimate:
+    desc = T.descriptor
+    sums = np.abs(T.matrix).sum(axis=0 if desc.p == 1 else 1)
+    i = int(np.argmax(sums))
+    w = (np.eye(desc.total_dim, dtype=desc.dtype)[i] if desc.p == 1
+         else np.conj(phase(T.matrix[i])))
+    return OperatorNormEstimate(float(sums[i]), w, "exact", 0.0)
+
+
+def operator_stack(T) -> tuple[SpaceDescriptor, np.ndarray]:
+    """Descriptor and (K, d, d) matrices of one operator or of a sequence of
+    operators sharing a descriptor."""
+    Ts = [T] if isinstance(T, Operator) else T
+    return Ts[0].descriptor, np.stack([t.matrix for t in Ts])
+
+
+def _apply_rows(m: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """m[g_b] @ x_b for every row of a (B, d) batch and a (K, d, d) stack.
+    Unlike a matmul, whose one-row case takes another BLAS path, a row's
+    rounding depends on neither B nor K, so batched restarts follow exactly
+    the trajectories they would follow alone (a one-matrix stack skips the
+    gather; both forms round identically)."""
+    if len(m) == 1:
+        return np.einsum("ij,bj->bi", m[0], x)
+    return np.einsum("bij,bj->bi", m[g], x)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -288,15 +311,24 @@ def operator_to_json(T: Operator) -> str:
 
 def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None) -> Operator:
     obj = json.loads(text)
-    field = obj.get("field", REAL)
-    desc = descriptor or parse_descriptor(obj["descriptor"], field=field)
+    desc = descriptor or parse_descriptor(obj["descriptor"], field=obj.get("field", REAL))
     d = desc.total_dim
+    return Operator(_json_entries(obj, d * d).reshape(d, d), desc)
+
+
+def poly_from_json(text: str, degree: int, descriptor: SpaceDescriptor) -> HomogeneousPolynomial:
+    """Degree-k polynomial whose "matrix" field holds the d^(k+1) tensor
+    entries, in the operator exchange format."""
+    d = descriptor.total_dim
+    flat = _json_entries(json.loads(text), d ** (degree + 1))
+    return HomogeneousPolynomial(degree, flat.reshape((d,) * (degree + 1)), descriptor)
+
+
+def _json_entries(obj: dict, size: int) -> np.ndarray:
+    """The "matrix" entries: numbers, or [re, im] pairs when "field" is complex."""
     raw = obj["matrix"]
-    if len(raw) != d * d:
-        raise DescriptorMismatch(
-            f"matrix field has {len(raw)} entries, expected {d * d}")
-    if field == COMPLEX:
-        flat = np.array([complex(re, im) for re, im in raw])
-    else:
-        flat = np.array(raw, dtype=float)
-    return Operator(flat.reshape(d, d), desc)
+    if len(raw) != size:
+        raise DescriptorMismatch(f"matrix field has {len(raw)} entries, expected {size}")
+    if obj.get("field", REAL) == COMPLEX:
+        return np.array([complex(re, im) for re, im in raw])
+    return np.array(raw, dtype=float)

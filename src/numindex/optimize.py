@@ -5,15 +5,17 @@ coordinates are optimized as interleaved real/imaginary parameters.
 Gradients are central finite differences of the normalized objective,
 followed by backtracking steps and renormalization.  The restarts advance
 in lockstep as rows of one array, each with its own step size and stall
-count; the reduction over restarts is deterministic (best value, earliest
-restart wins ties).
+count.  Several problems on one descriptor (a stack) share the array:
+every row carries its problem index, and each problem keeps its own starts
+and its own deterministic reduction (best value, earliest restart wins
+ties).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spaces import COMPLEX, SpaceDescriptor, norm, unit_sphere_sample
+from .spaces import COMPLEX, SpaceDescriptor, norm, sphere_starts
 
 FD_STEP = 1e-6
 STALL_ITERS = 5
@@ -37,54 +39,72 @@ def maximize_on_sphere(desc: SpaceDescriptor, objective, rng: np.random.Generato
                        restarts: int = 64, max_iters: int = 500,
                        extra_starts=()):
     """Return (best_x, best_value, evals) for ``objective`` over the unit
-    sphere of ``desc``.  ``objective`` maps a (B, d) batch of norm-one rows
-    to their B values; ``evals`` counts evaluated rows.
+    sphere of ``desc``: the one-problem case of :func:`maximize_stack`.
 
     Starts: the given extra starts, the coordinate directions, then random
     sphere samples up to ``restarts`` total; the start list grows with
     ``restarts`` as a prefix, so enlarging the budget never lowers the result
     under a shared seed.
     """
+    return maximize_stack(desc, objective, [rng], restarts, max_iters, extra_starts)[0]
+
+
+def maximize_stack(desc: SpaceDescriptor, objective, rngs, restarts: int = 64,
+                   max_iters: int = 500, extra_starts=()) -> list[tuple]:
+    """Maximize one objective per generator in ``rngs`` at once; returns
+    (best_x, best_value, evals) of each.  ``objective`` maps a (B, d) batch
+    of norm-one rows and the (B,) problem index of every row to their B
+    values; ``evals`` counts a problem's evaluated rows.  Problem k draws its
+    starts from ``rngs[k]`` as :func:`maximize_on_sphere` does, and every
+    restart follows the trajectory it would follow alone, so each result
+    equals the one-problem call bit for bit."""
     cplx = desc.field == COMPLEX
     plan = desc.plan
-    starts = [np.asarray(s, dtype=desc.dtype) for s in extra_starts]
-    starts.extend(np.eye(desc.total_dim, dtype=desc.dtype))
-    while len(starts) < max(restarts, 1):
-        starts.append(unit_sphere_sample(desc, rng))
-    starts = np.array(starts[:max(restarts, len(extra_starts))])
+    starts = np.concatenate([sphere_starts(desc, rng, restarts, extra_starts)
+                             for rng in rngs])
+    group = np.repeat(np.arange(len(rngs)), len(starts) // len(rngs))
+    n0 = plan.norm(starts)
+    ok = n0 != 0.0
+    group = group[ok]
+    evaluated = []       # rows of every evaluation, counted per problem at the end
 
-    evals = 0
-
-    def normed_obj(y: np.ndarray) -> np.ndarray:
-        nonlocal evals
+    def normed_obj(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         x = _from_params(y, cplx)
         n = plan.norm(x)
         out = np.zeros(len(y))
         ok = n != 0.0
-        evals += int(ok.sum())
-        out[ok] = objective(x[ok] / n[ok, None])
+        evaluated.append(rows[ok])
+        out[ok] = objective(x[ok] / n[ok, None], group[evaluated[-1]])
         return out
 
-    n0 = plan.norm(starts)
-    ok = n0 != 0.0
     ys, vals = _ascend(normed_obj, _to_params(starts[ok] / n0[ok, None], cplx),
                        max_iters)
-    best = 0
-    for i in range(1, len(vals)):
-        if vals[i] > vals[best] + 1e-15:
-            best = i
-    x = _from_params(ys[best], cplx)
-    x = x / norm(desc, x)
-    return x, float(vals[best]), evals
+    evals = np.bincount(group[np.concatenate(evaluated)], minlength=len(rngs))
+    found = []
+    for k, best in enumerate(best_rows(vals, group, len(rngs))):
+        x = _from_params(ys[best], cplx)
+        found.append((x / norm(desc, x), float(vals[best]), int(evals[k])))
+    return found
+
+
+def best_rows(vals: np.ndarray, group: np.ndarray, n: int) -> list[int]:
+    """Row of the best value of each of ``n`` problems; within 1e-15 the
+    earliest row wins."""
+    best = [-1] * n
+    for i, k in enumerate(group.tolist()):
+        if best[k] < 0 or vals[i] > vals[best[k]] + 1e-15:
+            best[k] = i
+    return best
 
 
 def _ascend(obj, y: np.ndarray, max_iters: int):
-    """Gradient ascent of every row of ``y``; returns (y, values).  Each
+    """Gradient ascent of every row of ``y``; returns (y, values).  ``obj``
+    takes a batch and the row of ``y`` each batch row belongs to.  Each
     iteration takes the central differences of all active rows in one
     batch, then the rows still line-searching try their next step sizes in
     one batch per backtracking sub-step."""
     r, d = y.shape
-    val = obj(y)
+    val = obj(y, np.arange(r))
     step = np.full(r, 0.25)
     stall = np.zeros(r, dtype=int)
     active = np.ones(r, dtype=bool)
@@ -94,7 +114,8 @@ def _ascend(obj, y: np.ndarray, max_iters: int):
         if a.size == 0:
             break
         ya = y[a][:, None, :]
-        fd = obj(np.concatenate([ya + e, ya - e], axis=1).reshape(-1, d))
+        fd = obj(np.concatenate([ya + e, ya - e], axis=1).reshape(-1, d),
+                 np.repeat(a, 2 * d))
         fd = fd.reshape(a.size, 2, d)
         grad = (fd[:, 0] - fd[:, 1]) / (2 * FD_STEP)
         gn = np.linalg.norm(grad, axis=1)
@@ -107,7 +128,7 @@ def _ascend(obj, y: np.ndarray, max_iters: int):
             if k.size == 0:
                 break
             cand = y[a[k]] + s[k, None] * direction[k]
-            cval = obj(cand)
+            cval = obj(cand, a[k])
             up = cval > val[a[k]] + 1e-15
             ku, rows = k[up], a[k[up]]
             y[rows], val[rows] = cand[up], cval[up]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (HomogeneousPolynomial, Operator, _apply_rows, _as_rng,
-                        _poly_rows, poly_apply)
-from .optimize import maximize_on_sphere
+                        _poly_rows, operator_stack, poly_apply)
+from .optimize import maximize_on_sphere, maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
                      eval_pair, lp, norming_functional, phase)
 
@@ -54,14 +54,15 @@ def _estimate_at(T: Operator, x: np.ndarray, method: str, guarantee: str,
     return RadiusEstimate(float(value), pair, method, guarantee, evals)
 
 
-def radius_objective(T: Operator):
-    """Unit rows x -> |J(x) . Tx|, the quantity whose sup over Pi(X) is nu(T)."""
-    plan = T.descriptor.plan
-    m = T.matrix
+def radius_objective(T):
+    """Unit rows x of problem k -> |J(x) . T_k x|, the quantity whose sup over
+    Pi(X) is nu(T_k); ``T`` is one operator or a stack sharing a descriptor."""
+    desc, m = operator_stack(T)
+    plan = desc.plan
 
-    def g(x: np.ndarray) -> np.ndarray:
+    def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         f, _ = plan.norming(x)
-        return np.abs(np.sum(f * _apply_rows(m, x), axis=1))
+        return np.abs(np.sum(f * _apply_rows(m, x, k), axis=1))
 
     return g
 
@@ -78,8 +79,7 @@ def numerical_radius(T: Operator, method: str = "auto",
     """
     desc = T.descriptor
     if method == "auto":
-        u = desc.uniform_exponent
-        method = "enumerate" if u in (1.0, math.inf) else "ascent"
+        method = _auto_method(desc)
     if method == "enumerate":
         return radius_enumerate(T)
     if method == "grid":
@@ -89,13 +89,28 @@ def numerical_radius(T: Operator, method: str = "auto",
     raise ValueError(f"unknown radius method {method!r}")
 
 
+def _auto_method(desc: SpaceDescriptor) -> str:
+    """Flat (or uniformly nested) l1/linf -> enumerate; everything else -> ascent."""
+    return "enumerate" if desc.uniform_exponent in (1.0, math.inf) else "ascent"
+
+
 def radius_ascent(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
                   extra_starts=()) -> RadiusEstimate:
     """Multi-start local maximization of |J(x) . Tx| over the unit sphere."""
-    rng = _as_rng(rng)
-    x, _, evals = maximize_on_sphere(T.descriptor, radius_objective(T), rng,
-                                     restarts=budget, extra_starts=extra_starts)
-    return _estimate_at(T, x, "ascent", "certified-lower-bound", evals)
+    return radius_stack([T], budget, [_as_rng(rng)], extra_starts, "ascent")[0]
+
+
+def radius_stack(Ts, budget: int, rngs, extra_starts=(),
+                 method: str = "auto") -> list[RadiusEstimate]:
+    """``numerical_radius`` (auto or ascent) of every operator of a stack
+    sharing one descriptor, operator k drawing from ``rngs[k]``; the ascents
+    run as one batch and equal the one-operator calls bit for bit."""
+    if method == "auto" and _auto_method(Ts[0].descriptor) == "enumerate":
+        return [radius_enumerate(T) for T in Ts]
+    found = maximize_stack(Ts[0].descriptor, radius_objective(Ts), rngs,
+                           restarts=budget, extra_starts=extra_starts)
+    return [_estimate_at(T, x, "ascent", "certified-lower-bound", evals)
+            for T, (x, _, evals) in zip(Ts, found)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +209,7 @@ def _grid_sweep(desc: SpaceDescriptor, xs: np.ndarray, objective):
     xs = xs.astype(desc.dtype)
     n = desc.plan.norm(xs)
     xs = xs[n > 0] / n[n > 0, None]
-    vals = objective(xs)
+    vals = objective(xs, np.zeros(len(xs), dtype=int))
     k = int(np.argmax(vals))
     return float(vals[k]), xs[k]
 
@@ -204,10 +219,10 @@ def _face_objective(T: Operator):
     (free coordinates off the support at p = 1; the extremes e_i over the
     max-modulus coordinates at p = inf)."""
     p = T.descriptor.p
-    m = T.matrix
+    _, m = operator_stack(T)
 
-    def g(x: np.ndarray) -> np.ndarray:
-        y = _apply_rows(m, x)
+    def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        y = _apply_rows(m, x, k)
         a = np.abs(x)
         if p == 1:
             sgn = np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
@@ -240,13 +255,14 @@ def _best_face_functional(desc: SpaceDescriptor, x: np.ndarray,
 # absolute numerical radius
 # ---------------------------------------------------------------------------
 
-def absolute_radius_objective(T: Operator):
-    """Unit rows x (flat lp^m) -> sum_i |x_i|^{p-1} |(Tx)_i| (weight 1 at p=1)."""
-    pm1 = T.descriptor.p - 1.0
-    m = T.matrix
+def absolute_radius_objective(T):
+    """Unit rows x (flat lp^m) of problem k -> sum_i |x_i|^{p-1} |(T_k x)_i|
+    (weight 1 at p=1); ``T`` is one operator or a stack sharing a descriptor."""
+    desc, m = operator_stack(T)
+    pm1 = desc.p - 1.0
 
-    def h(x: np.ndarray) -> np.ndarray:
-        return (np.abs(x) ** pm1 * np.abs(_apply_rows(m, x))).sum(axis=1)
+    def h(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return (np.abs(x) ** pm1 * np.abs(_apply_rows(m, x, k))).sum(axis=1)
 
     return h
 
@@ -260,12 +276,17 @@ def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
         raise DegenerateInput("absolute radius needs a flat lp^m with finite p")
     if method == "grid":
         return radius_grid_oracle(T, resolution, absolute=True)
-    rng = _as_rng(rng)
-    x, val, evals = maximize_on_sphere(desc, absolute_radius_objective(T), rng,
-                                       restarts=budget, extra_starts=extra_starts)
-    pair = NormingPair.at(desc, x)
-    return RadiusEstimate(float(val), pair, "ascent",
-                          "certified-lower-bound", evals)
+    return absolute_radius_stack([T], budget, [_as_rng(rng)], extra_starts)[0]
+
+
+def absolute_radius_stack(Ts, budget: int, rngs, extra_starts=()) -> list[RadiusEstimate]:
+    """Ascent :func:`absolute_radius` of every operator of a stack sharing one
+    flat lp^m descriptor, 1 <= p < inf."""
+    desc = Ts[0].descriptor
+    found = maximize_stack(desc, absolute_radius_objective(Ts), rngs,
+                           restarts=budget, extra_starts=extra_starts)
+    return [RadiusEstimate(val, NormingPair.at(desc, x), "ascent",
+                           "certified-lower-bound", evals) for x, val, evals in found]
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +317,7 @@ def _poly_objective(P: HomogeneousPolynomial):
     """Unit rows x -> |J(x) . P(x)|."""
     plan = P.descriptor.plan
 
-    def g(x: np.ndarray) -> np.ndarray:
+    def g(x: np.ndarray, _k) -> np.ndarray:
         f, _ = plan.norming(x)
         return np.abs(np.sum(f * _poly_rows(P, x), axis=1))
 
@@ -309,7 +330,7 @@ def poly_norm(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
     desc = P.descriptor
     rng = _as_rng(rng)
 
-    def g(x: np.ndarray) -> np.ndarray:
+    def g(x: np.ndarray, _k) -> np.ndarray:
         return desc.plan.norm(_poly_rows(P, x))
 
     x, val, evals = maximize_on_sphere(desc, g, rng, restarts=budget)

@@ -448,6 +448,18 @@ def unit_sphere_sample(desc: SpaceDescriptor, rng: np.random.Generator) -> np.nd
     return g / norm(desc, g)
 
 
+def sphere_starts(desc: SpaceDescriptor, rng: np.random.Generator, count: int,
+                  extra_starts=()) -> np.ndarray:
+    """Start rows of a multi-start search: the extra starts, the coordinate
+    directions, then sphere samples from ``rng`` up to ``count`` rows.  The
+    rows for ``count`` are a prefix of the rows for any larger count."""
+    starts = [np.asarray(s, dtype=desc.dtype) for s in extra_starts]
+    starts.extend(np.eye(desc.total_dim, dtype=desc.dtype))
+    while len(starts) < max(count, 1):
+        starts.append(unit_sphere_sample(desc, rng))
+    return np.array(starts[:max(count, len(extra_starts), 1)])
+
+
 # ---------------------------------------------------------------------------
 # text format:  lp(p=2,dim=3)  |  psum(p=inf,[lp(p=1,dim=2),lp(p=2,dim=1)])
 # field selected by field=real|complex at the root.

@@ -5,14 +5,13 @@ independent code paths -- separate descriptors, separate radius calls --
 and records the worst observed violation.  A suite passes when that
 violation stays below its declared tolerance.  Everything is
 deterministic given (config, seed): per-case generators come from a
-counter-based seed split, so case-level parallelism cannot perturb
-results.
+counter-based seed split, so a case does not depend on the cases run
+before it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,14 +68,6 @@ class SuiteReport:
                 "extra": self.extra}
 
 
-def _run_cases(fn, n_cases: int, threads: int = 1) -> list[dict]:
-    """Run ``fn(i)`` for each case index; results in case order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n_cases)))
-    return [fn(i) for i in range(n_cases)]
-
-
 def _suite_tolerance(desc: SpaceDescriptor) -> float:
     u = desc.uniform_exponent
     return TOL_ENUMERATION if u in (1.0, math.inf) else TOL_ASCENT
@@ -92,7 +83,7 @@ def _random_operator(desc: SpaceDescriptor, rng) -> Operator:
 
 
 def lcc_check(tower: SpaceDescriptor, m: int, j: int, cases: int = 50,
-              seed: int = 0, budget: int = 32, threads: int = 1) -> SuiteReport:
+              seed: int = 0, budget: int = 32) -> SuiteReport:
     """Projection invariance along a tower: nu(L) on level m versus
     nu(L o Q_{m,j}) on level m+j, plus the one-sided level monotonicity."""
     levels = tower_levels(tower)
@@ -121,8 +112,8 @@ def lcc_check(tower: SpaceDescriptor, m: int, j: int, cases: int = 50,
         return {"case": i, "values": vals,
                 "violation": max(violation, monotone_defect)}
 
-    for rec in _run_cases(one, cases, threads):
-        report.add(rec)
+    for i in range(cases):
+        report.add(one(i))
     return report
 
 
@@ -138,7 +129,7 @@ def _embed_top_left(L: Operator, big: SpaceDescriptor) -> Operator:
 
 
 def gcc_check(sum_space: SpaceDescriptor, subset, cases: int = 50,
-              seed: int = 0, budget: int = 32, threads: int = 1) -> SuiteReport:
+              seed: int = 0, budget: int = 32) -> SuiteReport:
     """Block-projection invariance on a p-sum: nu(L o P_W) on the full
     space equals nu(L) on the block Z_W."""
     Q = coordinate_projection(sum_space, subset)
@@ -156,8 +147,8 @@ def gcc_check(sum_space: SpaceDescriptor, subset, cases: int = 50,
         return {"case": i, "block": v_block, "full": v_full,
                 "violation": abs(v_block - v_full)}
 
-    for rec in _run_cases(one, cases, threads):
-        report.add(rec)
+    for i in range(cases):
+        report.add(one(i))
     return report
 
 
@@ -231,8 +222,7 @@ def monotone_sweep(p: float, m_values, budget: int = 120, seed: int = 0,
 
 
 def duality_check(desc: SpaceDescriptor, cases: int = 50, budget: int = 32,
-                  seed: int = 0, index_budget: int = 80,
-                  threads: int = 1) -> SuiteReport:
+                  seed: int = 0, index_budget: int = 80) -> SuiteReport:
     """nu(T*) = nu(T) case by case, plus the coarse index comparison
     n(X*) <= n(X) (equality at finite dimension) on best-found bounds."""
     tol = max(_suite_tolerance(desc), _suite_tolerance(dual_descriptor(desc)))
@@ -249,8 +239,8 @@ def duality_check(desc: SpaceDescriptor, cases: int = 50, budget: int = 32,
         return {"case": i, "radius": v, "radius_adjoint": v_star,
                 "violation": abs(v - v_star)}
 
-    for rec in _run_cases(one, cases, threads):
-        report.add(rec)
+    for i in range(cases):
+        report.add(one(i))
     n_primal = numerical_index_estimate(desc, budget=index_budget,
                                         rng=case_rng(seed, 10_001)).upper_bound
     n_dual = numerical_index_estimate(dual_descriptor(desc), budget=index_budget,

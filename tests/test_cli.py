@@ -85,6 +85,25 @@ def test_radius_rejects_non_finite_entries(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_radius_poly_missing_matrix_file(capsys):
+    code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", "/no/such.json",
+                 "--poly-k", "1"])
+    assert code == EXIT_INPUT
+    assert "matrix file not found" in capsys.readouterr().err
+
+
+def test_radius_poly_complex_tensor(tmp_path, capsys):
+    space = "lp(p=2,dim=2,field=complex)"
+    path = tmp_path / "cid2.json"
+    path.write_text(operator_to_json(Operator(np.eye(2), lp(2, 2, "complex"))))
+    code = main(["radius", "--space", space, "--matrix", str(path), "--poly-k", "1"])
+    assert code == EXIT_OK
+    assert _json_out(capsys)["value"] == pytest.approx(1.0, abs=1e-9)
+    code = main(["radius", "--space", space, "--matrix", str(path), "--poly-k", "2"])
+    assert code == EXIT_INPUT
+    assert "matrix field has 4 entries, expected 8" in capsys.readouterr().err
+
+
 def test_radius_writes_report_and_manifest(id2, tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", id2,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from numindex import index
 from numindex.index import (
     INV_E,
     absolute_index_estimate,
@@ -14,9 +15,10 @@ from numindex.index import (
     rank_r_index_estimate,
     theoretical_bounds,
 )
-from numindex.operators import op_norm
-from numindex.radius import numerical_radius
-from numindex.spaces import DegenerateInput, lp, psum, scalar
+from numindex.operators import Operator, op_norm, op_norm_stack
+from numindex.radius import (absolute_radius, absolute_radius_stack,
+                             numerical_radius, radius_stack)
+from numindex.spaces import COMPLEX, DegenerateInput, lp, psum, scalar, tower
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +222,206 @@ def test_poly_index_degree_one_agrees():
 def test_poly_index_in_unit_interval():
     est = poly_index_estimate(lp(2, 2), 2, budget=24, rng=0)
     assert 0.0 <= est.upper_bound <= 1.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# stacked ratio evaluation and speculative descent
+# ---------------------------------------------------------------------------
+
+STACK_SPACES = [lp(3, 2), lp(1.5, 3), lp(4, 2, COMPLEX),
+                psum(1.5, [lp(3, 2), scalar()]), tower([3, 1.5], [2, 1, 2]),
+                lp(1, 3), lp(math.inf, 2, COMPLEX), psum(1, [lp(1, 2), scalar()])]
+
+
+def _random_operators(desc, n, seed=0):
+    rng = np.random.default_rng(seed)
+    d = desc.total_dim
+    out = [Operator(index._gaussian(desc, rng, (d, d)), desc) for _ in range(n)]
+    return out + [Operator(np.zeros((d, d)), desc)]
+
+
+@pytest.mark.parametrize("desc", STACK_SPACES, ids=str)
+def test_stacked_ratio_matches_one_operator_calls(desc):
+    Ts = _random_operators(desc, 5)
+    for T, r in zip(Ts, index._ratios(Ts, 4, radius_stack, 6)):
+        erng = index._eval_rng(T)
+        n = op_norm(T, budget=4, rng=erng)
+        if n.value < 1e-13:
+            assert r is None
+            continue
+        nu = numerical_radius(T, budget=6, rng=erng)
+        assert r == (nu.value / n.value, nu.method)
+    rngs = [np.random.default_rng(k) for k in range(len(Ts))]
+    for k, (T, n) in enumerate(zip(Ts, op_norm_stack(Ts, 8, rngs))):
+        ref = op_norm(T, budget=8, rng=k)
+        assert (n.value, n.method, n.defect) == (ref.value, ref.method, ref.defect)
+        np.testing.assert_array_equal(n.witness, ref.witness)
+
+
+@pytest.mark.parametrize("desc", [lp(3, 2), lp(1.5, 3), lp(4, 2, COMPLEX)], ids=str)
+def test_stacked_absolute_radius_matches_one_operator_calls(desc):
+    Ts = _random_operators(desc, 4, seed=1)
+    stacked = absolute_radius_stack(Ts, 6, [np.random.default_rng(k) for k in range(5)])
+    for k, (T, est) in enumerate(zip(Ts, stacked)):
+        ref = absolute_radius(T, budget=6, rng=k)
+        assert (est.value, est.evals) == (ref.value, ref.evals)
+        np.testing.assert_array_equal(est.witness.x, ref.witness.x)
+
+
+def _sequential_descent(candidates, draw, perturb, ratio, budget, rng):
+    """One candidate per ratio call: the reference for the stacked search."""
+    best, evals = None, 0
+    for T in candidates:
+        if evals >= budget:
+            break
+        r = ratio(T)
+        evals += 1
+        if r is None:
+            continue
+        if best is None or r[0] < best[0] - 1e-15:
+            best = (r[0], T, r[1])
+        if best[0] < index.EARLY_EXIT:
+            return best, evals
+    if best is None:
+        raise DegenerateInput("no usable candidate operator")
+    scale, fails = 0.3, 0
+    while evals < budget and scale > 1e-6:
+        T2 = perturb(best[1], scale, draw(rng))
+        r = ratio(T2)
+        evals += 1
+        if r is None:
+            continue
+        if r[0] < best[0] - 1e-15:
+            best, fails = (r[0], T2, r[1]), 0
+        else:
+            fails += 1
+            if fails >= 8:
+                scale, fails = scale * 0.5, 0
+        if best[0] < index.EARLY_EXIT:
+            break
+    return best, evals
+
+
+@pytest.fixture()
+def sequential_search(monkeypatch):
+    """Run a search with the one-candidate-per-call descent instead."""
+    def run(search, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(index, "_minimize_ratio",
+                      lambda cands, draw, perturb, ratios, budget, rng:
+                      _sequential_descent(cands, draw, perturb,
+                                          lambda T: ratios([T])[0], budget, rng))
+            return search(*args, **kwargs)
+    return run
+
+
+@pytest.fixture()
+def ratio_calls(monkeypatch):
+    """Count the stacked ratio calls and record every operator scored."""
+    calls, scored, orig = [], set(), index._ratios
+
+    def counted(Ts, *args):
+        calls.append(len(Ts))
+        scored.update(T.matrix.tobytes() for T in Ts)
+        return orig(Ts, *args)
+
+    monkeypatch.setattr(index, "_ratios", counted)
+    return calls, scored
+
+
+def _assert_same_estimate(a, b):
+    assert (a.upper_bound, a.restarts_used, a.radius_method) == \
+        (b.upper_bound, b.restarts_used, b.radius_method)
+    np.testing.assert_array_equal(a.witness_operator.matrix, b.witness_operator.matrix)
+
+
+ZERO2 = Operator(np.zeros((2, 2)), lp(3, 2))
+SEARCHES = [
+    ("plain lp(3,2)", numerical_index_estimate, (lp(3, 2),), {}),
+    ("plain lp(1.5,3) zero start", numerical_index_estimate, (lp(1.5, 3),),
+     {"extra_starts": [Operator(np.zeros((3, 3)), lp(1.5, 3))]}),
+    ("plain complex", numerical_index_estimate, (lp(4, 2, COMPLEX),), {}),
+    ("plain nested", numerical_index_estimate, (psum(1.5, [lp(3, 2), scalar()]),), {}),
+    ("plain linf", numerical_index_estimate, (lp(math.inf, 3),), {}),
+    ("early exit", numerical_index_estimate, (lp(2, 2),), {}),
+    ("rank one", rank_r_index_estimate, (lp(3, 2), 1), {"extra_starts": [ZERO2]}),
+    ("rank two", rank_r_index_estimate, (lp(1.5, 2), 2), {}),
+    ("rank complex", rank_r_index_estimate, (lp(3, 3, COMPLEX), 2), {}),
+]
+
+
+@pytest.mark.parametrize("name,search,args,kwargs", SEARCHES, ids=[s[0] for s in SEARCHES])
+def test_stacked_search_matches_sequential(name, search, args, kwargs,
+                                           sequential_search):
+    for budget, seed in ((16, 1), (40, 7)):
+        est = search(*args, budget=budget, rng=seed, **kwargs)
+        ref = sequential_search(search, *args, budget=budget, rng=seed, **kwargs)
+        _assert_same_estimate(est, ref)
+    if name == "early exit":
+        assert est.restarts_used == 1 and est.upper_bound < index.EARLY_EXIT
+
+
+def test_rank_search_accepts_inside_a_speculative_batch(ratio_calls, sequential_search):
+    calls, _ = ratio_calls
+    est = rank_r_index_estimate(lp(3, 2), 1, budget=40, rng=1)
+    # portfolio, first descent batch, and a rebuild after an accept
+    assert len(calls) >= 3 and calls[1] == min(index.SPECULATIVE_BATCH, 32)
+    _assert_same_estimate(est, sequential_search(rank_r_index_estimate, lp(3, 2), 1,
+                                                 budget=40, rng=1))
+
+
+@pytest.mark.parametrize("name,search,args,kwargs", SEARCHES[:2] + SEARCHES[6:8],
+                         ids=[s[0] for s in SEARCHES[:2] + SEARCHES[6:8]])
+def test_stacked_search_budget_prefix(name, search, args, kwargs, ratio_calls):
+    _, scored = ratio_calls
+    small = search(*args, budget=20, rng=3, **kwargs)
+    scored.clear()
+    big = search(*args, budget=40, rng=3, **kwargs)
+    assert small.witness_operator.matrix.tobytes() in scored
+    assert big.upper_bound <= small.upper_bound
+
+
+def test_speculative_descent_matches_sequential_on_synthetic_ratios():
+    # scalar stand-ins for operators: the ratio reaches 0 near x = 0.3 (early
+    # exit) and is degenerate (None) on a sparse pattern of x
+    def ratio(x):
+        return None if int(abs(x) * 1e6) % 7 == 0 else (max(abs(x - 0.3) - 0.02, 0.0), "t")
+
+    batches = []
+
+    def ratios(xs):
+        batches.append([ratio(x) for x in xs])
+        return batches[-1]
+
+    def draw(rng):
+        return rng.standard_normal()
+
+    def perturb(x, scale, z):
+        return x + scale * z
+
+    exits = 0
+    for seed in range(40):
+        for budget in (5, 30, 90):
+            got = index._minimize_ratio([1.0, -2.0, 0.9], draw, perturb, ratios,
+                                        budget, np.random.default_rng(seed))
+            ref = _sequential_descent([1.0, -2.0, 0.9], draw, perturb, ratio,
+                                      budget, np.random.default_rng(seed))
+            assert got == ref
+            exits += got[0][0] < index.EARLY_EXIT and got[1] < budget
+    # degenerate outcomes fell inside speculative batches, and descents
+    # stopped early on an accepted outcome
+    assert any(None in b[:-1] for b in batches)
+    assert exits > 0
+
+
+def test_rank_search_factors_extra_starts():
+    desc = lp(3, 2)
+    with pytest.raises(DegenerateInput):
+        rank_r_index_estimate(desc, 1, budget=12, rng=0,
+                              extra_starts=[Operator([[0.0, 1.0], [-1.0, 0.0]], desc)])
+    # a plain rank-one operator as the best start is perturbed through its SVD
+    seed_est = rank_r_index_estimate(desc, 1, budget=40, rng=1)
+    start = Operator(seed_est.witness_operator.matrix, desc)
+    est = rank_r_index_estimate(desc, 1, budget=20, rng=5, extra_starts=[start])
+    assert est.upper_bound <= seed_est.upper_bound
+    assert np.linalg.matrix_rank(est.witness_operator.matrix, tol=1e-10) <= 1

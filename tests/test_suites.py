@@ -75,12 +75,6 @@ def test_suite_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_threaded_matches_serial():
-    a = gcc_check(lp(1.5, 3), subset=(0, 1), cases=6, seed=2, budget=8, threads=1)
-    b = gcc_check(lp(1.5, 3), subset=(0, 1), cases=6, seed=2, budget=8, threads=3)
-    assert a.to_dict() == b.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # sums
 # ---------------------------------------------------------------------------
