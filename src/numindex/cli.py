@@ -97,6 +97,14 @@ def _load_space(args) -> "SpaceDescriptor":
         raise InputError(f"bad --space: {exc}") from exc
 
 
+def _check_counts(args):
+    """Reject a budget below 1 and a negative polynomial degree."""
+    if args.budget < 1:
+        raise InputError(f"--budget must be >= 1, got {args.budget}")
+    if getattr(args, "poly_k", 0) < 0:
+        raise InputError(f"--poly-k must be >= 0, got {args.poly_k}")
+
+
 def _load_matrix(args, parse):
     """``parse`` applied to the text of the --matrix file."""
     if not args.matrix:
@@ -403,6 +411,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad flags already
         return int(exc.code or 0)
     try:
+        _check_counts(args)
         return args.fn(args)
     except (InputError, SpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,10 +17,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import operators as ops
-from .operators import (HomogeneousPolynomial, Operator, _as_rng,
-                        op_norm_stack, rank_one)
-from .radius import (absolute_radius_stack, poly_norm, poly_radius,
-                     radius_stack)
+from .operators import (HomogeneousPolynomial, Operator, _as_rng, coefficients,
+                        op_norm_stack, poly_shape, rank_one)
+from .radius import absolute_radius_stack, poly_norm_stack, radius_stack
 from .spaces import (COMPLEX, DegenerateInput, SpaceDescriptor,
                      dual_descriptor, unit_sphere_sample)
 
@@ -117,28 +116,29 @@ class IndexEstimate:
     target: float | None = None       # closed-form comparison value, if any
 
 
-def _eval_rng(T: Operator):
-    """Generator keyed to the operator entries, so the ratio of a given
-    operator is a pure function of the operator: re-encountering a witness
-    (warm starts, embedded summand witnesses, rank chains) reproduces its
-    ratio exactly instead of re-rolling the evaluation noise."""
-    digest = hashlib.blake2b(T.matrix.tobytes(), digest_size=8).digest()
+def _eval_rng(T):
+    """Generator keyed to the coefficients of an operator or polynomial, so
+    its ratio is a pure function of it: re-encountering a witness (warm
+    starts, embedded summand witnesses, rank chains) reproduces its ratio
+    exactly instead of re-rolling the evaluation noise."""
+    digest = hashlib.blake2b(coefficients(T).tobytes(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def _ratios(Ts, norm_budget: int, radii, radius_budget: int) -> list:
-    """(nu(T) / ||T||, radius method) of every operator of a stack sharing
-    one descriptor, or None where ||T|| vanishes.  Operator k's norm and then
-    its radius draw from its own ``_eval_rng``; ``radii(Ts, budget, rngs)``
-    is a stacked radius estimator."""
+def _ratios(Ts, norms, norm_budget: int, radii, radius_budget: int) -> list:
+    """(nu(T) / ||T||, radius method) of every operator or polynomial of a
+    stack sharing one descriptor, or None where ||T|| vanishes.  Member k's
+    norm and then its radius draw from its own ``_eval_rng``;
+    ``norms(Ts, budget, rngs)`` and ``radii(Ts, budget, rngs)`` are the
+    stacked norm and radius estimators."""
     erngs = [_eval_rng(T) for T in Ts]
-    norms = op_norm_stack(Ts, norm_budget, erngs)
-    live = [k for k, n in enumerate(norms) if n.value >= 1e-13]
+    values = [n.value for n in norms(Ts, norm_budget, erngs)]
+    live = [k for k, n in enumerate(values) if n >= 1e-13]
     out = [None] * len(Ts)
     if live:
         nus = radii([Ts[k] for k in live], radius_budget, [erngs[k] for k in live])
         for k, nu in zip(live, nus):
-            out[k] = (nu.value / norms[k].value, nu.method)
+            out[k] = (nu.value / values[k], nu.method)
     return out
 
 
@@ -187,20 +187,24 @@ def _after_fail(scale: float, fails: int):
 def _minimize_ratio(candidates, draw, perturb, ratios, budget: int, rng):
     """Evaluate the candidate portfolio, then refine the best by random
     perturbation descent with shrinking step.  ``ratios`` scores a list of
-    operators; ``draw(rng)`` draws the noise of one perturbation and
-    ``perturb(T, scale, noise)`` applies it.  ``budget`` counts ratio
-    evaluations; the evaluation sequence for budget B is a prefix of the
-    sequence for budget 2B under a shared seed, so enlarging the budget
-    never raises the reported bound.
+    candidates; ``draw(rng)`` draws the noise of one perturbation and
+    ``perturb(T, scale, noise)`` applies it.  ``budget`` (>= 1) counts ratio
+    evaluations.  When the candidate list does not depend on the budget (the
+    numerical, rank and absolute searches), the evaluation sequence for
+    budget B is a prefix of the sequence for budget 2B under a shared seed,
+    so enlarging the budget never raises the reported bound; the polynomial
+    search draws more random starts for a larger budget.
 
     The portfolio is scored in one call.  The descent is speculative: it
     draws the next perturbations as if all of them will fail, scores them
     in one call and keeps the outcomes up to the first accepted or
     degenerate one; the rest are rebuilt around the new best from the noise
-    already drawn.  A ratio is a pure function of its operator, so the
+    already drawn.  A ratio is a pure function of its candidate, so the
     result equals that of a one-at-a-time descent bit for bit (``rng`` may
     end up advanced past the last draw used)."""
-    best = None          # (ratio, Operator, method)
+    if budget < 1:
+        raise DegenerateInput("budget must be >= 1")
+    best = None          # (ratio, candidate, method)
     evals = 0
     for T, r in zip(candidates, ratios(candidates[:budget])):
         evals += 1
@@ -242,7 +246,7 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     candidates = list(extra_starts) + _start_portfolio(desc, rng)
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, 4, radius_stack, radius_budget), budget, rng)
+        lambda Ts: _ratios(Ts, op_norm_stack, 4, radius_stack, radius_budget), budget, rng)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
                          bounds.lower, bounds.lower_tag, desc.field)
 
@@ -279,7 +283,8 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
                   for _ in range(r)]) for _ in range(8)]
     best, evals = _minimize_ratio(
         candidates, lambda _rng: [_gaussian(desc, _rng, (2, d)) for _ in range(r)],
-        perturb, lambda Ts: _ratios(Ts, 4, radius_stack, radius_budget), budget, rng)
+        perturb, lambda Ts: _ratios(Ts, op_norm_stack, 4, radius_stack, radius_budget),
+        budget, rng)
     if r == 1:
         lb, tag = INV_E, "rank-one-lower-bound"
     else:
@@ -302,7 +307,8 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     target = 1.0 / (p ** (1.0 / p) * q ** (1.0 / q))
     best, evals = _minimize_ratio(
         _start_portfolio(desc, rng), partial(_gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, 8, absolute_radius_stack, radius_budget), budget, rng)
+        lambda Ts: _ratios(Ts, op_norm_stack, 8, absolute_radius_stack, radius_budget),
+        budget, rng)
     b = theoretical_bounds(desc)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
                          b.lower, b.lower_tag, desc.field, target=target)
@@ -312,55 +318,24 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
                         rng=None,
                         radius_budget: int = RADIUS_BUDGET_IN_SEARCH) -> IndexEstimate:
     """Upper bound of the order-k polynomial index over random symmetric
-    coefficient tensors with perturbation descent."""
+    coefficient tensors with perturbation descent.  The candidates are the
+    structured portfolio at k = 1, then random tensors up to
+    ``max(budget // 4, 2)`` candidates in all."""
+    shape = poly_shape(desc, k)
     rng = _as_rng(rng)
-    shape = (desc.total_dim,) * (k + 1)
-
-    def ratio(P: HomogeneousPolynomial):
-        nrm, _ = poly_norm(P, budget=radius_budget, rng=rng)
-        if nrm < 1e-13:
-            return None
-        est = poly_radius(P, budget=radius_budget, rng=rng)
-        return est.value / nrm, est.method
-
     candidates = []
     if k == 1:
         # order 1 is the classical index; reuse the structured portfolio
         candidates = [HomogeneousPolynomial(1, T.matrix, desc)
                       for T in _start_portfolio(desc, rng)]
-    best = None
-    evals = 0
-    for P in candidates:
-        if evals >= budget:
-            break
-        r = ratio(P)
-        evals += 1
-        if r and (best is None or r[0] < best[0] - 1e-15):
-            best = (r[0], P, r[1])
-        if best and best[0] < EARLY_EXIT:
-            break
-    while ((best is None or evals < max(budget // 4, 2))
-           and not (best and best[0] < EARLY_EXIT)):
-        P = HomogeneousPolynomial(k, _gaussian(desc, rng, shape), desc)
-        r = ratio(P)
-        evals += 1
-        if r and (best is None or r[0] < best[0] - 1e-15):
-            best = (r[0], P, r[1])
-    scale = 0.3
-    fails = 0
-    while evals < budget and scale > 1e-6 and best[0] >= EARLY_EXIT:
-        P2 = HomogeneousPolynomial(k, best[1].tensor + scale * _gaussian(desc, rng, shape),
-                                   desc)
-        r = ratio(P2)
-        evals += 1
-        if r is None:
-            continue
-        if r[0] < best[0] - 1e-15:
-            best, fails = (r[0], P2, r[1]), 0
-        else:
-            fails += 1
-            if fails >= 8:
-                scale, fails = scale * 0.5, 0
+    candidates += [HomogeneousPolynomial(k, _gaussian(desc, rng, shape), desc)
+                   for _ in range(max(budget // 4, 2) - len(candidates))]
+    best, evals = _minimize_ratio(
+        candidates, partial(_gaussian, desc, shape=shape),
+        lambda P, scale, noise: HomogeneousPolynomial(k, P.tensor + scale * noise, desc),
+        lambda Ps: _ratios(Ps, poly_norm_stack, radius_budget,
+                           partial(radius_stack, method="ascent"), radius_budget),
+        budget, rng)
     bounds = theoretical_bounds(desc)
     lb = bounds.lower if k == 1 else 0.0
     tag = bounds.lower_tag if k == 1 else "polynomial-range"

@@ -152,21 +152,32 @@ def _exact_norm(T: Operator) -> OperatorNormEstimate:
 
 
 def operator_stack(T) -> tuple[SpaceDescriptor, np.ndarray]:
-    """Descriptor and (K, d, d) matrices of one operator or of a sequence of
-    operators sharing a descriptor."""
-    Ts = [T] if isinstance(T, Operator) else T
-    return Ts[0].descriptor, np.stack([t.matrix for t in Ts])
+    """Descriptor and (K, d, ..., d) coefficient stack of one operator or
+    polynomial, or of a sequence of them sharing a descriptor and degree."""
+    Ts = [T] if isinstance(T, (Operator, HomogeneousPolynomial)) else T
+    return Ts[0].descriptor, np.stack([coefficients(t) for t in Ts])
+
+
+def coefficients(T) -> np.ndarray:
+    """The matrix of an operator, the coefficient tensor of a polynomial."""
+    return T.tensor if isinstance(T, HomogeneousPolynomial) else T.matrix
 
 
 def _apply_rows(m: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """m[g_b] @ x_b for every row of a (B, d) batch and a (K, d, d) stack.
-    Unlike a matmul, whose one-row case takes another BLAS path, a row's
-    rounding depends on neither B nor K, so batched restarts follow exactly
-    the trajectories they would follow alone (a one-matrix stack skips the
+    """m[g_b] applied to x_b for every row of a (B, d) batch and a
+    (K, d, ..., d) coefficient stack: the matrix product, or for a tensor of
+    degree k = m.ndim - 2 the contraction with k copies of x_b.  Unlike a
+    matmul, whose one-row case takes another BLAS path, a row's rounding
+    depends on neither B nor K, so batched restarts follow exactly the
+    trajectories they would follow alone (a one-member stack skips the
     gather; both forms round identically)."""
     if len(m) == 1:
-        return np.einsum("ij,bj->bi", m[0], x)
-    return np.einsum("bij,bj->bi", m[g], x)
+        out = np.einsum("...j,bj->b...", m[0], x)
+    else:
+        out = np.einsum("b...j,bj->b...", m[g], x)
+    for _ in range(m.ndim - 3):
+        out = np.einsum("b...j,bj->b...", out, x)
+    return out
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -253,18 +264,24 @@ class HomogeneousPolynomial:
     descriptor: SpaceDescriptor
 
     def __post_init__(self):
-        k = self.degree
-        d = self.descriptor.total_dim
-        if k < 1:
-            raise DegenerateInput("degree must be >= 1")
-        if d ** k > POLY_TENSOR_CAP:
-            raise DegenerateInput(f"tensor size {d}^{k} exceeds cap {POLY_TENSOR_CAP}")
+        shape = poly_shape(self.descriptor, self.degree)
         t = np.asarray(self.tensor, dtype=self.descriptor.dtype)
-        if t.shape != (d,) * (k + 1):
-            raise DescriptorMismatch(
-                f"tensor shape {t.shape}, expected {(d,) * (k + 1)}")
+        if t.shape != shape:
+            raise DescriptorMismatch(f"tensor shape {t.shape}, expected {shape}")
         _check_finite("tensor", t)
-        object.__setattr__(self, "tensor", _symmetrize(t, k))
+        object.__setattr__(self, "tensor", _symmetrize(t, self.degree))
+
+
+def poly_shape(desc: SpaceDescriptor, k: int) -> tuple[int, ...]:
+    """Shape (d,) * (k+1) of a degree-k coefficient tensor on ``desc``;
+    rejects k < 1 and tensors beyond ``POLY_TENSOR_CAP``, before anything of
+    that size is allocated."""
+    d = desc.total_dim
+    if k < 1:
+        raise DegenerateInput("degree must be >= 1")
+    if d ** k > POLY_TENSOR_CAP:
+        raise DegenerateInput(f"tensor size {d}^{k} exceeds cap {POLY_TENSOR_CAP}")
+    return (d,) * (k + 1)
 
 
 def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:
@@ -284,15 +301,7 @@ def poly_from_operator(T: Operator) -> HomogeneousPolynomial:
 def poly_apply(P: HomogeneousPolynomial, v: np.ndarray) -> np.ndarray:
     """Contract the symmetric tensor with k copies of v."""
     v = spaces.check_vector(P.descriptor, v)
-    return _poly_rows(P, v[None])[0]
-
-
-def _poly_rows(P: HomogeneousPolynomial, x: np.ndarray) -> np.ndarray:
-    """P(x) for every row of a (B, d) batch."""
-    out = np.einsum("...j,bj->b...", P.tensor, x)
-    for _ in range(P.degree - 1):
-        out = np.einsum("b...j,bj->b...", out, x)
-    return out
+    return _apply_rows(P.tensor[None], v[None], None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +328,9 @@ def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None) -> 
 def poly_from_json(text: str, degree: int, descriptor: SpaceDescriptor) -> HomogeneousPolynomial:
     """Degree-k polynomial whose "matrix" field holds the d^(k+1) tensor
     entries, in the operator exchange format."""
-    d = descriptor.total_dim
-    flat = _json_entries(json.loads(text), d ** (degree + 1))
-    return HomogeneousPolynomial(degree, flat.reshape((d,) * (degree + 1)), descriptor)
+    shape = poly_shape(descriptor, degree)
+    flat = _json_entries(json.loads(text), math.prod(shape))
+    return HomogeneousPolynomial(degree, flat.reshape(shape), descriptor)
 
 
 def _json_entries(obj: dict, size: int) -> np.ndarray:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (HomogeneousPolynomial, Operator, _apply_rows, _as_rng,
-                        _poly_rows, operator_stack, poly_apply)
-from .optimize import maximize_on_sphere, maximize_stack
+from .operators import (HomogeneousPolynomial, Operator, OperatorNormEstimate,
+                        _apply_rows, _as_rng, operator_stack, poly_apply)
+from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
                      eval_pair, lp, norming_functional, phase)
 
@@ -47,16 +47,18 @@ class RadiusEstimate:
     evals: int
 
 
-def _estimate_at(T: Operator, x: np.ndarray, method: str, guarantee: str,
+def _estimate_at(T, x: np.ndarray, method: str, guarantee: str,
                  evals: int) -> RadiusEstimate:
     pair = NormingPair.at(T.descriptor, x)
-    value = abs(eval_pair(pair.xstar, T.matrix @ pair.x))
+    image = T.matrix @ pair.x if isinstance(T, Operator) else poly_apply(T, pair.x)
+    value = abs(eval_pair(pair.xstar, image))
     return RadiusEstimate(float(value), pair, method, guarantee, evals)
 
 
 def radius_objective(T):
-    """Unit rows x of problem k -> |J(x) . T_k x|, the quantity whose sup over
-    Pi(X) is nu(T_k); ``T`` is one operator or a stack sharing a descriptor."""
+    """Unit rows x of problem k -> |J(x) . T_k(x)|, the quantity whose sup
+    over Pi(X) is nu(T_k); ``T`` is one operator or polynomial, or a stack of
+    them sharing a descriptor and degree."""
     desc, m = operator_stack(T)
     plan = desc.plan
 
@@ -104,7 +106,9 @@ def radius_stack(Ts, budget: int, rngs, extra_starts=(),
                  method: str = "auto") -> list[RadiusEstimate]:
     """``numerical_radius`` (auto or ascent) of every operator of a stack
     sharing one descriptor, operator k drawing from ``rngs[k]``; the ascents
-    run as one batch and equal the one-operator calls bit for bit."""
+    run as one batch and equal the one-operator calls bit for bit.  With
+    ``method="ascent"`` the stack may hold polynomials of one degree
+    instead (:func:`poly_radius`)."""
     if method == "auto" and _auto_method(Ts[0].descriptor) == "enumerate":
         return [radius_enumerate(T) for T in Ts]
     found = maximize_stack(Ts[0].descriptor, radius_objective(Ts), rngs,
@@ -296,45 +300,38 @@ def absolute_radius_stack(Ts, budget: int, rngs, extra_starts=()) -> list[Radius
 def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
                 rng=None, method: str = "ascent",
                 resolution: int = 2000) -> RadiusEstimate:
-    """nu(P) = sup |J(x) . P(x)| over the unit sphere."""
+    """nu(P) = sup |J(x) . P(x)| over the unit sphere; the ascent is the
+    one-polynomial case of :func:`radius_stack`."""
     desc = P.descriptor
     if method == "grid":
         xs = _grid_points(desc, resolution)
-        best, bx = _grid_sweep(desc, xs, _poly_objective(P))
+        best, bx = _grid_sweep(desc, xs, radius_objective(P))
         pair = NormingPair.at(desc, bx)
         return RadiusEstimate(best, pair, "grid",
                               "certified-lower-bound", len(xs))
-    rng = _as_rng(rng)
-    x, _, evals = maximize_on_sphere(desc, _poly_objective(P), rng,
-                                     restarts=budget)
-    pair = NormingPair.at(desc, x)
-    value = abs(eval_pair(pair.xstar, poly_apply(P, pair.x)))
-    return RadiusEstimate(float(value), pair, "ascent",
-                          "certified-lower-bound", evals)
-
-
-def _poly_objective(P: HomogeneousPolynomial):
-    """Unit rows x -> |J(x) . P(x)|."""
-    plan = P.descriptor.plan
-
-    def g(x: np.ndarray, _k) -> np.ndarray:
-        f, _ = plan.norming(x)
-        return np.abs(np.sum(f * _poly_rows(P, x), axis=1))
-
-    return g
+    return radius_stack([P], budget, [_as_rng(rng)], method="ascent")[0]
 
 
 def poly_norm(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
               rng=None):
-    """sup ||P(x)|| over the unit sphere (certified lower bound)."""
-    desc = P.descriptor
-    rng = _as_rng(rng)
+    """(sup ||P(x)|| over the unit sphere, attaining x): a certified lower
+    bound, the one-polynomial case of :func:`poly_norm_stack`."""
+    est = poly_norm_stack([P], budget, [_as_rng(rng)])[0]
+    return est.value, est.witness
 
-    def g(x: np.ndarray, _k) -> np.ndarray:
-        return desc.plan.norm(_poly_rows(P, x))
 
-    x, val, evals = maximize_on_sphere(desc, g, rng, restarts=budget)
-    return float(val), x
+def poly_norm_stack(Ps, budget: int, rngs) -> list[OperatorNormEstimate]:
+    """sup ||P_k(x)|| over the unit sphere of every polynomial of a stack
+    sharing one descriptor and degree, P_k drawing its ascent starts from
+    ``rngs[k]``; each equals its one-polynomial call bit for bit.  The
+    ascent has no fixed-point defect, so the estimates report ``nan``."""
+    desc, m = operator_stack(Ps)
+
+    def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return desc.plan.norm(_apply_rows(m, x, k))
+
+    return [OperatorNormEstimate(val, x, "ascent", math.nan)
+            for x, val, _ in maximize_stack(desc, g, rngs, restarts=budget)]
 
 
 def _grid_points(desc: SpaceDescriptor, resolution: int) -> np.ndarray:

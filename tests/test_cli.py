@@ -151,6 +151,23 @@ def test_index_rank_flag(capsys):
     assert _json_out(capsys)["upper_bound_best_found"] >= 1 / math.e - 0.02
 
 
+BAD_COUNTS = [
+    (["index", "--budget", "-1"], "--budget must be >= 1"),
+    (["index", "--budget", "0"], "--budget must be >= 1"),
+    (["index", "--poly-k", "2", "--budget", "0"], "--budget must be >= 1"),
+    (["index", "--poly-k", "-1"], "--poly-k must be >= 0"),
+    (["radius", "--matrix", "/no/such.json", "--poly-k", "-1"], "--poly-k must be >= 0"),
+    (["index", "--poly-k", "17"], "exceeds cap 100000"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_COUNTS, ids=[" ".join(a) for a, _ in BAD_COUNTS])
+def test_bad_budget_and_degree_exit_2(argv, message, capsys):
+    code = main(argv[:1] + ["--space", "lp(p=3,dim=2)"] + argv[1:])
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # mp
 # ---------------------------------------------------------------------------

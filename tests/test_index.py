@@ -1,6 +1,7 @@
 """Index engine: M_p constant, theoretical bounds, min-max estimators."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from numindex.index import (
     rank_r_index_estimate,
     theoretical_bounds,
 )
-from numindex.operators import Operator, op_norm, op_norm_stack
+from numindex.operators import (HomogeneousPolynomial, Operator, coefficients,
+                                op_norm, op_norm_stack)
 from numindex.radius import (absolute_radius, absolute_radius_stack,
-                             numerical_radius, radius_stack)
+                             numerical_radius, poly_norm, poly_norm_stack,
+                             poly_radius, radius_stack)
 from numindex.spaces import COMPLEX, DegenerateInput, lp, psum, scalar, tower
 
 
@@ -224,6 +227,32 @@ def test_poly_index_in_unit_interval():
     assert 0.0 <= est.upper_bound <= 1.0 + 1e-6
 
 
+def test_poly_index_witness_rescored_exactly():
+    # the ratio noise is keyed by the tensor, so the witness re-scores to the
+    # reported bound
+    for desc, k in ((lp(3, 2), 2), (lp(1.5, 2), 1)):
+        est = poly_index_estimate(desc, k, budget=24, rng=5)
+        b = index.RADIUS_BUDGET_IN_SEARCH
+        r = index._ratios([est.witness_operator], poly_norm_stack, b,
+                          partial(radius_stack, method="ascent"), b)[0]
+        assert r == (est.upper_bound, est.radius_method)
+
+
+def test_poly_index_checks_degree_before_drawing():
+    g = np.random.default_rng(0)
+    state = g.bit_generator.state
+    for k in (17, 0, -1):
+        with pytest.raises(DegenerateInput, match="cap|degree"):
+            poly_index_estimate(lp(3, 2), k, rng=g)
+    assert g.bit_generator.state == state
+
+
+def test_search_rejects_budget_below_one():
+    for budget in (0, -1):
+        with pytest.raises(DegenerateInput, match="budget must be >= 1"):
+            numerical_index_estimate(lp(3, 2), budget=budget, rng=0)
+
+
 # ---------------------------------------------------------------------------
 # stacked ratio evaluation and speculative descent
 # ---------------------------------------------------------------------------
@@ -240,10 +269,18 @@ def _random_operators(desc, n, seed=0):
     return out + [Operator(np.zeros((d, d)), desc)]
 
 
+def _random_polynomials(desc, k, n, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (desc.total_dim,) * (k + 1)
+    out = [HomogeneousPolynomial(k, index._gaussian(desc, rng, shape), desc)
+           for _ in range(n)]
+    return out + [HomogeneousPolynomial(k, np.zeros(shape), desc)]
+
+
 @pytest.mark.parametrize("desc", STACK_SPACES, ids=str)
 def test_stacked_ratio_matches_one_operator_calls(desc):
     Ts = _random_operators(desc, 5)
-    for T, r in zip(Ts, index._ratios(Ts, 4, radius_stack, 6)):
+    for T, r in zip(Ts, index._ratios(Ts, op_norm_stack, 4, radius_stack, 6)):
         erng = index._eval_rng(T)
         n = op_norm(T, budget=4, rng=erng)
         if n.value < 1e-13:
@@ -256,6 +293,22 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
         ref = op_norm(T, budget=8, rng=k)
         assert (n.value, n.method, n.defect) == (ref.value, ref.method, ref.defect)
         np.testing.assert_array_equal(n.witness, ref.witness)
+    # polynomial stacks: stacked norm and radius against one-polynomial calls
+    for deg in (1, 2):
+        Ps = _random_polynomials(desc, deg, 3)
+        ratios = index._ratios(Ps, poly_norm_stack, 4,
+                               partial(radius_stack, method="ascent"), 6)
+        norms = poly_norm_stack(Ps, 4, [index._eval_rng(P) for P in Ps])
+        for P, r, n in zip(Ps, ratios, norms):
+            erng = index._eval_rng(P)
+            ref_n, ref_x = poly_norm(P, budget=4, rng=erng)
+            assert n.value == ref_n
+            np.testing.assert_array_equal(n.witness, ref_x)
+            if ref_n < 1e-13:
+                assert r is None
+                continue
+            nu = poly_radius(P, budget=6, rng=erng)
+            assert r == (nu.value / ref_n, nu.method)
 
 
 @pytest.mark.parametrize("desc", [lp(3, 2), lp(1.5, 3), lp(4, 2, COMPLEX)], ids=str)
@@ -332,7 +385,8 @@ def ratio_calls(monkeypatch):
 def _assert_same_estimate(a, b):
     assert (a.upper_bound, a.restarts_used, a.radius_method) == \
         (b.upper_bound, b.restarts_used, b.radius_method)
-    np.testing.assert_array_equal(a.witness_operator.matrix, b.witness_operator.matrix)
+    np.testing.assert_array_equal(coefficients(a.witness_operator),
+                                  coefficients(b.witness_operator))
 
 
 ZERO2 = Operator(np.zeros((2, 2)), lp(3, 2))
@@ -347,6 +401,8 @@ SEARCHES = [
     ("rank one", rank_r_index_estimate, (lp(3, 2), 1), {"extra_starts": [ZERO2]}),
     ("rank two", rank_r_index_estimate, (lp(1.5, 2), 2), {}),
     ("rank complex", rank_r_index_estimate, (lp(3, 3, COMPLEX), 2), {}),
+    ("poly two", poly_index_estimate, (lp(3, 2), 2), {}),
+    ("poly one complex", poly_index_estimate, (lp(4, 2, COMPLEX), 1), {}),
 ]
 
 

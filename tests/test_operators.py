@@ -8,6 +8,7 @@ import pytest
 from numindex.operators import (
     HomogeneousPolynomial,
     Operator,
+    _apply_rows,
     adjoint,
     apply,
     compose_with_projection,
@@ -247,6 +248,27 @@ def test_poly_apply_examples():
     P2 = HomogeneousPolynomial(2, t, d)
     np.testing.assert_allclose(poly_apply(P2, [2.0, 5.0]), [4.0, 0.0])
     np.testing.assert_allclose(poly_apply(P2, [0.0, 0.0]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_apply_rows_polynomial_stacks(field):
+    rng = np.random.default_rng(2)
+    d = lp(3, 3, field)
+
+    def gauss(shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if field == "complex" else g
+
+    x, g = gauss((40, 3)), rng.integers(0, 4, 40)
+    # degree 1: the operator product, rounded as the matrix form rounds it
+    m = np.stack([HomogeneousPolynomial(1, gauss((3, 3)), d).tensor for _ in range(4)])
+    np.testing.assert_array_equal(_apply_rows(m, x, g), np.einsum("bij,bj->bi", m[g], x))
+    np.testing.assert_array_equal(_apply_rows(m[:1], x, g), np.einsum("ij,bj->bi", m[0], x))
+    # degree 2: every row as the one-polynomial apply computes it alone
+    Ps = [HomogeneousPolynomial(2, gauss((3, 3, 3)), d) for _ in range(4)]
+    rows = _apply_rows(np.stack([P.tensor for P in Ps]), x, g)
+    for b in range(len(x)):
+        np.testing.assert_array_equal(rows[b], poly_apply(Ps[g[b]], x[b]))
 
 
 def test_poly_homogeneity():
