@@ -97,9 +97,10 @@ def _load_space(args) -> "SpaceDescriptor":
         raise InputError(f"bad --space: {exc}") from exc
 
 
-def _check_counts(args):
-    """Reject a budget below 1 and a negative polynomial degree."""
-    if args.budget < 1:
+def _check_counts(args, budget_used: bool = True):
+    """Reject a negative polynomial degree, and a budget below 1 where the
+    budget steers the result."""
+    if budget_used and args.budget < 1:
         raise InputError(f"--budget must be >= 1, got {args.budget}")
     if getattr(args, "poly_k", 0) < 0:
         raise InputError(f"--poly-k must be >= 0, got {args.poly_k}")
@@ -121,6 +122,7 @@ def _load_matrix(args, parse):
 def cmd_radius(args) -> int:
     started = time.time()
     desc = _load_space(args)
+    _check_counts(args, args.method in ("auto", "ascent"))
     config = RunConfig("radius", args.space, args.matrix, args.method,
                        args.budget, args.resolution, args.seed, args.out,
                        {"absolute": args.absolute, "poly_k": args.poly_k})
@@ -164,6 +166,7 @@ def _num_list(arr):
 def cmd_index(args) -> int:
     started = time.time()
     desc = _load_space(args)
+    _check_counts(args)
     config = RunConfig("index", args.space, None, "minmax", args.budget,
                        0, args.seed, args.out,
                        {"rank": args.rank, "absolute": args.absolute,
@@ -248,6 +251,7 @@ def _parse_range(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     started = time.time()
+    _check_counts(args)
     config = RunConfig("sweep", None, None, "minmax", args.budget, 0,
                        args.seed, args.out,
                        {"family": args.family, "p": args.p, "m": args.m})
@@ -316,6 +320,7 @@ def _run_suite(name: str, args) -> SuiteReport:
 
 def cmd_verify(args) -> int:
     started = time.time()
+    _check_counts(args)
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     for n in names:
         if n not in VERIFY_SUITES:
@@ -411,7 +416,6 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad flags already
         return int(exc.code or 0)
     try:
-        _check_counts(args)
         return args.fn(args)
     except (InputError, SpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

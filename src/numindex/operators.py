@@ -28,6 +28,8 @@ OP_NORM_VALUE_TOL = 1e-10
 
 #: dense symmetric tensors only make sense at desk scale
 POLY_TENSOR_CAP = 100_000
+#: most coefficients a stacked apply gathers, one copy per row
+GATHER_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,13 @@ def _apply_rows(m: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     matmul, whose one-row case takes another BLAS path, a row's rounding
     depends on neither B nor K, so batched restarts follow exactly the
     trajectories they would follow alone (a one-member stack skips the
-    gather; both forms round identically)."""
+    gather; both forms round identically).  Where the gather would copy more
+    than ``GATHER_CAP`` coefficients, the stack applies member by member."""
+    if len(m) > 1 and len(x) * m[0].size > GATHER_CAP:
+        out = np.empty(x.shape, dtype=np.result_type(m, x))
+        for j in np.unique(g):
+            out[g == j] = _apply_rows(m[j:j + 1], x[g == j], None)
+        return out
     if len(m) == 1:
         out = np.einsum("...j,bj->b...", m[0], x)
     else:

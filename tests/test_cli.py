@@ -157,6 +157,8 @@ BAD_COUNTS = [
     (["index", "--poly-k", "2", "--budget", "0"], "--budget must be >= 1"),
     (["index", "--poly-k", "-1"], "--poly-k must be >= 0"),
     (["radius", "--matrix", "/no/such.json", "--poly-k", "-1"], "--poly-k must be >= 0"),
+    (["radius", "--matrix", "/no/such.json", "--budget", "0"], "--budget must be >= 1"),
+    (["verify", "--suite", "sums", "--budget", "0"], "--budget must be >= 1"),
     (["index", "--poly-k", "17"], "exceeds cap 100000"),
 ]
 
@@ -166,6 +168,22 @@ def test_bad_budget_and_degree_exit_2(argv, message, capsys):
     code = main(argv[:1] + ["--space", "lp(p=3,dim=2)"] + argv[1:])
     assert code == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+def test_sweep_rejects_budget_below_one(capsys):
+    assert main(["sweep", "--family", "lp2-curve", "--p", "3", "--budget", "0"]) == EXIT_INPUT
+    assert "--budget must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mp", "--p", "2"],
+    ["radius", "--space", "lp(p=1,dim=2)", "--method", "enumerate"],
+    ["radius", "--space", "lp(p=2,dim=2)", "--method", "grid", "--resolution", "200"],
+], ids=["mp", "radius-enumerate", "radius-grid"])
+def test_budget_ignored_where_unused(argv, id2):
+    """Commands whose result the budget cannot change accept any budget."""
+    extra = ["--matrix", id2] if argv[0] == "radius" else []
+    assert main(argv + extra + ["--budget", "0"]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Operator layer: apply/adjoint, norms, projections, polynomials, JSON."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from numindex.operators import (
+    GATHER_CAP,
     HomogeneousPolynomial,
     Operator,
     _apply_rows,
@@ -269,6 +271,27 @@ def test_apply_rows_polynomial_stacks(field):
     rows = _apply_rows(np.stack([P.tensor for P in Ps]), x, g)
     for b in range(len(x)):
         np.testing.assert_array_equal(rows[b], poly_apply(Ps[g[b]], x[b]))
+
+
+def test_apply_rows_tensor_stack_applies_member_by_member():
+    """A stack of several degree-k tensors whose gather would exceed the cap
+    never holds one (d, ..., d) tensor per row, (B, d^(k+1)) in all; each
+    member's rows are applied as that member alone applies them."""
+    rng = np.random.default_rng(3)
+    d, k, B = lp(3, 4), 5, 600
+    m = np.stack([HomogeneousPolynomial(k, rng.standard_normal((4,) * (k + 1)), d).tensor
+                  for _ in range(3)])
+    x, g = rng.standard_normal((B, 4)), rng.integers(0, 3, B)
+    assert B * m[0].size > GATHER_CAP
+    tracemalloc.start()
+    try:
+        rows = _apply_rows(m, x, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * m[0].nbytes / 4
+    for j in range(3):
+        np.testing.assert_array_equal(rows[g == j], _apply_rows(m[j:j + 1], x[g == j], None))
 
 
 def test_poly_homogeneity():
