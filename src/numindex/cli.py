@@ -98,12 +98,17 @@ def _load_space(args) -> "SpaceDescriptor":
 
 
 def _check_counts(args, budget_used: bool = True):
-    """Reject a negative polynomial degree, and a budget below 1 where the
-    budget steers the result."""
+    """Reject a negative polynomial degree, a suite case count below 1, a
+    budget below 1 where the budget steers the result, and a grid resolution
+    below 1 where the grid runs."""
     if budget_used and args.budget < 1:
         raise InputError(f"--budget must be >= 1, got {args.budget}")
     if getattr(args, "poly_k", 0) < 0:
         raise InputError(f"--poly-k must be >= 0, got {args.poly_k}")
+    if getattr(args, "cases", 1) < 1:
+        raise InputError(f"--cases must be >= 1, got {args.cases}")
+    if getattr(args, "method", None) == "grid" and args.resolution < 1:
+        raise InputError(f"--resolution must be >= 1, got {args.resolution}")
 
 
 def _load_matrix(args, parse):

@@ -9,7 +9,6 @@ lower bounds attained by the stored witness.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -293,13 +292,16 @@ def poly_shape(desc: SpaceDescriptor, k: int) -> tuple[int, ...]:
 
 
 def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:
-    if k == 1:
-        return t
-    perms = list(itertools.permutations(range(1, k + 1)))
-    acc = np.zeros_like(t)
-    for perm in perms:
-        acc += np.transpose(t, (0,) + perm)
-    return acc / len(perms)
+    """Average of ``t`` over the k! orders of its input indices 1..k, by
+    cosets: once indices 1..j-1 are symmetric, the transpositions (i j),
+    i < j, and the identity complete the average over 1..j in O(k^2)
+    transposes."""
+    for j in range(2, k + 1):
+        acc = np.zeros_like(t)
+        for i in (j, *range(1, j)):       # i == j adds t itself
+            acc += np.swapaxes(t, i, j)
+        t = acc / j
+    return t
 
 
 def poly_from_operator(T: Operator) -> HomogeneousPolynomial:

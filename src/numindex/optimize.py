@@ -3,12 +3,13 @@
 The sphere is the norm-one set of a space descriptor.  Complex
 coordinates are optimized as interleaved real/imaginary parameters.
 Gradients are central finite differences of the normalized objective,
-followed by backtracking steps and renormalization.  The restarts advance
-in lockstep as rows of one array, each with its own step size and stall
-count.  Several problems on one descriptor (a stack) share the array:
-every row carries its problem index, and each problem keeps its own starts
-and its own deterministic reduction (best value, earliest restart wins
-ties).
+followed by a backtracking line search and renormalization; each batch of
+the line search scores several halvings of every searching row's step at
+once.  The restarts advance in lockstep as rows of one array, each with its
+own step size and stall count.  Several problems on one descriptor (a
+stack) share the array: every row carries its problem index, and each
+problem keeps its own starts and its own deterministic reduction (best
+value, earliest restart wins ties).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .spaces import COMPLEX, SpaceDescriptor, norm, sphere_starts
 FD_STEP = 1e-6
 STALL_ITERS = 5
 VALUE_TOL = 1e-10
+#: step sizes one backtracking sub-step scores per searching row
+LINE_SEARCH_WIDTH = 8
 
 
 def _to_params(x: np.ndarray, complex_field: bool) -> np.ndarray:
@@ -54,7 +57,9 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs, restarts: int = 64,
     """Maximize one objective per generator in ``rngs`` at once; returns
     (best_x, best_value, evals) of each.  ``objective`` maps a (B, d) batch
     of norm-one rows and the (B,) problem index of every row to their B
-    values; ``evals`` counts a problem's evaluated rows.  Problem k draws its
+    values; ``evals`` counts a problem's evaluated rows, the speculative
+    step sizes of the line search past a row's accepted one included, and
+    does not depend on the problems beside it.  Problem k draws its
     starts from ``rngs[k]`` as :func:`maximize_on_sphere` does, and every
     restart follows the trajectory it would follow alone, so each result
     equals the one-problem call bit for bit."""
@@ -101,14 +106,19 @@ def _ascend(obj, y: np.ndarray, max_iters: int):
     """Gradient ascent of every row of ``y``; returns (y, values).  ``obj``
     takes a batch and the row of ``y`` each batch row belongs to.  Each
     iteration takes the central differences of all active rows in one
-    batch, then the rows still line-searching try their next step sizes in
-    one batch per backtracking sub-step."""
+    batch.  The backtracking line search then speculates: each sub-step
+    scores the next ``LINE_SEARCH_WIDTH`` halvings s, s/2, ... of every row
+    still searching in one batch, and a row accepts the first (largest)
+    size that improves it.  Halving is exact and a row's value does not
+    depend on the rows beside it, so every row ends where a search of one
+    halving per batch would end it."""
     r, d = y.shape
     val = obj(y, np.arange(r))
     step = np.full(r, 0.25)
     stall = np.zeros(r, dtype=int)
     active = np.ones(r, dtype=bool)
     e = FD_STEP * np.eye(d)
+    halvings = 0.5 ** np.arange(LINE_SEARCH_WIDTH)
     for _ in range(max_iters):
         a = np.flatnonzero(active)
         if a.size == 0:
@@ -127,14 +137,19 @@ def _ascend(obj, y: np.ndarray, max_iters: int):
             k = np.flatnonzero(searching & (s > 1e-14))
             if k.size == 0:
                 break
-            cand = y[a[k]] + s[k, None] * direction[k]
-            cval = obj(cand, a[k])
-            up = cval > val[a[k]] + 1e-15
-            ku, rows = k[up], a[k[up]]
-            y[rows], val[rows] = cand[up], cval[up]
-            step[rows] = np.minimum(s[ku] * 2.0, 1.0)
+            sizes = s[k, None] * halvings             # (K, W), largest first
+            tried = sizes > 1e-14
+            cand = y[a[k], None, :] + sizes[..., None] * direction[k, None, :]
+            cval = np.full(sizes.shape, -np.inf)
+            cval[tried] = obj(cand[tried], np.repeat(a[k], tried.sum(axis=1)))
+            up = cval > val[a[k], None] + 1e-15
+            hit = up.any(axis=1)
+            j = up.argmax(axis=1)[hit]                # first improving size
+            ku, rows = k[hit], a[k[hit]]
+            y[rows], val[rows] = cand[hit, j], cval[hit, j]
+            step[rows] = np.minimum(sizes[hit, j] * 2.0, 1.0)
             searching[ku] = False
-            s[k[~up]] *= 0.5
+            s[k[~hit]] *= 0.5 ** LINE_SEARCH_WIDTH
         improved = moving & ~searching    # rows still searching found no step
         active[a[~improved]] = False
         a, prev = a[improved], prev[improved]

@@ -338,6 +338,8 @@ def _grid_points(desc: SpaceDescriptor, resolution: int) -> np.ndarray:
     """Direction grid of the grid oracle.  Real grids always include the
     +-1/0 kink directions so the sweep is sharp at the extreme points of
     l1/linf balls; complex grids fix the global phase."""
+    if resolution < 1:
+        raise DegenerateInput(f"grid resolution must be >= 1, got {resolution}")
     d = desc.total_dim
     cap = GRID_DIM_CAP_COMPLEX if desc.field == COMPLEX else GRID_DIM_CAP_REAL
     if d > cap:

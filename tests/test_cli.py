@@ -11,7 +11,8 @@ import pytest
 
 from numindex.cli import EXIT_INPUT, EXIT_OK, main
 from numindex.operators import Operator, operator_to_json
-from numindex.spaces import lp
+from numindex.radius import _grid_points
+from numindex.spaces import DegenerateInput, lp
 
 
 @pytest.fixture()
@@ -160,6 +161,8 @@ BAD_COUNTS = [
     (["radius", "--matrix", "/no/such.json", "--budget", "0"], "--budget must be >= 1"),
     (["verify", "--suite", "sums", "--budget", "0"], "--budget must be >= 1"),
     (["index", "--poly-k", "17"], "exceeds cap 100000"),
+    (["verify", "--suite", "all", "--cases", "0"], "--cases must be >= 1"),
+    (["verify", "--suite", "lcc", "--cases", "-1"], "--cases must be >= 1"),
 ]
 
 
@@ -173,6 +176,31 @@ def test_bad_budget_and_degree_exit_2(argv, message, capsys):
 def test_sweep_rejects_budget_below_one(capsys):
     assert main(["sweep", "--family", "lp2-curve", "--p", "3", "--budget", "0"]) == EXIT_INPUT
     assert "--budget must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space,field,poly_k", [
+    ("lp(p=3,dim=2)", "real", 0),
+    ("lp(p=2,dim=2)", "complex", 0),
+    ("lp(p=3,dim=2)", "real", 2),
+], ids=["real", "complex", "poly-k"])
+@pytest.mark.parametrize("resolution", ["0", "-5"])
+def test_grid_resolution_below_one_exits_2(tmp_path, capsys, space, field, poly_k,
+                                           resolution):
+    path = tmp_path / "m.json"
+    if poly_k:
+        path.write_text(json.dumps({"matrix": [1.0] * 8}))
+    else:
+        path.write_text(operator_to_json(Operator(np.eye(2), lp(2, 2, field))))
+    argv = ["radius", "--space", space, "--field", field, "--matrix", str(path),
+            "--method", "grid", "--resolution", resolution, "--poly-k", str(poly_k)]
+    assert main(argv) == EXIT_INPUT
+    assert "--resolution must be >= 1" in capsys.readouterr().err
+
+
+def test_grid_points_reject_resolution_below_one():
+    for desc in (lp(3, 2), lp(2, 2, "complex"), lp(3, 3)):
+        with pytest.raises(DegenerateInput, match="resolution"):
+            _grid_points(desc, 0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Operator layer: apply/adjoint, norms, projections, polynomials, JSON."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from numindex.operators import (
     HomogeneousPolynomial,
     Operator,
     _apply_rows,
+    _symmetrize,
     adjoint,
     apply,
     compose_with_projection,
@@ -311,6 +313,27 @@ def test_poly_tensor_symmetrized():
     P = HomogeneousPolynomial(2, t, d)
     np.testing.assert_allclose(P.tensor[0, 0, 1], 1.0)
     np.testing.assert_allclose(P.tensor[0, 1, 0], 1.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_symmetrize_matches_permutation_average(field):
+    rng = np.random.default_rng(11)
+    for k in range(1, 6):
+        shape = (3,) * (k + 1)
+        t = rng.standard_normal(shape)
+        if field == "complex":
+            t = t + 1j * rng.standard_normal(shape)
+        perms = list(itertools.permutations(range(1, k + 1)))
+        want = sum(np.transpose(t, (0,) + p) for p in perms) / len(perms)
+        np.testing.assert_allclose(_symmetrize(t, k), want, rtol=0, atol=1e-13)
+
+
+def test_degree_12_polynomial_builds_symmetric():
+    t = np.random.default_rng(12).standard_normal((2,) * 13)
+    P = HomogeneousPolynomial(12, t, lp(3, 2))
+    for i in range(1, 12):
+        np.testing.assert_allclose(np.swapaxes(P.tensor, i, i + 1), P.tensor,
+                                   rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])

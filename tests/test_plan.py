@@ -1,8 +1,10 @@
 """Batched norm plans and lockstep ascent against scalar references.
 
 The references are the recursive one-vector forms of the norm and the
-canonical norming functional, and the one-restart-at-a-time ascent loop;
-the batched code must agree with them to rounding.
+canonical norming functional, the one-restart-at-a-time ascent loop, and
+the lockstep ascent with one backtracking halving per batch; the batched
+code must agree with them to rounding, and the speculative line search
+with the one-halving ascent bit for bit.
 """
 
 import math
@@ -12,9 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numindex.operators import Operator
+from numindex import optimize
+from numindex.index import (absolute_index_estimate, numerical_index_estimate,
+                            poly_index_estimate, rank_r_index_estimate)
+from numindex.operators import HomogeneousPolynomial, Operator, coefficients, op_norm
 from numindex.optimize import FD_STEP, STALL_ITERS, VALUE_TOL, maximize_on_sphere
-from numindex.radius import radius_objective
+from numindex.radius import (absolute_radius, absolute_radius_objective,
+                             numerical_radius, poly_norm, poly_radius,
+                             radius_objective)
 from numindex.spaces import (COMPLEX, REAL, dual_descriptor, lp, psum, tower,
                              unit_sphere_sample)
 
@@ -216,3 +223,176 @@ def test_ascent_budget_prefix(desc):
         _, v8, _ = maximize_on_sphere(desc, g, np.random.default_rng(seed), restarts=8)
         _, v16, _ = maximize_on_sphere(desc, g, np.random.default_rng(seed), restarts=16)
         assert v8 <= v16
+
+
+# ---------------------------------------------------------------------------
+# speculative line search vs one halving per batch
+# ---------------------------------------------------------------------------
+
+SPECULATIVE_ASCEND = optimize._ascend
+
+
+def _ascend_one_halving(obj, y, max_iters):
+    """The lockstep ascent whose rows still line-searching try one step size
+    per batch, halving it on failure: the reference for the speculative
+    line search."""
+    r, d = y.shape
+    val = obj(y, np.arange(r))
+    step = np.full(r, 0.25)
+    stall = np.zeros(r, dtype=int)
+    active = np.ones(r, dtype=bool)
+    e = FD_STEP * np.eye(d)
+    for _ in range(max_iters):
+        a = np.flatnonzero(active)
+        if a.size == 0:
+            break
+        ya = y[a][:, None, :]
+        fd = obj(np.concatenate([ya + e, ya - e], axis=1).reshape(-1, d),
+                 np.repeat(a, 2 * d))
+        fd = fd.reshape(a.size, 2, d)
+        grad = (fd[:, 0] - fd[:, 1]) / (2 * FD_STEP)
+        gn = np.linalg.norm(grad, axis=1)
+        moving = gn >= 1e-12
+        direction = grad / np.where(moving, gn, 1.0)[:, None]
+        searching = moving.copy()
+        prev, s = val[a], step[a]
+        while True:
+            k = np.flatnonzero(searching & (s > 1e-14))
+            if k.size == 0:
+                break
+            cand = y[a[k]] + s[k, None] * direction[k]
+            cval = obj(cand, a[k])
+            up = cval > val[a[k]] + 1e-15
+            ku, rows = k[up], a[k[up]]
+            y[rows], val[rows] = cand[up], cval[up]
+            step[rows] = np.minimum(s[ku] * 2.0, 1.0)
+            searching[ku] = False
+            s[k[~up]] *= 0.5
+        improved = moving & ~searching
+        active[a[~improved]] = False
+        a, prev = a[improved], prev[improved]
+        stall[a] = np.where(val[a] - prev < VALUE_TOL, stall[a] + 1, 0)
+        active[a[stall[a] >= STALL_ITERS]] = False
+    return y, val
+
+
+class _Counted:
+    """Objective wrapper counting calls and scored rows per ascent row; past
+    ``cap`` calls it fails, so a line search that stops shrinking its step
+    ends the test instead of hanging it."""
+
+    def __init__(self, obj, cap=math.inf):
+        self.obj, self.cap, self.calls, self.rows = obj, cap, 0, []
+
+    def __call__(self, y, rows):
+        self.calls += 1
+        assert self.calls <= self.cap, "more objective calls than one halving per batch"
+        self.rows.append(rows)
+        return self.obj(y, rows)
+
+
+def _ascent_run(monkeypatch, ascend, cap, desc, objective, seed):
+    """(y, values, objective calls) of the ascent inside maximize_on_sphere."""
+    out = {}
+
+    def spy(obj, y, max_iters):
+        counted = _Counted(obj, cap)
+        out["y"], out["val"] = ascend(counted, y, max_iters)
+        out["calls"] = counted.calls
+        return out["y"], out["val"]
+
+    monkeypatch.setattr(optimize, "_ascend", spy)
+    maximize_on_sphere(desc, objective, np.random.default_rng(seed), restarts=16)
+    return out
+
+
+def _ascent_objectives(desc):
+    T = _operator(desc, 5)
+    rng = np.random.default_rng(6)
+    shape = (desc.total_dim,) * 3
+    t = rng.standard_normal(shape)
+    if desc.field == COMPLEX:
+        t = t + 1j * rng.standard_normal(shape)
+    return {"radius": radius_objective(T), "absolute": absolute_radius_objective(T),
+            "poly2": radius_objective(HomogeneousPolynomial(2, t, desc))}
+
+
+@pytest.mark.parametrize("desc", ASCENT_SPACES, ids=str)
+def test_speculative_line_search_matches_one_halving(desc, monkeypatch):
+    for name, objective in _ascent_objectives(desc).items():
+        ref = _ascent_run(monkeypatch, _ascend_one_halving, math.inf, desc, objective, 8)
+        got = _ascent_run(monkeypatch, SPECULATIVE_ASCEND, ref["calls"], desc,
+                          objective, 8)
+        assert got["y"].tobytes() == ref["y"].tobytes(), name
+        assert got["val"].tobytes() == ref["val"].tobytes(), name
+        if desc.total_dim == 5:         # the tower
+            assert got["calls"] <= 0.6 * ref["calls"], name
+
+
+def _edge_objective(y, rows):
+    """Per-row objectives of the unit-circle direction of y (0 at y = 0):
+    row 0 has a kink at its start (1, 0) where the central difference sees
+    slope 0.5 but every step loses, row 1 is constant, rows 2 and 3 are
+    linear."""
+    n = np.linalg.norm(y, axis=1)
+    x = y / np.where(n == 0.0, 1.0, n)[:, None]
+    out = np.select([rows == 0, rows == 1],
+                    [0.5 * x[:, 1] - np.abs(x[:, 1]), np.ones(len(y))],
+                    x[:, 0] + 0.3 * x[:, 1])
+    return np.where(n == 0.0, 0.0, out)
+
+
+def test_speculative_line_search_edge_rows():
+    """Backtracking to the 1e-14 floor across several batches, a vanishing
+    gradient and a zero-norm start end where one halving per batch ends
+    them."""
+    y0 = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 0.0], [0.0, 1.0]])
+    ref = _Counted(_edge_objective)
+    y_ref, val_ref = _ascend_one_halving(ref, y0.copy(), 500)
+    got = _Counted(_edge_objective, cap=ref.calls)
+    y, val = SPECULATIVE_ASCEND(got, y0.copy(), 500)
+    assert y.tobytes() == y_ref.tobytes()
+    assert val.tobytes() == val_ref.tobytes()
+    scored = np.bincount(np.concatenate(ref.rows), minlength=4)
+    # row 0: start, 4 differences and the 45 sizes 0.25 * 2^-j > 1e-14
+    assert scored[0] == 50 and np.array_equal(y[0], y0[0]) and val[0] == 0.0
+    assert scored[1] == 5 and np.array_equal(y[1], y0[1])
+    assert val[2] > math.sqrt(1.09) - 1e-9 and val[3] > math.sqrt(1.09) - 1e-9
+    # speculation scores sizes past a row's accepted one, never fewer rows
+    spec = np.bincount(np.concatenate(got.rows), minlength=4)
+    assert got.calls < ref.calls and np.all(spec >= scored) and spec[0] == 50
+
+
+def _estimates():
+    """Every estimate built on the ascent, plus op_norm, as comparable
+    (value, witness) pairs."""
+    T = _operator(lp(3, 2), 9)
+    C = _operator(lp(2, 2, COMPLEX), 9)
+    P = HomogeneousPolynomial(2, np.random.default_rng(9).standard_normal((2, 2, 2)),
+                              lp(3, 2))
+    out = {}
+    for name, est in [("numerical_radius", numerical_radius(T, budget=16, rng=1)),
+                      ("numerical_radius complex", numerical_radius(C, budget=16, rng=1)),
+                      ("absolute_radius", absolute_radius(T, budget=16, rng=1)),
+                      ("poly_radius", poly_radius(P, budget=16, rng=1))]:
+        out[name] = (est.value, est.witness.x)   # evals count speculative rows too
+    out["poly_norm"] = poly_norm(P, budget=16, rng=1)
+    est = op_norm(T, budget=16, rng=1)
+    out["op_norm"] = (est.value, est.witness)
+    for name, fn, args in [("numerical index", numerical_index_estimate, (lp(3, 2),)),
+                           ("rank index", rank_r_index_estimate, (lp(1.5, 2), 1)),
+                           ("absolute index", absolute_index_estimate, (lp(3, 2),)),
+                           ("poly index", poly_index_estimate, (lp(3, 2), 2))]:
+        est = fn(*args, budget=8, rng=2)
+        out[name] = (est.upper_bound, coefficients(est.witness_operator),
+                     est.restarts_used)
+    return out
+
+
+def test_estimates_match_one_halving_ascent(monkeypatch):
+    got = _estimates()
+    monkeypatch.setattr(optimize, "_ascend", _ascend_one_halving)
+    ref = _estimates()
+    for name, parts in ref.items():
+        for a, b in zip(got[name], parts):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
