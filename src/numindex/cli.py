@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .index import (absolute_index_estimate, mp_constant,
+from .index import (absolute_index_estimate, mp_constant, mp_curve,
                     numerical_index_estimate, poly_index_estimate,
                     rank_r_index_estimate, theoretical_bounds)
 from .operators import operator_from_json, poly_from_json
@@ -214,9 +214,7 @@ def cmd_mp(args) -> int:
                "argmax_t": res.argmax_t}
     if args.emit_curve:
         ts = np.linspace(0.0, 1.0, 1001)
-        with np.errstate(invalid="ignore"):
-            vals = np.nan_to_num(np.abs(ts ** (args.p - 1.0) - ts) /
-                                 (1.0 + ts ** args.p), nan=res.value)
+        vals = mp_curve(args.p, ts)
         with open(args.emit_curve, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "value"])

@@ -44,10 +44,10 @@ class MpResult:
     argmax_t: float
 
 
-def _mp_objective(p: float):
-    def f(t: float) -> float:
-        return abs(t ** (p - 1.0) - t) / (1.0 + t ** p)
-    return f
+def mp_curve(p: float, t):
+    """|t^{p-1} - t| / (1 + t^p) at a scalar or at every entry of an array
+    t in [0, 1]; finite for every finite p >= 1."""
+    return abs(t ** (p - 1.0) - t) / (1.0 + t ** p)
 
 
 def mp_constant(p: float, grid_points: int = 100_000) -> MpResult:
@@ -58,15 +58,12 @@ def mp_constant(p: float, grid_points: int = 100_000) -> MpResult:
     """
     if not (1.0 <= p < math.inf):
         raise DegenerateInput("mp_constant needs finite p >= 1")
-    f = _mp_objective(p)
     ts = np.linspace(0.0, 1.0, grid_points + 1)
-    with np.errstate(invalid="ignore"):
-        vals = np.abs(ts ** (p - 1.0) - ts) / (1.0 + ts ** p)
-    vals = np.nan_to_num(vals, nan=f(0.0))
+    vals = mp_curve(p, ts)
     k = int(np.argmax(vals))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, grid_points)]
-    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+    res = minimize_scalar(lambda t: -mp_curve(p, t), bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-14})
     t_best, v_best = float(res.x), float(-res.fun)
     if vals[k] >= v_best:    # endpoints (e.g. t=0 at p=1) beat the interior
@@ -83,22 +80,23 @@ class BoundsInterval:
     note: str = ""
 
 
-def theoretical_bounds(desc: SpaceDescriptor, field: str | None = None) -> BoundsInterval:
-    """Tightest known interval for n(X) given the descriptor and field."""
-    field = field or desc.field
+def theoretical_bounds(desc: SpaceDescriptor) -> BoundsInterval:
+    """Tightest known interval for n(X) given the descriptor and its field;
+    a tree whose exponents all agree counts as the flat lp it is isometric to."""
+    p = desc.uniform_exponent
     if desc.total_dim == 1:
         return BoundsInterval(1.0, 1.0, "scalar-field", "scalar-field",
                               "one-dimensional space has index 1")
-    if desc.is_flat and desc.p in (1.0, math.inf):
+    if p in (1.0, math.inf):
         return BoundsInterval(1.0, 1.0, "sum-of-scalar-lines",
                               "sum-of-scalar-lines",
                               "l1/linf sums of index-1 summands have index 1")
-    if field == COMPLEX:
+    if desc.field == COMPLEX:
         return BoundsInterval(INV_E, 1.0, "complex-space-general",
                               "index-range", "")
-    if desc.is_flat and 1.0 < desc.p < math.inf:
-        mp = mp_constant(desc.p)
-        note = "real Hilbert space: index 0" if desc.p == 2.0 else ""
+    if p is not None:
+        mp = mp_constant(p)
+        note = "real Hilbert space: index 0" if p == 2.0 else ""
         return BoundsInterval(mp.value / 2.0, mp.value,
                               "real-lp-half-mp", "real-lp-mp", note)
     return BoundsInterval(0.0, 1.0, "real-space-general", "index-range", "")
@@ -235,8 +233,7 @@ def _minimize_ratio(candidates, draw, perturb, ratios, budget: int, rng):
 
 
 def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
-                             rng=None, extra_starts=(),
-                             radius_budget: int = RADIUS_BUDGET_IN_SEARCH) -> IndexEstimate:
+                             rng=None, extra_starts=()) -> IndexEstimate:
     """Best-found upper bound of n(X) with its witness operator."""
     rng = _as_rng(rng)
     bounds = theoretical_bounds(desc)
@@ -246,14 +243,14 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     candidates = list(extra_starts) + _start_portfolio(desc, rng)
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, op_norm_stack, 4, radius_stack, radius_budget), budget, rng)
+        lambda Ts: _ratios(Ts, op_norm_stack, 4, radius_stack, RADIUS_BUDGET_IN_SEARCH),
+        budget, rng)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
                          bounds.lower, bounds.lower_tag, desc.field)
 
 
 def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
-                          rng=None, extra_starts=(),
-                          radius_budget: int = RADIUS_BUDGET_IN_SEARCH) -> IndexEstimate:
+                          rng=None, extra_starts=()) -> IndexEstimate:
     """Upper bound of the rank-r index n_r(X); candidates and perturbations
     act on rank-one factor pairs so the rank constraint holds exactly.  An
     extra start is factored by its SVD; one of rank above r is rejected."""
@@ -283,7 +280,8 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
                   for _ in range(r)]) for _ in range(8)]
     best, evals = _minimize_ratio(
         candidates, lambda _rng: [_gaussian(desc, _rng, (2, d)) for _ in range(r)],
-        perturb, lambda Ts: _ratios(Ts, op_norm_stack, 4, radius_stack, radius_budget),
+        perturb, lambda Ts: _ratios(Ts, op_norm_stack, 4, radius_stack,
+                                    RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     if r == 1:
         lb, tag = INV_E, "rank-one-lower-bound"
@@ -295,8 +293,7 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
 
 
 def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
-                            rng=None,
-                            radius_budget: int = RADIUS_BUDGET_IN_SEARCH) -> IndexEstimate:
+                            rng=None) -> IndexEstimate:
     """Upper bound of the absolute index |n| on flat lp^m, 1 < p < inf,
     reported next to the closed-form target 1 / (p^{1/p} q^{1/q})."""
     if not desc.is_flat or not (1.0 < desc.p < math.inf) or desc.total_dim < 2:
@@ -307,7 +304,8 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     target = 1.0 / (p ** (1.0 / p) * q ** (1.0 / q))
     best, evals = _minimize_ratio(
         _start_portfolio(desc, rng), partial(_gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, op_norm_stack, 8, absolute_radius_stack, radius_budget),
+        lambda Ts: _ratios(Ts, op_norm_stack, 8, absolute_radius_stack,
+                           RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     b = theoretical_bounds(desc)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
@@ -315,8 +313,7 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
 
 
 def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
-                        rng=None,
-                        radius_budget: int = RADIUS_BUDGET_IN_SEARCH) -> IndexEstimate:
+                        rng=None) -> IndexEstimate:
     """Upper bound of the order-k polynomial index over random symmetric
     coefficient tensors with perturbation descent.  The candidates are the
     structured portfolio at k = 1, then random tensors up to
@@ -333,8 +330,9 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc, shape=shape),
         lambda P, scale, noise: HomogeneousPolynomial(k, P.tensor + scale * noise, desc),
-        lambda Ps: _ratios(Ps, poly_norm_stack, radius_budget,
-                           partial(radius_stack, method="ascent"), radius_budget),
+        lambda Ps: _ratios(Ps, poly_norm_stack, RADIUS_BUDGET_IN_SEARCH,
+                           partial(radius_stack, method="ascent"),
+                           RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     bounds = theoretical_bounds(desc)
     lb = bounds.lower if k == 1 else 0.0

@@ -2,9 +2,9 @@
 
 Matrices act on the depth-first leaf coordinates of a descriptor.
 Operator norms for smooth exponents come from a duality-map fixed-point
-iteration (the power-method generalization); flat l1/linf norms are
-exact column/row enumerations.  All reported norm values are certified
-lower bounds attained by the stored witness.
+iteration (the power-method generalization); norms on spaces isometric to
+flat l1/linf are exact column/row enumerations.  All reported norm values
+are certified lower bounds attained by the stored witness.
 """
 
 from __future__ import annotations
@@ -92,10 +92,11 @@ def op_norm(T: Operator, budget: int = 16,
             rng: np.random.Generator | int | None = None) -> OperatorNormEstimate:
     """Certified lower bound of ||T|| with a near-attaining witness.
 
-    Flat l1/linf descriptors are exact (column/row enumeration); otherwise a
-    duality-map fixed-point iteration x <- J*(T^adj J(Tx)) runs from ``budget``
-    starts (coordinate directions first, then random samples).  The
-    one-operator case of :func:`op_norm_stack`.
+    Flat (or uniformly nested) l1/linf descriptors are exact (column/row
+    enumeration); otherwise a duality-map fixed-point iteration
+    x <- J*(T^adj J(Tx)) runs from ``budget`` starts (coordinate directions
+    first, then random samples).  The one-operator case of
+    :func:`op_norm_stack`.
     """
     return op_norm_stack([T], budget, [_as_rng(rng)])[0]
 
@@ -109,7 +110,7 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     if not Ts:
         return []
     desc, m = operator_stack(Ts)
-    if desc.is_flat and desc.p in (1.0, math.inf):
+    if desc.uniform_exponent in (1.0, math.inf):
         # the largest column sum, attained at e_j (l1), or row sum (linf)
         return [_exact_norm(T) for T in Ts]
 
@@ -145,9 +146,10 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
 
 def _exact_norm(T: Operator) -> OperatorNormEstimate:
     desc = T.descriptor
-    sums = np.abs(T.matrix).sum(axis=0 if desc.p == 1 else 1)
+    l1 = desc.uniform_exponent == 1
+    sums = np.abs(T.matrix).sum(axis=0 if l1 else 1)
     i = int(np.argmax(sums))
-    w = (np.eye(desc.total_dim, dtype=desc.dtype)[i] if desc.p == 1
+    w = (np.eye(desc.total_dim, dtype=desc.dtype)[i] if l1
          else np.conj(phase(T.matrix[i])))
     return OperatorNormEstimate(float(sums[i]), w, "exact", 0.0)
 

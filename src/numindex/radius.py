@@ -6,8 +6,10 @@ Three backends behind one entry point:
                    dense all-coordinates-nonzero set, where the canonical
                    norming functional J is a closed form of x;
 * ``enumerate`` -- exact finite enumeration on flat l1 / linf spaces;
-* ``grid``      -- brute-force dense sphere sweep for small dimensions,
-                   used as the independent oracle.
+* ``grid``      -- brute-force dense sphere sweep of an operator or
+                   polynomial for small dimensions, used as the independent
+                   oracle; on l1 / linf it maximizes over the dual face at
+                   every grid point.
 
 Every estimate carries a norming-pair witness from which the value can be
 re-derived, so reported values are certified lower bounds of the radius.
@@ -25,7 +27,7 @@ from .operators import (HomogeneousPolynomial, Operator, OperatorNormEstimate,
                         _apply_rows, _as_rng, operator_stack, poly_apply)
 from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
-                     eval_pair, lp, norming_functional, phase)
+                     conj_sign, eval_pair, lp, phase)
 
 #: default restart budget for the ascent backend
 DEFAULT_RESTARTS = 64
@@ -47,9 +49,12 @@ class RadiusEstimate:
     evals: int
 
 
-def _estimate_at(T, x: np.ndarray, method: str, guarantee: str,
-                 evals: int) -> RadiusEstimate:
-    pair = NormingPair.at(T.descriptor, x)
+def _estimate_at(T, x: np.ndarray, method: str, guarantee: str, evals: int,
+                 xstar: np.ndarray | None = None) -> RadiusEstimate:
+    """Estimate re-derived from the witness pair at x: through the canonical
+    J at x / ||x||, or with the given unit x and functional ``xstar``."""
+    pair = (NormingPair.at(T.descriptor, x) if xstar is None
+            else NormingPair.of(T.descriptor, x, xstar))
     image = T.matrix @ pair.x if isinstance(T, Operator) else poly_apply(T, pair.x)
     value = abs(eval_pair(pair.xstar, image))
     return RadiusEstimate(float(value), pair, method, guarantee, evals)
@@ -123,7 +128,8 @@ def radius_stack(Ts, budget: int, rngs, extra_starts=(),
 
 def radius_enumerate(T: Operator) -> RadiusEstimate:
     """Exhaustive maximization over the finite candidate set of extreme
-    points and compatible face functionals (flat p in {1, inf} only).
+    points and compatible face functionals (spaces isometric to flat l1 or
+    linf only).
 
     For l1^m the sup runs over x = sigma e_i with the face functional phase
     pattern aligned entrywise; for linf^m dually.  The candidate set is
@@ -131,70 +137,69 @@ def radius_enumerate(T: Operator) -> RadiusEstimate:
     :func:`enumeration_selfcheck` (run in the test suite).
     """
     desc = T.descriptor
-    flat = _as_uniform_flat(desc)
-    if flat is None or flat.p not in (1.0, math.inf):
+    p = desc.uniform_exponent
+    if p not in (1.0, math.inf):
         raise DegenerateInput("enumeration needs a flat (or uniformly nested) "
                               "l1/linf descriptor")
     m = T.matrix
     d = desc.total_dim
     # l1: x = e_i with the face functional aligned with column i;
     # linf dually: f = e_i with x aligned with row i
-    lines = m.T if flat.p == 1 else m
+    lines = m.T if p == 1 else m
     vals = np.abs(lines).sum(axis=1)
     i = int(np.argmax(vals))
     e = np.zeros(d, dtype=desc.dtype)
     e[i] = 1.0
     aligned = np.conj(phase(lines[i])) * phase(m[i, i])
     aligned[i] = 1.0
-    x, f = (e, aligned) if flat.p == 1 else (aligned, e)
+    x, f = (e, aligned) if p == 1 else (aligned, e)
     return RadiusEstimate(float(vals[i]), NormingPair.of(desc, x, f), "enumerate",
                           "exact-enumeration", d)
-
-
-def _as_uniform_flat(desc: SpaceDescriptor) -> SpaceDescriptor | None:
-    """Flat descriptor isometric to ``desc`` when all exponents agree."""
-    u = desc.uniform_exponent
-    if u is None:
-        return None
-    if desc.is_flat:
-        return desc
-    return lp(u, desc.total_dim, desc.field)
 
 
 # ---------------------------------------------------------------------------
 # grid oracle
 # ---------------------------------------------------------------------------
 
-def radius_grid_oracle(T: Operator, resolution: int = 2000,
-                       absolute: bool = False) -> RadiusEstimate:
-    """Deterministic dense sphere sweep; independent lower-bound oracle.
+def radius_grid_oracle(T, resolution: int = 2000) -> RadiusEstimate:
+    """Deterministic dense sphere sweep of an operator or polynomial;
+    independent lower-bound oracle.
 
-    Real descriptors up to dimension 3, complex up to dimension 2.  The
-    value never decreases when the resolution doubles (the angle grids are
-    nested).  With ``absolute=True`` the swept quantity is the absolute
-    numerical radius integrand (flat spaces only).
+    Real descriptors up to dimension 3, complex up to dimension 2.  On
+    real 2-dim spaces the value never decreases when the resolution doubles
+    (those angle grids are nested; the others are not).  On spaces
+    isometric to flat l1 / linf every grid point scores the best functional
+    of its dual face, and the winner's is the witness.
     """
-    desc = T.descriptor
-    xs = _grid_points(desc, resolution)
-    if desc.is_flat and absolute:
-        objective = absolute_radius_objective(T)
-    elif desc.is_flat and desc.p in (1.0, math.inf):
-        objective = _face_objective(T)
-    else:
-        objective = radius_objective(T)
-    val, x = _grid_sweep(desc, xs, objective)
-    if absolute:
-        pair = NormingPair.at(desc, x)
-        return RadiusEstimate(float(val), pair, "grid",
-                              "certified-lower-bound", len(xs))
-    est = _estimate_at(T, x, "grid", "certified-lower-bound", len(xs))
-    if est.value < val - 1e-12:
-        # canonical selection lost a face maximum; keep the swept value with
-        # the explicit face functional as witness
-        pair = NormingPair.of(desc, x, _best_face_functional(desc, x, T.matrix @ x))
-        est = RadiusEstimate(float(val), pair, "grid",
-                             "certified-lower-bound", len(xs))
-    return est
+    desc, m = operator_stack(T)
+    p = desc.uniform_exponent
+    if p not in (1.0, math.inf):
+        _, x, n = _grid_sweep(desc, resolution, radius_objective(T))
+        return _estimate_at(T, x, "grid", "certified-lower-bound", n)
+
+    def face(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        y = _apply_rows(m, x, k)
+        return np.abs(np.sum(_face_functional(p, x, y) * y, axis=1))
+
+    _, x, n = _grid_sweep(desc, resolution, face)
+    f = _face_functional(p, x[None], _apply_rows(m, x[None], None))[0]
+    return _estimate_at(T, x, "grid", "certified-lower-bound", n, xstar=f)
+
+
+def _face_functional(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows f of the dual face at the unit rows x of a space isometric to
+    flat l1 (p = 1) or linf that maximize |f . y_b|: at p = 1 the sign of x
+    on its support and, off it, the sign of y turned to the phase of the
+    support's sum; at p = inf the extreme functional at the max-modulus
+    coordinate of x with the largest |y_i|, the first one on ties."""
+    a = np.abs(x)
+    f = conj_sign(x, a)
+    if p == 1:
+        s = phase(np.sum(f * y, axis=1, keepdims=True))
+        return np.where(a > 0, f, np.conj(phase(y)) * s)
+    top = a >= a.max(axis=1, keepdims=True) - 1e-15
+    i = np.argmax(np.where(top, np.abs(y), -1.0), axis=1)
+    return f * (np.arange(x.shape[1]) == i[:, None])
 
 
 def _complex_grid(resolution: int) -> np.ndarray:
@@ -207,52 +212,15 @@ def _complex_grid(resolution: int) -> np.ndarray:
                             (np.sin(TT) * np.exp(1j * PP)).ravel()])
 
 
-def _grid_sweep(desc: SpaceDescriptor, xs: np.ndarray, objective):
-    """Best (value, point) of a batched objective over the grid rows,
-    normalized onto the unit sphere; the first maximal row wins."""
-    xs = xs.astype(desc.dtype)
-    n = desc.plan.norm(xs)
-    xs = xs[n > 0] / n[n > 0, None]
+def _grid_sweep(desc: SpaceDescriptor, resolution: int, objective):
+    """(value, point, grid size) of the best row of a batched objective over
+    the direction grid normalized onto the unit sphere; the first maximal
+    row wins."""
+    xs = _grid_points(desc, resolution).astype(desc.dtype)
+    xs = xs / desc.plan.norm(xs)[:, None]
     vals = objective(xs, np.zeros(len(xs), dtype=int))
     k = int(np.argmax(vals))
-    return float(vals[k]), xs[k]
-
-
-def _face_objective(T: Operator):
-    """Unit rows x of flat l1 / linf -> max |f(Tx)| over the dual face at x
-    (free coordinates off the support at p = 1; the extremes e_i over the
-    max-modulus coordinates at p = inf)."""
-    p = T.descriptor.p
-    _, m = operator_stack(T)
-
-    def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        y = _apply_rows(m, x, k)
-        a = np.abs(x)
-        if p == 1:
-            sgn = np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
-            return np.abs((sgn * y).sum(axis=1)) + (np.abs(y) * (a == 0)).sum(axis=1)
-        top = a >= a.max(axis=1, keepdims=True) - 1e-15
-        return (np.abs(y) * top).max(axis=1)
-
-    return g
-
-
-def _best_face_functional(desc: SpaceDescriptor, x: np.ndarray,
-                          y: np.ndarray) -> np.ndarray:
-    """Maximizer of |f(y)| over the dual face at x (flat p in {1, inf})."""
-    a = np.abs(x)
-    if desc.p == 1:
-        f = np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
-        free = a == 0
-        f[free] = np.conj(phase(y[free])) * phase(np.sum(f * y))
-        return f
-    if desc.p == math.inf:
-        top = np.flatnonzero(a >= a.max() - 1e-15)
-        i = top[np.argmax(np.abs(y[top]))]
-        f = np.zeros_like(x)
-        f[i] = np.conj(x[i]) / a[i]
-        return f
-    return norming_functional(desc, x)
+    return float(vals[k]), xs[k], len(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +247,9 @@ def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
     if not desc.is_flat or desc.p == math.inf:
         raise DegenerateInput("absolute radius needs a flat lp^m with finite p")
     if method == "grid":
-        return radius_grid_oracle(T, resolution, absolute=True)
+        val, x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
+        return RadiusEstimate(val, NormingPair.at(desc, x), "grid",
+                              "certified-lower-bound", n)
     return absolute_radius_stack([T], budget, [_as_rng(rng)], extra_starts)[0]
 
 
@@ -301,14 +271,10 @@ def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
                 rng=None, method: str = "ascent",
                 resolution: int = 2000) -> RadiusEstimate:
     """nu(P) = sup |J(x) . P(x)| over the unit sphere; the ascent is the
-    one-polynomial case of :func:`radius_stack`."""
-    desc = P.descriptor
+    one-polynomial case of :func:`radius_stack`, the grid
+    :func:`radius_grid_oracle`."""
     if method == "grid":
-        xs = _grid_points(desc, resolution)
-        best, bx = _grid_sweep(desc, xs, radius_objective(P))
-        pair = NormingPair.at(desc, bx)
-        return RadiusEstimate(best, pair, "grid",
-                              "certified-lower-bound", len(xs))
+        return radius_grid_oracle(P, resolution)
     return radius_stack([P], budget, [_as_rng(rng)], method="ascent")[0]
 
 

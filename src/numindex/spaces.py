@@ -152,10 +152,6 @@ class SpaceDescriptor:
             out.extend(c.exponents)
         return tuple(out)
 
-    def is_smooth(self) -> bool:
-        """Every exponent strictly between 1 and inf."""
-        return all(1.0 < p < math.inf for p in self.exponents)
-
     @cached_property
     def uniform_exponent(self) -> float | None:
         """If all PSum nodes share one exponent p, the tree is isometric to
@@ -295,8 +291,7 @@ class NormPlan:
         w = np.ones((len(x), 1))
         for st, below, above in zip(self.stages[::-1], levels[-2::-1], levels[:0:-1]):
             w = w[:, st.parent] * st.weights(below, above)
-        unit = np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
-        return w * unit, levels[-1][:, 0]
+        return w * conj_sign(x, a), levels[-1][:, 0]
 
 
 class _Stage:
@@ -382,6 +377,13 @@ def phase(z) -> np.ndarray:
     z = np.asarray(z)
     a = np.abs(z)
     return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0).astype(z.dtype)
+
+
+def conj_sign(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Elementwise conj(x)/|x|, and 0 where x = 0, given a = |x|: the norming
+    functional of every nonzero scalar coordinate.  Unlike :func:`phase` it
+    vanishes at zero, so J is 0 at the zero coordinates of p = 1 blocks."""
+    return np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
 
 
 def norming_functional(desc: SpaceDescriptor, x: np.ndarray) -> np.ndarray:

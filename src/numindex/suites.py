@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .index import mp_constant, numerical_index_estimate
+from .index import _gaussian, mp_constant, numerical_index_estimate
 from .operators import (Operator, adjoint, compose_with_projection,
                         coordinate_projection, op_norm)
 from .radius import numerical_radius
@@ -74,9 +74,7 @@ def _suite_tolerance(desc: SpaceDescriptor) -> float:
 
 
 def _random_operator(desc: SpaceDescriptor, rng) -> Operator:
-    g = rng.standard_normal((desc.total_dim, desc.total_dim))
-    if desc.field == "complex":
-        g = g + 1j * rng.standard_normal((desc.total_dim, desc.total_dim))
+    g = _gaussian(desc, rng)
     T = Operator(g, desc)
     nrm = op_norm(T, budget=8, rng=rng)
     return Operator(g / nrm.value, desc)

@@ -89,6 +89,13 @@ def test_bounds_real_flat_lp():
     assert b.upper == pytest.approx(m3)
 
 
+def test_bounds_uniformly_nested_lp():
+    assert theoretical_bounds(tower([3, 3])) == theoretical_bounds(lp(3, 3))
+    assert theoretical_bounds(tower([3, 3])).upper == mp_constant(3).value
+    b = theoretical_bounds(psum(math.inf, [lp(math.inf, 2), scalar()]))
+    assert b.lower == b.upper == 1.0
+
+
 def test_bounds_hilbert_note():
     b = theoretical_bounds(lp(2, 3))
     assert b.lower == pytest.approx(0.0, abs=1e-12)

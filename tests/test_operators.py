@@ -127,6 +127,15 @@ def test_op_norm_flat_l1_linf_exact():
         assert norm(desc, m @ est.witness) == pytest.approx(est.value, abs=1e-12)
 
 
+def test_op_norm_uniformly_nested_l1_exact():
+    m = np.array([[1.0, -4.0, 0.5], [2.0, 3.0, -1.0], [0.0, 1.0, 6.0]])
+    desc = psum(1, [lp(1, 2), scalar()])
+    est = op_norm(Operator(m, desc))
+    assert est.method == "exact"
+    assert est.value == np.abs(m).sum(axis=0).max() == 8.0
+    assert norm(desc, m @ est.witness) == est.value
+
+
 def test_op_norm_vs_grid_oracle_l3():
     rng = np.random.default_rng(7)
     d = lp(3, 2)

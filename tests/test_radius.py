@@ -1,14 +1,16 @@
 """Radius engines: ascent, enumeration, grid oracle, absolute and polynomial."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from numindex.operators import (HomogeneousPolynomial, Operator, identity,
-                                op_norm, poly_from_operator)
+                                op_norm, poly_apply, poly_from_operator)
 from numindex.radius import (
     BudgetExceeded,
+    _grid_points,
     absolute_radius,
     enumeration_selfcheck,
     numerical_radius,
@@ -154,6 +156,52 @@ def test_engine_matches_grid_oracle_dim2(p):
         engine = numerical_radius(T, budget=64, rng=rng).value
         oracle = radius_grid_oracle(T, 2000).value
         assert engine == pytest.approx(oracle, abs=2e-3)
+
+
+@pytest.mark.parametrize("T", [
+    identity(lp(1, 2)), identity(lp(1, 3)), identity(lp(math.inf, 3)),
+    Operator(np.diag([2.0, -1.0, 0.5]), lp(1, 3)),
+    Operator(np.diag([1.0, -3.0]), lp(math.inf, 2)),
+    Operator(np.random.default_rng(5).standard_normal((3, 3)),
+             psum(1, [lp(1, 2), scalar()])),
+    Operator(np.random.default_rng(7).standard_normal((3, 3)),
+             psum(math.inf, [scalar(), lp(math.inf, 2)])),
+    Operator(np.random.default_rng(4).standard_normal((2, 2))
+             + 1j * np.random.default_rng(5).standard_normal((2, 2)),
+             lp(math.inf, 2, "complex")),
+], ids=["id-l1-2", "id-l1-3", "id-linf-3", "diag-l1", "diag-linf",
+        "nested-l1", "nested-linf", "complex-linf"])
+def test_grid_value_rederives_from_face_witness(T):
+    est = radius_grid_oracle(T, 1000)
+    assert est.value == _witness_value(T, est)
+    assert est.witness.slack <= 1e-12
+    exact = radius_enumerate(T).value
+    assert est.value <= exact + 1e-12
+    if T.field == "real":
+        # the real grid holds the ball's corners, where only a face
+        # functional, not the canonical J, reaches the exact value
+        assert est.value == pytest.approx(exact, abs=1e-9)
+
+
+def test_poly_grid_maximizes_over_the_l1_face():
+    """Degree-2 polynomial on real l1^3: the grid value is the brute-force
+    maximum of |f . P(x)| over every vertex f of the dual face at every
+    grid point, and it re-derives from its witness."""
+    desc = lp(1, 3)
+    P = HomogeneousPolynomial(
+        2, np.random.default_rng(8).standard_normal((3, 3, 3)), desc)
+    est = poly_radius(P, method="grid", resolution=400)
+    w = est.witness
+    assert est.value == abs(eval_pair(w.xstar, poly_apply(P, w.x)))
+    assert w.slack <= 1e-12
+    best = 0.0
+    for x in _grid_points(desc, 400):
+        x = x / np.abs(x).sum()
+        y = poly_apply(P, x)
+        for s in itertools.product((-1.0, 1.0), repeat=3):
+            f = np.where(x != 0, np.sign(x), s)
+            best = max(best, abs(f @ y))
+    assert est.value == pytest.approx(best, abs=1e-12)
 
 
 def test_enumeration_selfcheck():
