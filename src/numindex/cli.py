@@ -2,8 +2,11 @@
 
 Subcommands: ``radius``, ``index``, ``mp``, ``sweep``, ``verify``.
 Single computations and suite reports are JSON; sweeps and curves are
-CSV.  Every output file gets a sibling ``<name>.manifest.json`` echoing
-the configuration; manifests are reproducible except for timestamps.
+CSV.  Every output file gets a sibling ``<name>.manifest.json`` whose
+``config`` is the parsed command line; manifests are reproducible except
+for timestamps.  The CLI interprets no flag itself: each one is handed
+to the library, which rejects a backend its quantity lacks, and the flags
+that pick an estimator are mutually exclusive.
 
 Exit codes: 0 = all checks passed, 1 = suite violation, 2 = input error.
 """
@@ -17,7 +20,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,10 +30,9 @@ from .index import (absolute_index_estimate, mp_constant, mp_curve,
 from .operators import operator_from_json, poly_from_json
 from .radius import (BudgetExceeded, absolute_radius, numerical_radius,
                      poly_radius)
-from .spaces import SpaceError, parse_descriptor
+from .spaces import SpaceError, lp, parse_descriptor, scalar, tower
 from .suites import (SuiteReport, bounds_check, duality_check, gcc_check,
                      lcc_check, monotone_sweep, sum_index_check)
-from .spaces import lp, tower
 
 DEFAULT_SEED = 20240801
 
@@ -49,23 +50,10 @@ def _default_seed() -> int:
     return int(env) if env else DEFAULT_SEED
 
 
-@dataclass
-class RunConfig:
-    command: str
-    space: str | None = None
-    matrix: str | None = None
-    method: str = "auto"
-    budget: int = 64
-    resolution: int = 2000
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    options: dict = field(default_factory=dict)
-
-
-def _manifest(config: RunConfig, started: float, summary: dict,
+def _manifest(args, started: float, summary: dict,
               counters: dict | None = None) -> dict:
     return {"artifact_version": __version__,
-            "config": asdict(config),
+            "config": {k: v for k, v in vars(args).items() if k != "fn"},
             "started_at": started,
             "ended_at": time.time(),
             "counters": counters or {},
@@ -78,21 +66,18 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def _emit(config: RunConfig, payload: dict, started: float,
-          counters: dict | None = None):
+def _emit(args, payload: dict, started: float, counters: dict | None = None):
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if config.out:
-        _write_json(config.out, payload)
-        _write_json(config.out + ".manifest.json",
-                    _manifest(config, started, {"output": config.out}, counters))
+    if args.out:
+        _write_json(args.out, payload)
+        _write_json(args.out + ".manifest.json",
+                    _manifest(args, started, {"output": args.out}, counters))
 
 
 def _load_space(args) -> "SpaceDescriptor":
-    if not args.space:
-        raise InputError("missing --space")
     try:
-        return parse_descriptor(args.space, field=getattr(args, "field", None))
+        return parse_descriptor(args.space, field=args.field)
     except SpaceError as exc:
         raise InputError(f"bad --space: {exc}") from exc
 
@@ -113,8 +98,6 @@ def _check_counts(args, budget_used: bool = True):
 
 def _load_matrix(args, parse):
     """``parse`` applied to the text of the --matrix file."""
-    if not args.matrix:
-        raise InputError("missing --matrix")
     try:
         with open(args.matrix) as fh:
             return parse(fh.read())
@@ -128,26 +111,14 @@ def cmd_radius(args) -> int:
     started = time.time()
     desc = _load_space(args)
     _check_counts(args, args.method in ("auto", "ascent"))
-    config = RunConfig("radius", args.space, args.matrix, args.method,
-                       args.budget, args.resolution, args.seed, args.out,
-                       {"absolute": args.absolute, "poly_k": args.poly_k})
-    if args.poly_k:
-        P = _load_matrix(args, lambda text: poly_from_json(text, args.poly_k, desc))
-        est = poly_radius(P, budget=args.budget, rng=args.seed,
-                          method="grid" if args.method == "grid" else "ascent",
-                          resolution=args.resolution)
+    if args.poly_k > 1:
+        T = _load_matrix(args, lambda text: poly_from_json(text, args.poly_k, desc))
+        radius = poly_radius
     else:
         T = _load_matrix(args, lambda text: operator_from_json(text, desc))
-        try:
-            if args.absolute:
-                est = absolute_radius(T, budget=args.budget, rng=args.seed,
-                                      method=args.method if args.method != "auto" else "ascent",
-                                      resolution=args.resolution)
-            else:
-                est = numerical_radius(T, method=args.method, budget=args.budget,
-                                       rng=args.seed, resolution=args.resolution)
-        except BudgetExceeded as exc:
-            raise InputError(str(exc)) from exc
+        radius = absolute_radius if args.absolute else numerical_radius
+    est = radius(T, method=args.method, budget=args.budget, rng=args.seed,
+                 resolution=args.resolution)
     payload = {"command": "radius",
                "space": args.space,
                "value": est.value,
@@ -157,7 +128,7 @@ def cmd_radius(args) -> int:
                            "xstar": _num_list(est.witness.xstar),
                            "slack": est.witness.slack},
                "seed": args.seed}
-    _emit(config, payload, started, {"evals": est.evals})
+    _emit(args, payload, started, {"evals": est.evals})
     return EXIT_OK
 
 
@@ -172,16 +143,12 @@ def cmd_index(args) -> int:
     started = time.time()
     desc = _load_space(args)
     _check_counts(args)
-    config = RunConfig("index", args.space, None, "minmax", args.budget,
-                       0, args.seed, args.out,
-                       {"rank": args.rank, "absolute": args.absolute,
-                        "poly_k": args.poly_k})
     if args.absolute:
         est = absolute_index_estimate(desc, budget=args.budget, rng=args.seed)
     elif args.rank:
         est = rank_r_index_estimate(desc, args.rank, budget=args.budget,
                                     rng=args.seed)
-    elif args.poly_k and args.poly_k > 1:
+    elif args.poly_k > 1:
         est = poly_index_estimate(desc, args.poly_k, budget=args.budget,
                                   rng=args.seed)
     else:
@@ -199,7 +166,7 @@ def cmd_index(args) -> int:
                                       "note": bounds.note},
                "closed_form_target": est.target,
                "seed": args.seed}
-    _emit(config, payload, started, {"ratio_evals": est.restarts_used})
+    _emit(args, payload, started, {"ratio_evals": est.restarts_used})
     return EXIT_OK
 
 
@@ -207,8 +174,6 @@ def cmd_mp(args) -> int:
     started = time.time()
     if args.p < 1 or args.p == math.inf:
         raise InputError("--p must be a finite number >= 1")
-    config = RunConfig("mp", None, None, "scan", 0, 0, args.seed, args.out,
-                       {"p": args.p, "emit_curve": args.emit_curve})
     res = mp_constant(args.p)
     payload = {"command": "mp", "p": res.p, "value": res.value,
                "argmax_t": res.argmax_t}
@@ -222,8 +187,8 @@ def cmd_mp(args) -> int:
                 w.writerow([f"{t:.6f}", f"{v:.12f}"])
             w.writerow(["max", f"{res.value:.12f}"])
         _write_json(args.emit_curve + ".manifest.json",
-                    _manifest(config, started, {"output": args.emit_curve}))
-    _emit(config, payload, started)
+                    _manifest(args, started, {"output": args.emit_curve}))
+    _emit(args, payload, started)
     return EXIT_OK
 
 
@@ -255,9 +220,6 @@ def _parse_range(text: str) -> list[float]:
 def cmd_sweep(args) -> int:
     started = time.time()
     _check_counts(args)
-    config = RunConfig("sweep", None, None, "minmax", args.budget, 0,
-                       args.seed, args.out,
-                       {"family": args.family, "p": args.p, "m": args.m})
     rows = []
     if args.family == "lpm":
         ps = _parse_range(args.p)
@@ -270,7 +232,9 @@ def cmd_sweep(args) -> int:
             for (m, val) in report.extra["trajectory"]:
                 rows.append({"p": p, "m": m, "index_upper_bound": f"{val:.9f}",
                              "mp": f"{mp.value:.9f}" if mp else ""})
-    elif args.family == "lp2-curve":
+    elif args.m:
+        raise InputError("--m applies only to --family lpm")
+    else:
         ps = _parse_range(args.p)
         if not ps:
             raise InputError("empty sweep range")
@@ -281,15 +245,13 @@ def cmd_sweep(args) -> int:
             rows.append({"p": p, "m": 2,
                          "index_upper_bound": f"{est.upper_bound:.9f}",
                          "mp": f"{mp.value:.9f}"})
-    else:
-        raise InputError(f"unknown sweep family {args.family!r}")
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["p", "m", "index_upper_bound", "mp"])
         w.writeheader()
         w.writerows(rows)
     _write_json(out + ".manifest.json",
-                _manifest(config, started, {"rows": len(rows), "output": out}))
+                _manifest(args, started, {"rows": len(rows), "output": out}))
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -297,7 +259,7 @@ def cmd_sweep(args) -> int:
 VERIFY_SUITES = ("lcc", "gcc", "sums", "duality", "bounds")
 
 
-def _run_suite(name: str, args) -> SuiteReport:
+def _run_suite(name: str, args, duality_space) -> SuiteReport:
     seed = args.seed
     cases = args.cases
     budget = args.budget
@@ -309,38 +271,31 @@ def _run_suite(name: str, args) -> SuiteReport:
         return gcc_check(space, subset=(0, 1), cases=cases, seed=seed,
                          budget=budget)
     if name == "sums":
-        from .spaces import scalar
         return sum_index_check([scalar(), scalar()], mode="linf",
                                budget=max(budget, 60), seed=seed)
     if name == "duality":
-        desc = parse_descriptor(args.space) if args.space else lp(3, 2)
-        return duality_check(desc, cases=cases, budget=budget, seed=seed,
+        return duality_check(duality_space, cases=cases, budget=budget, seed=seed,
                              index_budget=max(budget, 60))
-    if name == "bounds":
-        return bounds_check([1.5, 3.0], [2], budget=max(budget, 100), seed=seed)
-    raise InputError(f"unknown suite {name!r}")
+    return bounds_check([1.5, 3.0], [2], budget=max(budget, 100), seed=seed)
 
 
 def cmd_verify(args) -> int:
     started = time.time()
     _check_counts(args)
     names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    for n in names:
-        if n not in VERIFY_SUITES:
-            raise InputError(f"unknown suite {n!r}; choose from "
-                             f"{', '.join(VERIFY_SUITES + ('all',))}")
-    config = RunConfig("verify", args.space, None, "suite", args.budget, 0,
-                       args.seed, args.out, {"suite": args.suite,
-                                             "cases": args.cases})
+    if args.space and "duality" not in names:
+        raise InputError(f"--space is read only by the duality suite, "
+                         f"which --suite {args.suite} does not run")
+    duality_space = parse_descriptor(args.space) if args.space else lp(3, 2)
     outdir = args.out or "reports"
     os.makedirs(outdir, exist_ok=True)
     all_passed = True
     for name in names:
-        report = _run_suite(name, args)
+        report = _run_suite(name, args, duality_space)
         path = os.path.join(outdir, f"{name}.json")
         _write_json(path, report.to_dict())
         _write_json(path + ".manifest.json",
-                    _manifest(config, started,
+                    _manifest(args, started,
                               {"suite": name, "passed": report.passed,
                                "max_violation": report.max_violation}))
         status = "pass" if report.passed else "FAIL"
@@ -372,19 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", default="auto",
                     choices=["auto", "ascent", "enumerate", "grid"])
     sp.add_argument("--resolution", type=int, default=2000)
-    sp.add_argument("--absolute", action="store_true",
-                    help="absolute numerical radius instead of nu")
-    sp.add_argument("--poly-k", type=int, default=0,
-                    help="treat the matrix file as a degree-k tensor")
+    estimator = sp.add_mutually_exclusive_group()
+    estimator.add_argument("--absolute", action="store_true",
+                           help="absolute numerical radius instead of nu")
+    estimator.add_argument("--poly-k", type=int, default=0,
+                           help="treat the matrix file as a degree-k tensor "
+                                "(k <= 1: the operator)")
     common(sp)
     sp.set_defaults(fn=cmd_radius)
 
     sp = sub.add_parser("index", help="numerical-index upper bound")
     sp.add_argument("--space", required=True)
     sp.add_argument("--field", choices=["real", "complex"])
-    sp.add_argument("--rank", type=int, default=0, help="rank-r index")
-    sp.add_argument("--absolute", action="store_true", help="absolute index")
-    sp.add_argument("--poly-k", type=int, default=0, help="polynomial index of order k")
+    estimator = sp.add_mutually_exclusive_group()
+    estimator.add_argument("--rank", type=int, default=0, help="rank-r index")
+    estimator.add_argument("--absolute", action="store_true", help="absolute index")
+    estimator.add_argument("--poly-k", type=int, default=0,
+                           help="polynomial index of order k (k <= 1: the index)")
     common(sp, budget=200)
     sp.set_defaults(fn=cmd_index)
 
@@ -402,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", required=True,
-                    help="lcc|gcc|sums|duality|bounds|all")
+    sp.add_argument("--suite", required=True, choices=VERIFY_SUITES + ("all",))
     sp.add_argument("--space", help="descriptor for the duality suite")
     sp.add_argument("--cases", type=int, default=20)
     common(sp, budget=24)
@@ -420,10 +378,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (InputError, SpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceeded as exc:
+    except (InputError, SpaceError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -25,9 +25,11 @@ from .spaces import (COMPLEX, DegenerateInput, SpaceDescriptor,
 
 INV_E = 1.0 / math.e
 
-#: restart budget handed to each radius evaluation inside the index search;
-#: kept small because every reported value is re-derivable at full budget
-#: from the stored witness operator
+#: restart budget handed to each radius evaluation inside the index search,
+#: kept small for speed.  A reported value re-derives from its witness
+#: operator only at the search's own budgets: re-scored at a larger radius
+#: budget the ratio can rise, since the search keeps its luckiest
+#: underestimate of nu
 RADIUS_BUDGET_IN_SEARCH = 6
 
 #: a ratio this small cannot be improved; stop searching

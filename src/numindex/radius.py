@@ -27,7 +27,7 @@ from .operators import (HomogeneousPolynomial, Operator, OperatorNormEstimate,
                         _apply_rows, _as_rng, operator_stack, poly_apply)
 from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
-                     conj_sign, eval_pair, lp, phase)
+                     conj_sign, eval_pair, phase)
 
 #: default restart budget for the ascent backend
 DEFAULT_RESTARTS = 64
@@ -127,14 +127,13 @@ def radius_stack(Ts, budget: int, rngs, extra_starts=(),
 # ---------------------------------------------------------------------------
 
 def radius_enumerate(T: Operator) -> RadiusEstimate:
-    """Exhaustive maximization over the finite candidate set of extreme
-    points and compatible face functionals (spaces isometric to flat l1 or
-    linf only).
+    """Exact nu(T) on spaces isometric to flat l1 or linf.
 
-    For l1^m the sup runs over x = sigma e_i with the face functional phase
-    pattern aligned entrywise; for linf^m dually.  The candidate set is
-    conjectured-complete and validated against the grid oracle by
-    :func:`enumeration_selfcheck` (run in the test suite).
+    These spaces have numerical index 1, so nu(T) = ||T||: the largest
+    column sum of |T_ij| on l1^m, the largest row sum on linf^m.  The witness
+    attains it: on l1^m x = e_i at the best column i with the face
+    functional aligned with that column entrywise; on linf^m dually, the
+    functional e_i at the best row i with x aligned with that row.
     """
     desc = T.descriptor
     p = desc.uniform_exponent
@@ -203,7 +202,10 @@ def _face_functional(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _complex_grid(resolution: int) -> np.ndarray:
+    # an even angle count puts t = pi/4, the corners |x1| = |x2| of the
+    # linf ball, on the grid
     n = max(int(math.isqrt(resolution)), 8)
+    n += n % 2
     t = np.linspace(0.0, np.pi / 2, n + 1)
     ph = np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False)
     TT, PP = np.meshgrid(t, ph, indexing="ij")
@@ -239,6 +241,15 @@ def absolute_radius_objective(T):
     return h
 
 
+def _ascent_or_grid(method: str, quantity: str) -> str:
+    """``method`` of an estimator with only the ascent (alias ``auto``) and
+    grid backends; any other backend is rejected by name."""
+    if method not in ("auto", "ascent", "grid"):
+        raise DegenerateInput(f"the {quantity} has no {method!r} backend; "
+                              f"choose auto, ascent or grid")
+    return method
+
+
 def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
                     method: str = "ascent", resolution: int = 2000,
                     extra_starts=()) -> RadiusEstimate:
@@ -246,7 +257,7 @@ def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
     desc = T.descriptor
     if not desc.is_flat or desc.p == math.inf:
         raise DegenerateInput("absolute radius needs a flat lp^m with finite p")
-    if method == "grid":
+    if _ascent_or_grid(method, "absolute radius") == "grid":
         val, x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
         return RadiusEstimate(val, NormingPair.at(desc, x), "grid",
                               "certified-lower-bound", n)
@@ -273,7 +284,7 @@ def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
     """nu(P) = sup |J(x) . P(x)| over the unit sphere; the ascent is the
     one-polynomial case of :func:`radius_stack`, the grid
     :func:`radius_grid_oracle`."""
-    if method == "grid":
+    if _ascent_or_grid(method, "polynomial radius") == "grid":
         return radius_grid_oracle(P, resolution)
     return radius_stack([P], budget, [_as_rng(rng)], method="ascent")[0]
 
@@ -330,29 +341,3 @@ def _grid_points(desc: SpaceDescriptor, resolution: int) -> np.ndarray:
                               np.cos(TH).ravel()])
         xs = xs[np.abs(xs).sum(axis=1) > 1e-12]
     return np.vstack([xs, corners])
-
-
-def enumeration_selfcheck(seed: int = 7, cases: int = 10,
-                          resolution: int = 4000, tol: float = 5e-3) -> float:
-    """Oracle-equivalence pretest for the enumeration candidate set.
-
-    Compares enumeration with the grid oracle on random 2x2 operators for
-    p in {1, inf}.  The grid oracle is itself a lower bound, so the fatal
-    direction is grid > enumerate (a candidate was missed); the reverse
-    gap only reflects grid discretization and is checked coarsely.
-    Raises on disagreement; returns the worst observed gap.
-    """
-    worst = 0.0
-    rng = np.random.default_rng(seed)
-    for p in (1.0, math.inf):
-        desc = lp(p, 2)
-        for _ in range(cases):
-            T = Operator(rng.standard_normal((2, 2)), desc)
-            a = radius_enumerate(T).value
-            b = radius_grid_oracle(T, resolution).value
-            worst = max(worst, abs(a - b))
-            if b > a + 1e-9 or abs(a - b) > tol:
-                raise AssertionError(
-                    f"enumeration candidate set disagrees with the grid oracle "
-                    f"at p={p}: enumerate={a}, grid={b}")
-    return worst

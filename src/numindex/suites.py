@@ -28,7 +28,14 @@ TOL_ENUMERATION = 1e-9
 TOL_ASCENT = 1e-4
 TOL_INDEX = 0.05
 
-DEFAULT_DIM_CAP = 6
+#: largest total dimension the sum and monotone suites accept
+DIM_CAP = 6
+#: bounds suite: how far below M_p/2 an estimate may fall (a violation),
+#: and how far above M_p it may rise before the soft check logs it
+HARD_SLACK = 0.02
+SOFT_SLACK = 0.05
+#: monotone suite: rise of n(lp^m) from m to the next m tolerated
+MONOTONE_SLACK = 0.02
 
 
 def case_rng(seed: int, *key: int) -> np.random.Generator:
@@ -93,9 +100,8 @@ def lcc_check(tower: SpaceDescriptor, m: int, j: int, cases: int = 50,
     report = SuiteReport("lcc", [descriptor_to_text(tower),
                                  descriptor_to_text(x_m)], tol, seed)
 
-    def one(i: int) -> dict:
-        rng = case_rng(seed, i)
-        L = _random_operator(x_m, rng)
+    for i in range(cases):
+        L = _random_operator(x_m, case_rng(seed, i))
         v_small = numerical_radius(L, budget=budget, rng=case_rng(seed, i, 1)).value
         vals = [v_small]
         for jj in range(1, j + 1):
@@ -107,11 +113,8 @@ def lcc_check(tower: SpaceDescriptor, m: int, j: int, cases: int = 50,
         violation = max(abs(v - v_small) for v in vals)
         monotone_defect = max(max(vals[k] - vals[k + 1] - tol, 0.0)
                               for k in range(len(vals) - 1)) if len(vals) > 1 else 0.0
-        return {"case": i, "values": vals,
-                "violation": max(violation, monotone_defect)}
-
-    for i in range(cases):
-        report.add(one(i))
+        report.add({"case": i, "values": vals,
+                    "violation": max(violation, monotone_defect)})
     return report
 
 
@@ -136,22 +139,18 @@ def gcc_check(sum_space: SpaceDescriptor, subset, cases: int = 50,
     report = SuiteReport("gcc", [descriptor_to_text(sum_space),
                                  descriptor_to_text(z_w)], tol, seed)
 
-    def one(i: int) -> dict:
-        rng = case_rng(seed, i)
-        L = _random_operator(z_w, rng)
+    for i in range(cases):
+        L = _random_operator(z_w, case_rng(seed, i))
         v_block = numerical_radius(L, budget=budget, rng=case_rng(seed, i, 1)).value
         LQ = compose_with_projection(L, Q)
         v_full = numerical_radius(LQ, budget=budget, rng=case_rng(seed, i, 2)).value
-        return {"case": i, "block": v_block, "full": v_full,
-                "violation": abs(v_block - v_full)}
-
-    for i in range(cases):
-        report.add(one(i))
+        report.add({"case": i, "block": v_block, "full": v_full,
+                    "violation": abs(v_block - v_full)})
     return report
 
 
 def sum_index_check(summands, mode: str = "linf", budget: int = 120,
-                    seed: int = 0, dim_cap: int = DEFAULT_DIM_CAP) -> SuiteReport:
+                    seed: int = 0) -> SuiteReport:
     """Index of an l1/linf sum against the minimum summand index.  Both
     sides are best-found upper bounds, so the tolerance is coarse."""
     summands = list(summands)
@@ -159,8 +158,8 @@ def sum_index_check(summands, mode: str = "linf", budget: int = 120,
         raise DegenerateInput("mode must be l1 or linf")
     p = 1.0 if mode == "l1" else math.inf
     total = sum(s.total_dim for s in summands)
-    if total > dim_cap:
-        raise DegenerateInput(f"total dimension {total} exceeds cap {dim_cap}")
+    if total > DIM_CAP:
+        raise DegenerateInput(f"total dimension {total} exceeds cap {DIM_CAP}")
     if len(summands) == 1:
         sum_desc = summands[0]
     else:
@@ -186,31 +185,30 @@ def sum_index_check(summands, mode: str = "linf", budget: int = 120,
     return report
 
 
-def monotone_sweep(p: float, m_values, budget: int = 120, seed: int = 0,
-                   field: str = "real", dim_cap: int = DEFAULT_DIM_CAP,
-                   slack: float = 0.02) -> SuiteReport:
+def monotone_sweep(p: float, m_values, budget: int = 120,
+                   seed: int = 0) -> SuiteReport:
     """Estimated n(lp^m) along m; checks the nonincreasing trend.  The
     best witness from level m seeds level m+1 (embedded through the block
     projection), which keeps the estimates structurally monotone."""
     m_values = list(m_values)
     if not m_values:
         raise DegenerateInput("empty m range")
-    if max(m_values) > dim_cap:
-        raise DegenerateInput(f"m={max(m_values)} exceeds dimension cap {dim_cap}")
-    report = SuiteReport("monotone", [f"lp(p={p},m={m_values})"], slack, seed)
+    if max(m_values) > DIM_CAP:
+        raise DegenerateInput(f"m={max(m_values)} exceeds dimension cap {DIM_CAP}")
+    report = SuiteReport("monotone", [f"lp(p={p},m={m_values})"], MONOTONE_SLACK, seed)
     prev_val, prev_witness, prev_m = None, None, None
     trajectory = []
     for k, m in enumerate(m_values):
-        desc = lp(p, m, field)
+        desc = lp(p, m)
         extra = []
         if prev_witness is not None and m > prev_m:
-            big = lp(p, m, field)
-            Q = coordinate_projection(big, keep=tuple(range(prev_m)))
+            Q = coordinate_projection(desc, keep=tuple(range(prev_m)))
             extra.append(compose_with_projection(prev_witness, Q))
         est = numerical_index_estimate(desc, budget=budget,
                                        rng=case_rng(seed, k),
                                        extra_starts=extra)
-        violation = max(est.upper_bound - prev_val - slack, 0.0) if prev_val is not None else 0.0
+        violation = (max(est.upper_bound - prev_val - MONOTONE_SLACK, 0.0)
+                     if prev_val is not None else 0.0)
         report.add({"case": k, "m": m, "index_upper_bound": est.upper_bound,
                     "violation": violation})
         trajectory.append((m, est.upper_bound))
@@ -228,17 +226,13 @@ def duality_check(desc: SpaceDescriptor, cases: int = 50, budget: int = 32,
                                      descriptor_to_text(dual_descriptor(desc))],
                          tol, seed)
 
-    def one(i: int) -> dict:
-        rng = case_rng(seed, i)
-        T = _random_operator(desc, rng)
+    for i in range(cases):
+        T = _random_operator(desc, case_rng(seed, i))
         v = numerical_radius(T, budget=budget, rng=case_rng(seed, i, 1)).value
         v_star = numerical_radius(adjoint(T), budget=budget,
                                   rng=case_rng(seed, i, 2)).value
-        return {"case": i, "radius": v, "radius_adjoint": v_star,
-                "violation": abs(v - v_star)}
-
-    for i in range(cases):
-        report.add(one(i))
+        report.add({"case": i, "radius": v, "radius_adjoint": v_star,
+                    "violation": abs(v - v_star)})
     n_primal = numerical_index_estimate(desc, budget=index_budget,
                                         rng=case_rng(seed, 10_001)).upper_bound
     n_dual = numerical_index_estimate(dual_descriptor(desc), budget=index_budget,
@@ -251,13 +245,12 @@ def duality_check(desc: SpaceDescriptor, cases: int = 50, budget: int = 32,
     return report
 
 
-def bounds_check(p_list, m_list, budget: int = 150, seed: int = 0,
-                 hard_slack: float = 0.02, soft_slack: float = 0.05) -> SuiteReport:
+def bounds_check(p_list, m_list, budget: int = 150, seed: int = 0) -> SuiteReport:
     """Real lp^m index estimates against the M_p interval: the lower bound
     M_p/2 is a hard check on estimator sanity; closeness to M_p from above
     is soft (optimizer quality, logged only)."""
     report = SuiteReport("bounds", [f"lp(p={p});m={list(m_list)}" for p in p_list],
-                         hard_slack, seed)
+                         HARD_SLACK, seed)
     k = 0
     curve = []
     for p in p_list:
@@ -269,8 +262,8 @@ def bounds_check(p_list, m_list, budget: int = 150, seed: int = 0,
             est = numerical_index_estimate(desc, budget=budget,
                                            rng=case_rng(seed, k))
             if m >= 2:
-                hard = max(mp.value / 2.0 - hard_slack - est.upper_bound, 0.0)
-                soft_ok = est.upper_bound <= mp.value + soft_slack
+                hard = max(mp.value / 2.0 - HARD_SLACK - est.upper_bound, 0.0)
+                soft_ok = est.upper_bound <= mp.value + SOFT_SLACK
             else:
                 hard, soft_ok = 0.0, True
             report.add({"case": k, "p": p, "m": m, "mp": mp.value,

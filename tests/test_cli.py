@@ -9,7 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from numindex.cli import EXIT_INPUT, EXIT_OK, main
+from numindex.cli import EXIT_INPUT, EXIT_OK, build_parser, main
 from numindex.operators import Operator, operator_to_json
 from numindex.radius import _grid_points
 from numindex.spaces import DegenerateInput, lp
@@ -105,6 +105,20 @@ def test_radius_poly_complex_tensor(tmp_path, capsys):
     assert "matrix field has 4 entries, expected 8" in capsys.readouterr().err
 
 
+def test_radius_poly_k_one_is_the_operator(tmp_path, capsys):
+    """Degree 1 is the operator in ``radius`` as in ``index``: on l1^3 the
+    exact enumeration, nu(T) = ||T|| = 4 (n(l1) = 1)."""
+    path = tmp_path / "t.json"
+    path.write_text(operator_to_json(Operator(
+        [[1.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 1.0, 1.0]], lp(1, 3))))
+    code = main(["radius", "--space", "lp(p=1,dim=3)", "--matrix", str(path),
+                 "--poly-k", "1"])
+    assert code == EXIT_OK
+    payload = _json_out(capsys)
+    assert payload["guarantee"] == "exact-enumeration"
+    assert payload["value"] == 4.0
+
+
 def test_radius_writes_report_and_manifest(id2, tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", id2,
@@ -171,6 +185,54 @@ def test_bad_budget_and_degree_exit_2(argv, message, capsys):
     code = main(argv[:1] + ["--space", "lp(p=3,dim=2)"] + argv[1:])
     assert code == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+#: flag combinations that once ran with one flag silently dropped, and the
+#: words the error must name
+DROPPED_FLAGS = [
+    (["radius", "--absolute", "--method", "enumerate"], ["'enumerate' backend"]),
+    (["radius", "--poly-k", "2", "--method", "enumerate"], ["'enumerate' backend"]),
+    (["radius", "--poly-k", "2", "--absolute"], ["--poly-k", "--absolute"]),
+    (["index", "--rank", "1", "--absolute"], ["--rank", "--absolute"]),
+    (["index", "--poly-k", "2", "--absolute"], ["--poly-k", "--absolute"]),
+    (["index", "--rank", "1", "--poly-k", "2"], ["--rank", "--poly-k"]),
+    (["verify", "--suite", "lcc", "--space", "lp(p=3,dim=2)"], ["--space"]),
+    (["sweep", "--family", "lp2-curve", "--p", "3", "--m", "2..3"], ["--m"]),
+]
+
+
+@pytest.mark.parametrize("argv,names", DROPPED_FLAGS,
+                         ids=[" ".join(a) for a, _ in DROPPED_FLAGS])
+def test_flag_reaches_the_library_or_exits_2(argv, names, tmp_path, capsys):
+    if argv[0] in ("radius", "index"):
+        argv = argv[:1] + ["--space", "lp(p=3,dim=2)"] + argv[1:]
+    if argv[0] == "radius":
+        path = tmp_path / "m.json"
+        k = int(argv[argv.index("--poly-k") + 1]) if "--poly-k" in argv else 1
+        path.write_text(json.dumps({"matrix": [0.5] * 2 ** (k + 1)}))
+        argv += ["--matrix", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,manifest", [
+    (["radius", "--space", "lp(p=2,dim=2)", "--budget", "4"], "out"),
+    (["index", "--space", "lp(p=2,dim=2)", "--rank", "1", "--budget", "4"], "out"),
+    (["mp", "--p", "3"], "out"),
+    (["sweep", "--family", "lp2-curve", "--p", "2", "--budget", "4"], "out"),
+    (["verify", "--suite", "duality", "--space", "lp(p=2,dim=2)", "--cases", "1",
+      "--budget", "4"], "out/duality.json"),
+], ids=["radius", "index", "mp", "sweep", "verify"])
+def test_manifest_config_is_the_parsed_command(argv, manifest, id2, tmp_path, capsys):
+    if argv[0] == "radius":
+        argv = argv + ["--matrix", id2]
+    argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    config = json.loads((tmp_path / f"{manifest}.manifest.json").read_text())["config"]
+    parsed = vars(build_parser().parse_args(argv))
+    assert config == {k: v for k, v in parsed.items() if k != "fn"}
 
 
 def test_sweep_rejects_budget_below_one(capsys):
@@ -281,6 +343,14 @@ def test_verify_duality_suite(tmp_path, capsys):
     assert report["passed"] is True
     assert report["max_violation"] <= 1e-4
     assert (out / "duality.json.manifest.json").exists()
+
+
+def test_verify_bad_space_exits_before_any_suite(tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert main(["verify", "--suite", "all", "--space", "lq(p=3)",
+                 "--cases", "1", "--out", str(out)]) == EXIT_INPUT
+    assert "descriptor parse error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_unknown_suite(capsys):

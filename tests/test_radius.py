@@ -12,7 +12,6 @@ from numindex.radius import (
     BudgetExceeded,
     _grid_points,
     absolute_radius,
-    enumeration_selfcheck,
     numerical_radius,
     poly_radius,
     radius_ascent,
@@ -172,15 +171,20 @@ def test_engine_matches_grid_oracle_dim2(p):
 ], ids=["id-l1-2", "id-l1-3", "id-linf-3", "diag-l1", "diag-linf",
         "nested-l1", "nested-linf", "complex-linf"])
 def test_grid_value_rederives_from_face_witness(T):
-    est = radius_grid_oracle(T, 1000)
-    assert est.value == _witness_value(T, est)
-    assert est.witness.slack <= 1e-12
     exact = radius_enumerate(T).value
-    assert est.value <= exact + 1e-12
-    if T.field == "real":
-        # the real grid holds the ball's corners, where only a face
-        # functional, not the canonical J, reaches the exact value
-        assert est.value == pytest.approx(exact, abs=1e-9)
+    for resolution in (1000, 4000):
+        est = radius_grid_oracle(T, resolution)
+        assert est.value == _witness_value(T, est)
+        assert est.witness.slack <= 1e-12
+        assert est.value <= exact + 1e-12
+        if T.field == "real":
+            # the real grid holds the ball's corners, where only a face
+            # functional, not the canonical J, reaches the exact value
+            assert est.value == pytest.approx(exact, abs=1e-9)
+        else:
+            # the complex grid holds the corners |x1| = |x2| at every
+            # resolution
+            assert est.value >= exact - 1e-3
 
 
 def test_poly_grid_maximizes_over_the_l1_face():
@@ -205,7 +209,33 @@ def test_poly_grid_maximizes_over_the_l1_face():
 
 
 def test_enumeration_selfcheck():
-    assert enumeration_selfcheck() <= 5e-3
+    """Enumeration against the independent grid oracle on random 2x2
+    operators on l1 and linf.  The grid is a lower bound, so grid above
+    enumeration would mean a wrong enumeration value; the reverse gap only
+    reflects the grid's discretization and is checked coarsely."""
+    rng = np.random.default_rng(7)
+    for p in (1.0, math.inf):
+        for _ in range(10):
+            T = Operator(rng.standard_normal((2, 2)), lp(p, 2))
+            a = radius_enumerate(T).value
+            b = radius_grid_oracle(T, 4000).value
+            assert b <= a + 1e-9
+            assert abs(a - b) <= 5e-3
+
+
+@pytest.mark.parametrize("desc", [
+    lp(1, 3), lp(math.inf, 3), lp(1, 2, "complex"), lp(math.inf, 3, "complex"),
+    psum(1, [lp(1, 2), scalar()]), psum(math.inf, [scalar(), lp(math.inf, 2)]),
+], ids=["l1", "linf", "complex-l1", "complex-linf", "nested-l1", "nested-linf"])
+def test_enumeration_is_the_operator_norm(desc):
+    """n(X) = 1 on spaces isometric to l1 or linf, so nu(T) = ||T||: the
+    enumeration value is the exact operator norm, bit for bit."""
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        T = _rand_op(desc, rng)
+        est = radius_enumerate(T)
+        assert est.value == op_norm(T).value
+        assert _witness_value(T, est) == pytest.approx(est.value, abs=1e-12)
 
 
 def test_enumeration_matches_grid_l1_3d():
@@ -265,6 +295,22 @@ def test_absolute_radius_shape_errors():
         absolute_radius(identity(lp(math.inf, 2)))
     with pytest.raises(DegenerateInput):
         absolute_radius(identity(psum(2, [lp(2, 2), lp(2, 2)])))
+
+
+@pytest.mark.parametrize("T", [identity(lp(2, 2)),
+                               HomogeneousPolynomial(2, np.zeros((2, 2, 2)), lp(2, 2))],
+                         ids=["absolute", "poly"])
+def test_ascent_or_grid_backends(T):
+    """The absolute and polynomial radii run ``auto`` as the ascent and
+    reject a backend they lack by name."""
+    radius = poly_radius if isinstance(T, HomogeneousPolynomial) else absolute_radius
+    auto = radius(T, method="auto", budget=4, rng=0)
+    ascent = radius(T, method="ascent", budget=4, rng=0)
+    assert (auto.method, auto.value) == ("ascent", ascent.value)
+    assert np.array_equal(auto.witness.x, ascent.witness.x)
+    for method in ("enumerate", "bogus"):
+        with pytest.raises(DegenerateInput, match=f"no '{method}' backend"):
+            radius(T, method=method)
 
 
 # ---------------------------------------------------------------------------
