@@ -13,8 +13,7 @@ from .operators import (CoordinateProjection, HomogeneousPolynomial, Operator,
                         coordinate_projection, identity, op_norm, poly_apply,
                         rank_one, rank_r_sample)
 from .radius import (RadiusEstimate, absolute_radius, numerical_radius,
-                     poly_radius, radius_ascent, radius_enumerate,
-                     radius_grid_oracle)
+                     poly_radius, radius_enumerate, radius_grid_oracle)
 from .index import (BoundsInterval, IndexEstimate, MpResult,
                     absolute_index_estimate, mp_constant,
                     numerical_index_estimate, poly_index_estimate,

@@ -28,8 +28,7 @@ from .index import (absolute_index_estimate, mp_constant, mp_curve,
                     numerical_index_estimate, poly_index_estimate,
                     rank_r_index_estimate, theoretical_bounds)
 from .operators import operator_from_json, poly_from_json
-from .radius import (BudgetExceeded, absolute_radius, numerical_radius,
-                     poly_radius)
+from .radius import BudgetExceeded, absolute_radius, numerical_radius
 from .spaces import SpaceError, lp, parse_descriptor, scalar, tower
 from .suites import (SuiteReport, bounds_check, duality_check, gcc_check,
                      lcc_check, monotone_sweep, sum_index_check)
@@ -39,6 +38,9 @@ DEFAULT_SEED = 20240801
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+
+#: most points a sweep range expands to
+RANGE_POINT_CAP = 10_000
 
 
 class InputError(ValueError):
@@ -113,10 +115,9 @@ def cmd_radius(args) -> int:
     _check_counts(args, args.method in ("auto", "ascent"))
     if args.poly_k > 1:
         T = _load_matrix(args, lambda text: poly_from_json(text, args.poly_k, desc))
-        radius = poly_radius
     else:
         T = _load_matrix(args, lambda text: operator_from_json(text, desc))
-        radius = absolute_radius if args.absolute else numerical_radius
+    radius = absolute_radius if args.absolute else numerical_radius
     est = radius(T, method=args.method, budget=args.budget, rng=args.seed,
                  resolution=args.resolution)
     payload = {"command": "radius",
@@ -193,7 +194,7 @@ def cmd_mp(args) -> int:
 
 
 def _parse_range(text: str) -> list[float]:
-    """``a..b`` (step 1) or ``a..b:step``."""
+    """``a..b`` (step 1) or ``a..b:step``: finite, of at most RANGE_POINT_CAP points."""
     try:
         if ".." not in text:
             return [float(text)]
@@ -205,16 +206,19 @@ def _parse_range(text: str) -> list[float]:
         else:
             hi = rest
         lo, hi = float(lo), float(hi)
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
             raise ValueError
-        out = []
-        v = lo
-        while v <= hi + 1e-12:
-            out.append(round(v, 12))
-            v += step
-        return out
     except ValueError as exc:
         raise InputError(f"bad range {text!r}") from exc
+    out = []
+    v = lo
+    while v <= hi + 1e-12:
+        # a step below the spacing of floats near v never advances it
+        if len(out) == RANGE_POINT_CAP:
+            raise InputError(f"range {text!r} has more than {RANGE_POINT_CAP} points")
+        out.append(round(v, 12))
+        v += step
+    return out
 
 
 def cmd_sweep(args) -> int:

@@ -38,6 +38,9 @@ EARLY_EXIT = 1e-9
 #: most descent perturbations scored in one stacked call
 SPECULATIVE_BATCH = 32
 
+#: candidates of the polynomial search, the same count at every budget
+POLY_STARTS = 4
+
 
 @dataclass(frozen=True)
 class MpResult:
@@ -189,11 +192,10 @@ def _minimize_ratio(candidates, draw, perturb, ratios, budget: int, rng):
     perturbation descent with shrinking step.  ``ratios`` scores a list of
     candidates; ``draw(rng)`` draws the noise of one perturbation and
     ``perturb(T, scale, noise)`` applies it.  ``budget`` (>= 1) counts ratio
-    evaluations.  When the candidate list does not depend on the budget (the
-    numerical, rank and absolute searches), the evaluation sequence for
-    budget B is a prefix of the sequence for budget 2B under a shared seed,
-    so enlarging the budget never raises the reported bound; the polynomial
-    search draws more random starts for a larger budget.
+    evaluations.  No search's candidate list depends on the budget, so the
+    evaluation sequence for budget B is a prefix of the sequence for budget
+    2B under a shared seed, and enlarging the budget never raises the
+    reported bound.
 
     The portfolio is scored in one call.  The descent is speculative: it
     draws the next perturbations as if all of them will fail, scores them
@@ -261,36 +263,32 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
         raise DegenerateInput(f"rank {r} out of range 1..{d}")
     rng = _as_rng(rng)
     ddual = dual_descriptor(desc)
-    factors = {}         # matrix bytes -> rank-one factor pairs (f, y)
 
-    def factored(pairs) -> Operator:
-        T = Operator(sum(np.outer(y, f) for f, y in pairs), desc)
-        factors[T.matrix.tobytes()] = pairs
-        return T
+    def factored(F) -> tuple:
+        # a candidate: the operator of the (r, 2, d) factor pairs (f, y), and F
+        return Operator(sum(np.outer(y, f) for f, y in F), desc), F
 
-    def perturb(T: Operator, scale: float, noise) -> Operator:
-        return factored([(f + scale * df, y + scale * dy) for (f, y), (df, dy)
-                         in zip(factors[T.matrix.tobytes()], noise)])
-
+    candidates = []
     for T in extra_starts:
         if np.linalg.matrix_rank(T.matrix) > r:
             raise DegenerateInput(f"extra start of rank above {r}")
         u, s, vh = np.linalg.svd(T.matrix)
-        factors[T.matrix.tobytes()] = [(vh[i], s[i] * u[:, i]) for i in range(r)]
-    candidates = list(extra_starts) + [
-        factored([(unit_sphere_sample(ddual, rng), unit_sphere_sample(desc, rng))
-                  for _ in range(r)]) for _ in range(8)]
+        candidates.append((T, np.array([(vh[i], s[i] * u[:, i]) for i in range(r)])))
+    candidates += [factored(np.array([(unit_sphere_sample(ddual, rng),
+                                       unit_sphere_sample(desc, rng)) for _ in range(r)]))
+                   for _ in range(8)]
     best, evals = _minimize_ratio(
-        candidates, lambda _rng: [_gaussian(desc, _rng, (2, d)) for _ in range(r)],
-        perturb, lambda Ts: _ratios(Ts, op_norm_stack, 4, radius_stack,
-                                    RADIUS_BUDGET_IN_SEARCH),
+        candidates, lambda _rng: np.array([_gaussian(desc, _rng, (2, d)) for _ in range(r)]),
+        lambda TF, scale, noise: factored(TF[1] + scale * noise),
+        lambda TFs: _ratios([T for T, _ in TFs], op_norm_stack, 4, radius_stack,
+                            RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     if r == 1:
         lb, tag = INV_E, "rank-one-lower-bound"
     else:
         b = theoretical_bounds(desc)
         lb, tag = b.lower, b.lower_tag
-    return IndexEstimate(float(best[0]), best[1], evals, best[2], lb, tag,
+    return IndexEstimate(float(best[0]), best[1][0], evals, best[2], lb, tag,
                          desc.field)
 
 
@@ -319,7 +317,7 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     """Upper bound of the order-k polynomial index over random symmetric
     coefficient tensors with perturbation descent.  The candidates are the
     structured portfolio at k = 1, then random tensors up to
-    ``max(budget // 4, 2)`` candidates in all."""
+    ``POLY_STARTS`` candidates in all, whatever the budget."""
     shape = poly_shape(desc, k)
     rng = _as_rng(rng)
     candidates = []
@@ -328,13 +326,12 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
         candidates = [HomogeneousPolynomial(1, T.matrix, desc)
                       for T in _start_portfolio(desc, rng)]
     candidates += [HomogeneousPolynomial(k, _gaussian(desc, rng, shape), desc)
-                   for _ in range(max(budget // 4, 2) - len(candidates))]
+                   for _ in range(POLY_STARTS - len(candidates))]
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc, shape=shape),
         lambda P, scale, noise: HomogeneousPolynomial(k, P.tensor + scale * noise, desc),
         lambda Ps: _ratios(Ps, poly_norm_stack, RADIUS_BUDGET_IN_SEARCH,
-                           partial(radius_stack, method="ascent"),
-                           RADIUS_BUDGET_IN_SEARCH),
+                           radius_stack, RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     bounds = theoretical_bounds(desc)
     lb = bounds.lower if k == 1 else 0.0

@@ -39,17 +39,9 @@ class Operator:
     descriptor: SpaceDescriptor
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
         d = self.descriptor.total_dim
-        if m.shape != (d, d):
-            raise DescriptorMismatch(
-                f"matrix shape {m.shape} on a space of dimension {d}")
-        _check_finite("matrix", m)
-        if self.descriptor.field == REAL and np.iscomplexobj(m):
-            if np.any(m.imag != 0):
-                raise DescriptorMismatch("complex matrix on a real descriptor")
-            m = m.real
-        object.__setattr__(self, "matrix", m.astype(self.descriptor.dtype))
+        object.__setattr__(self, "matrix", _coefficient_array(
+            "matrix", self.matrix, (d, d), self.descriptor))
 
     @property
     def field(self) -> str:
@@ -60,9 +52,19 @@ class Operator:
         return self.descriptor.total_dim
 
 
-def _check_finite(what: str, a: np.ndarray):
+def _coefficient_array(what: str, a, shape: tuple, desc: SpaceDescriptor) -> np.ndarray:
+    """``a`` cast to the field of ``desc`` once its shape, finiteness and
+    field are checked; on a real space only zero imaginary parts pass."""
+    a = np.asarray(a)
+    if a.shape != shape:
+        raise DescriptorMismatch(f"{what} shape {a.shape}, expected {shape}")
     if not np.all(np.isfinite(a)):
         raise SpaceError(f"{what} has non-finite entries (NaN or infinity)")
+    if desc.field == REAL and np.iscomplexobj(a):
+        if np.any(a.imag != 0):
+            raise DescriptorMismatch(f"complex {what} on a real descriptor")
+        a = a.real
+    return a.astype(desc.dtype)
 
 
 @dataclass(frozen=True)
@@ -273,11 +275,8 @@ class HomogeneousPolynomial:
     descriptor: SpaceDescriptor
 
     def __post_init__(self):
-        shape = poly_shape(self.descriptor, self.degree)
-        t = np.asarray(self.tensor, dtype=self.descriptor.dtype)
-        if t.shape != shape:
-            raise DescriptorMismatch(f"tensor shape {t.shape}, expected {shape}")
-        _check_finite("tensor", t)
+        t = _coefficient_array("tensor", self.tensor,
+                               poly_shape(self.descriptor, self.degree), self.descriptor)
         object.__setattr__(self, "tensor", _symmetrize(t, self.degree))
 
 

@@ -1,11 +1,13 @@
 """Numerical radius, absolute numerical radius and polynomial radius.
 
-Three backends behind one entry point:
+Three backends behind one entry point, :func:`numerical_radius`, for an
+operator or a homogeneous polynomial alike:
 
 * ``ascent``    -- multi-start sphere maximization of |J(x) . Tx| over the
                    dense all-coordinates-nonzero set, where the canonical
                    norming functional J is a closed form of x;
-* ``enumerate`` -- exact finite enumeration on flat l1 / linf spaces;
+* ``enumerate`` -- exact finite enumeration on flat l1 / linf spaces, for
+                   operators;
 * ``grid``      -- brute-force dense sphere sweep of an operator or
                    polynomial for small dimensions, used as the independent
                    oracle; on l1 / linf it maximizes over the dual face at
@@ -74,48 +76,50 @@ def radius_objective(T):
     return g
 
 
-def numerical_radius(T: Operator, method: str = "auto",
-                     budget: int = DEFAULT_RESTARTS,
+def numerical_radius(T, method: str = "auto", budget: int = DEFAULT_RESTARTS,
                      rng=None, resolution: int = 2000,
                      extra_starts=()) -> RadiusEstimate:
-    """Supremum estimate of |x*(Tx)| over norming pairs.
-
-    ``auto`` dispatch: flat (or uniformly nested) l1/linf -> enumerate;
-    everything else -> ascent.  The grid backend must be requested
-    explicitly and is capped at small dimension.
-    """
-    desc = T.descriptor
-    if method == "auto":
-        method = _auto_method(desc)
-    if method == "enumerate":
+    """Supremum estimate of |x*(T x)| over norming pairs, for an operator or
+    a polynomial ``T``, by the backend :func:`_backend` picks for ``method``."""
+    backend = _backend(T, method)
+    if backend == "enumerate":
         return radius_enumerate(T)
-    if method == "grid":
+    if backend == "grid":
         return radius_grid_oracle(T, resolution)
-    if method == "ascent":
-        return radius_ascent(T, budget=budget, rng=rng, extra_starts=extra_starts)
-    raise ValueError(f"unknown radius method {method!r}")
+    return _ascent_stack([T], budget, [_as_rng(rng)], extra_starts)[0]
 
 
-def _auto_method(desc: SpaceDescriptor) -> str:
-    """Flat (or uniformly nested) l1/linf -> enumerate; everything else -> ascent."""
-    return "enumerate" if desc.uniform_exponent in (1.0, math.inf) else "ascent"
+def _backend(T, method: str, quantity: str | None = None) -> str:
+    """The backend ``method`` names for the numerical radius of ``T`` or, given
+    ``quantity``, for that radius of an operator: ``ascent`` and ``grid``
+    always, ``enumerate`` for an operator's numerical radius only, which
+    ``auto`` picks on spaces isometric to flat l1/linf; ``auto`` is the
+    ascent everywhere else."""
+    operator = quantity is None and isinstance(T, Operator)
+    quantity = quantity or ("numerical radius" if operator else "polynomial radius")
+    backends = (("auto", "ascent", "enumerate", "grid") if operator
+                else ("auto", "ascent", "grid"))
+    if method not in backends:
+        raise DegenerateInput(f"the {quantity} has no {method!r} backend; "
+                              f"choose {', '.join(backends[:-1])} or {backends[-1]}")
+    if method != "auto":
+        return method
+    exact = operator and T.descriptor.uniform_exponent in (1.0, math.inf)
+    return "enumerate" if exact else "ascent"
 
 
-def radius_ascent(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
-                  extra_starts=()) -> RadiusEstimate:
-    """Multi-start local maximization of |J(x) . Tx| over the unit sphere."""
-    return radius_stack([T], budget, [_as_rng(rng)], extra_starts, "ascent")[0]
-
-
-def radius_stack(Ts, budget: int, rngs, extra_starts=(),
-                 method: str = "auto") -> list[RadiusEstimate]:
-    """``numerical_radius`` (auto or ascent) of every operator of a stack
-    sharing one descriptor, operator k drawing from ``rngs[k]``; the ascents
-    run as one batch and equal the one-operator calls bit for bit.  With
-    ``method="ascent"`` the stack may hold polynomials of one degree
-    instead (:func:`poly_radius`)."""
-    if method == "auto" and _auto_method(Ts[0].descriptor) == "enumerate":
+def radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
+    """``numerical_radius`` (``auto``) of every operator, or every polynomial
+    of one degree, of a stack sharing one descriptor, member k drawing from
+    ``rngs[k]``; the ascents run as one batch and equal the one-member calls
+    bit for bit."""
+    if _backend(Ts[0], "auto") == "enumerate":
         return [radius_enumerate(T) for T in Ts]
+    return _ascent_stack(Ts, budget, rngs)
+
+
+def _ascent_stack(Ts, budget: int, rngs, extra_starts=()) -> list[RadiusEstimate]:
+    """Multi-start local maximization of |J(x) . T_k x| over the unit sphere."""
     found = maximize_stack(Ts[0].descriptor, radius_objective(Ts), rngs,
                            restarts=budget, extra_starts=extra_starts)
     return [_estimate_at(T, x, "ascent", "certified-lower-bound", evals)
@@ -241,15 +245,6 @@ def absolute_radius_objective(T):
     return h
 
 
-def _ascent_or_grid(method: str, quantity: str) -> str:
-    """``method`` of an estimator with only the ascent (alias ``auto``) and
-    grid backends; any other backend is rejected by name."""
-    if method not in ("auto", "ascent", "grid"):
-        raise DegenerateInput(f"the {quantity} has no {method!r} backend; "
-                              f"choose auto, ascent or grid")
-    return method
-
-
 def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
                     method: str = "ascent", resolution: int = 2000,
                     extra_starts=()) -> RadiusEstimate:
@@ -257,7 +252,7 @@ def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
     desc = T.descriptor
     if not desc.is_flat or desc.p == math.inf:
         raise DegenerateInput("absolute radius needs a flat lp^m with finite p")
-    if _ascent_or_grid(method, "absolute radius") == "grid":
+    if _backend(T, method, "absolute radius") == "grid":
         val, x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
         return RadiusEstimate(val, NormingPair.at(desc, x), "grid",
                               "certified-lower-bound", n)
@@ -281,12 +276,9 @@ def absolute_radius_stack(Ts, budget: int, rngs, extra_starts=()) -> list[Radius
 def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
                 rng=None, method: str = "ascent",
                 resolution: int = 2000) -> RadiusEstimate:
-    """nu(P) = sup |J(x) . P(x)| over the unit sphere; the ascent is the
-    one-polynomial case of :func:`radius_stack`, the grid
-    :func:`radius_grid_oracle`."""
-    if _ascent_or_grid(method, "polynomial radius") == "grid":
-        return radius_grid_oracle(P, resolution)
-    return radius_stack([P], budget, [_as_rng(rng)], method="ascent")[0]
+    """nu(P) = sup |J(x) . P(x)| over the unit sphere: :func:`numerical_radius`
+    of a polynomial."""
+    return numerical_radius(P, method, budget, rng, resolution)
 
 
 def poly_norm(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,

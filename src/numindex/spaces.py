@@ -190,19 +190,12 @@ def lp(p: float, dim: int, field: str = REAL) -> SpaceDescriptor:
 
 
 def psum(p: float, children, field: str | None = None) -> SpaceDescriptor:
+    """The p-sum of ``children``, whose fields must all be ``field`` (by
+    default the first child's)."""
     children = tuple(children)
     if not children:
         raise SpaceError("psum needs at least one child")
-    if field is None:
-        field = children[0].field
-    children = tuple(_refield(c, field) for c in children)
-    return SpaceDescriptor(float(p), children, field)
-
-
-def _refield(desc: SpaceDescriptor, field: str) -> SpaceDescriptor:
-    if desc.field == field:
-        return desc
-    return SpaceDescriptor(desc.p, tuple(_refield(c, field) for c in desc.children), field)
+    return SpaceDescriptor(float(p), children, field or children[0].field)
 
 
 def tower(p_list, block_dims=None, field: str = REAL) -> SpaceDescriptor:
@@ -536,7 +529,7 @@ class _Parser:
             p = self.number()
             self.expect(",dim=")
             dim = self.number()
-            if dim != int(dim) or dim < 1:
+            if not math.isfinite(dim) or dim != int(dim) or dim < 1:
                 self.error("dim must be a positive integer")
             self.total_dim += int(dim)
             if self.total_dim > MAX_TOTAL_DIM:

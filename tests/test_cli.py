@@ -105,6 +105,17 @@ def test_radius_poly_complex_tensor(tmp_path, capsys):
     assert "matrix field has 4 entries, expected 8" in capsys.readouterr().err
 
 
+def test_radius_poly_complex_tensor_on_a_real_space(tmp_path, capsys):
+    """A complex tensor on a real space exits 2, as a complex matrix does."""
+    path = tmp_path / "c.json"
+    for k in (1, 2):
+        path.write_text(json.dumps({"field": "complex", "matrix": [[1.0, 1.0]] * 2 ** (k + 1)}))
+        code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", str(path),
+                     "--poly-k", str(k)])
+        assert code == EXIT_INPUT
+        assert "on a real descriptor" in capsys.readouterr().err
+
+
 def test_radius_poly_k_one_is_the_operator(tmp_path, capsys):
     """Degree 1 is the operator in ``radius`` as in ``index``: on l1^3 the
     exact enumeration, nu(T) = ||T|| = 4 (n(l1) = 1)."""
@@ -164,6 +175,14 @@ def test_index_rank_flag(capsys):
                  "--budget", "30"])
     assert code == EXIT_OK
     assert _json_out(capsys)["upper_bound_best_found"] >= 1 / math.e - 0.02
+
+
+@pytest.mark.parametrize("space", ["lp(p=2,dim=1e400)",
+                                   "psum(p=2,[lp(p=3,dim=2),lp(p=2,dim=inf)])"])
+def test_index_non_finite_dimension_exits_2(space, capsys):
+    assert main(["index", "--space", space, "--budget", "4"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "dim must be a positive integer" in err and "Traceback" not in err
 
 
 BAD_COUNTS = [
@@ -323,6 +342,21 @@ def test_sweep_lpm(tmp_path, capsys):
 
 def test_sweep_empty_range(capsys):
     assert main(["sweep", "--family", "lpm", "--p", "5..4", "--m", "2..3"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "lpm", "--p", "3", "--m", "1..1e400"],
+    ["--family", "lp2-curve", "--p", "1..inf"],
+    ["--family", "lp2-curve", "--p", "1..3:1e-300"],
+    ["--family", "lp2-curve", "--p", "1..3:nan"],
+    ["--family", "lpm", "--p", "3", "--m", "1e17..100000000000000100"],
+], ids=lambda argv: argv[-1])
+def test_sweep_range_non_finite_or_too_long_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert repr(argv[-1]) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_unknown_family(capsys):

@@ -1,7 +1,6 @@
 """Index engine: M_p constant, theoretical bounds, min-max estimators."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -241,7 +240,7 @@ def test_poly_index_witness_rescored_exactly():
         est = poly_index_estimate(desc, k, budget=24, rng=5)
         b = index.RADIUS_BUDGET_IN_SEARCH
         r = index._ratios([est.witness_operator], poly_norm_stack, b,
-                          partial(radius_stack, method="ascent"), b)[0]
+                          radius_stack, b)[0]
         assert r == (est.upper_bound, est.radius_method)
 
 
@@ -303,8 +302,7 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
     # polynomial stacks: stacked norm and radius against one-polynomial calls
     for deg in (1, 2):
         Ps = _random_polynomials(desc, deg, 3)
-        ratios = index._ratios(Ps, poly_norm_stack, 4,
-                               partial(radius_stack, method="ascent"), 6)
+        ratios = index._ratios(Ps, poly_norm_stack, 4, radius_stack, 6)
         norms = poly_norm_stack(Ps, 4, [index._eval_rng(P) for P in Ps])
         for P, r, n in zip(Ps, ratios, norms):
             erng = index._eval_rng(P)
@@ -382,7 +380,7 @@ def ratio_calls(monkeypatch):
 
     def counted(Ts, *args):
         calls.append(len(Ts))
-        scored.update(T.matrix.tobytes() for T in Ts)
+        scored.update(coefficients(T).tobytes() for T in Ts)
         return orig(Ts, *args)
 
     monkeypatch.setattr(index, "_ratios", counted)
@@ -433,14 +431,17 @@ def test_rank_search_accepts_inside_a_speculative_batch(ratio_calls, sequential_
                                                  budget=40, rng=1))
 
 
-@pytest.mark.parametrize("name,search,args,kwargs", SEARCHES[:2] + SEARCHES[6:8],
-                         ids=[s[0] for s in SEARCHES[:2] + SEARCHES[6:8]])
+PREFIX_SEARCHES = SEARCHES[:2] + SEARCHES[6:8] + SEARCHES[9:11]
+
+
+@pytest.mark.parametrize("name,search,args,kwargs", PREFIX_SEARCHES,
+                         ids=[s[0] for s in PREFIX_SEARCHES])
 def test_stacked_search_budget_prefix(name, search, args, kwargs, ratio_calls):
     _, scored = ratio_calls
     small = search(*args, budget=20, rng=3, **kwargs)
     scored.clear()
     big = search(*args, budget=40, rng=3, **kwargs)
-    assert small.witness_operator.matrix.tobytes() in scored
+    assert coefficients(small.witness_operator).tobytes() in scored
     assert big.upper_bound <= small.upper_bound
 
 

@@ -355,6 +355,21 @@ def test_non_finite_entries_rejected(bad):
         HomogeneousPolynomial(1, m, lp(2, 2, "complex"))
 
 
+def test_complex_coefficients_on_a_real_space_rejected():
+    """An operator and a polynomial share one entry check: complex entries
+    on a real space are an error, not silently dropped imaginary parts."""
+    m = np.array([[1.0, 1j], [0.0, 1.0]])
+    with pytest.raises(DescriptorMismatch, match="complex matrix on a real"):
+        Operator(m, lp(2, 2))
+    with pytest.raises(DescriptorMismatch, match="complex tensor on a real"):
+        HomogeneousPolynomial(1, m, lp(2, 2))
+    with pytest.raises(DescriptorMismatch, match="complex tensor on a real"):
+        HomogeneousPolynomial(2, np.full((2, 2, 2), 1 + 1j), lp(2, 2))
+    # vanishing imaginary parts are the real entries
+    P = HomogeneousPolynomial(2, np.full((2, 2, 2), 1 + 0j), lp(2, 2))
+    assert P.tensor.dtype == np.float64 and np.all(P.tensor == 1.0)
+
+
 def test_poly_cap_and_shape_errors():
     with pytest.raises(DegenerateInput):
         HomogeneousPolynomial(10, np.zeros((4,) * 11), lp(2, 4))

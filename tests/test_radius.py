@@ -14,7 +14,6 @@ from numindex.radius import (
     absolute_radius,
     numerical_radius,
     poly_radius,
-    radius_ascent,
     radius_enumerate,
     radius_grid_oracle,
 )
@@ -111,17 +110,18 @@ def test_scaling():
         scaled = radius_enumerate(Operator(a * T.matrix, lp(1, 3))).value
         assert scaled == pytest.approx(abs(a) * base, abs=1e-12)
     T = _rand_op(lp(3, 2), rng)
-    base = radius_ascent(T, budget=16, rng=0).value
-    scaled = radius_ascent(Operator(2.0 * T.matrix, lp(3, 2)), budget=16, rng=0).value
+    base = numerical_radius(T, method="ascent", budget=16, rng=0).value
+    scaled = numerical_radius(Operator(2.0 * T.matrix, lp(3, 2)), method="ascent",
+                              budget=16, rng=0).value
     assert scaled == pytest.approx(2.0 * base, abs=1e-7)
 
 
 def test_ascent_budget_monotone():
     rng = np.random.default_rng(6)
     T = _rand_op(lp(3, 2), rng)
-    v8 = radius_ascent(T, budget=8, rng=0).value
-    v16 = radius_ascent(T, budget=16, rng=0).value
-    v32 = radius_ascent(T, budget=32, rng=0).value
+    v8 = numerical_radius(T, method="ascent", budget=8, rng=0).value
+    v16 = numerical_radius(T, method="ascent", budget=16, rng=0).value
+    v32 = numerical_radius(T, method="ascent", budget=32, rng=0).value
     assert v8 <= v16 + 1e-15 <= v32 + 2e-15
 
 
@@ -313,9 +313,34 @@ def test_ascent_or_grid_backends(T):
             radius(T, method=method)
 
 
+def test_numerical_radius_backends():
+    """``auto`` enumerates an operator radius on l1/linf and runs the ascent
+    elsewhere and for every polynomial; a missing backend is named."""
+    T = Operator(np.array([[1.0, 2.0], [0.0, 1.0]]), lp(1, 2))
+    assert numerical_radius(T).method == "enumerate"
+    assert numerical_radius(T, method="ascent", budget=4, rng=0).method == "ascent"
+    assert numerical_radius(poly_from_operator(T), budget=4, rng=0).method == "ascent"
+    with pytest.raises(DegenerateInput, match="numerical radius has no 'bogus' "
+                                              "backend; choose auto, ascent, enumerate or grid"):
+        numerical_radius(T, method="bogus")
+
+
 # ---------------------------------------------------------------------------
 # polynomial radius
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["auto", "ascent", "grid"])
+def test_numerical_radius_takes_polynomials(method):
+    """``poly_radius`` is ``numerical_radius`` of a polynomial, bit for bit."""
+    t = np.random.default_rng(3).standard_normal((2, 2, 2))
+    P = HomogeneousPolynomial(2, t, lp(1, 2))
+    a = numerical_radius(P, method=method, budget=8, rng=1, resolution=300)
+    b = poly_radius(P, method=method, budget=8, rng=1, resolution=300)
+    assert (a.value, a.method, a.evals) == (b.value, b.method, b.evals)
+    assert np.array_equal(a.witness.x, b.witness.x)
+    assert a.method == ("grid" if method == "grid" else "ascent")
+    with pytest.raises(DegenerateInput, match="polynomial radius has no 'enumerate'"):
+        numerical_radius(P, method="enumerate")
 
 def test_poly_radius_degree_one_reduction():
     rng = np.random.default_rng(14)

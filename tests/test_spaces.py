@@ -240,7 +240,8 @@ def test_parse_examples():
 
 @pytest.mark.parametrize("bad", [
     "lp(p=2)", "lp(dim=2)", "psum(p=2,[])", "lp(p=0.5,dim=2)",
-    "lp(p=2,dim=2)x", "nonsense", "lp(p=2,dim=-1)",
+    "lp(p=2,dim=2)x", "nonsense", "lp(p=2,dim=-1)", "lp(p=2,dim=1e400)",
+    "lp(p=2,dim=inf)", "psum(p=2,[lp(p=3,dim=2),lp(p=2,dim=1e400)])",
 ])
 def test_parse_errors(bad):
     with pytest.raises(SpaceError):
@@ -252,6 +253,16 @@ def test_parse_rejects_conflicting_fields():
         parse_descriptor("psum(p=2,[lp(p=2,dim=2,field=real),lp(p=3,dim=1)],field=complex)")
     d = parse_descriptor("psum(p=2,[lp(p=2,dim=2,field=complex),lp(p=3,dim=1)],field=complex)")
     assert d.field == "complex" and all(c.field == "complex" for c in d.children)
+
+
+def test_psum_rejects_mixed_fields_in_either_order():
+    real, cplx = lp(2, 2), lp(2, 2, "complex")
+    for children in ((real, cplx), (cplx, real)):
+        with pytest.raises(SpaceError, match="mixed scalar fields"):
+            psum(2, children)
+    with pytest.raises(SpaceError, match="mixed scalar fields"):
+        psum(2, [real, real], "complex")
+    assert psum(2, [cplx, cplx], "complex").field == "complex"
 
 
 def test_parse_rejects_total_dimension_over_cap():
