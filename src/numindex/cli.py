@@ -227,11 +227,13 @@ def cmd_sweep(args) -> int:
     rows = []
     if args.family == "lpm":
         ps = _parse_range(args.p)
-        ms = [int(m) for m in _parse_range(args.m or "2..4")]
+        ms = _parse_range(args.m or "2..4")
+        if not all(m.is_integer() for m in ms):
+            raise InputError(f"--m must be a range of integers, got {args.m!r}")
         if not ps or not ms:
             raise InputError("empty sweep range")
         for p in ps:
-            report = monotone_sweep(p, ms, budget=args.budget, seed=args.seed)
+            report = monotone_sweep(p, map(int, ms), budget=args.budget, seed=args.seed)
             mp = mp_constant(p) if p != math.inf else None
             for (m, val) in report.extra["trajectory"]:
                 rows.append({"p": p, "m": m, "index_upper_bound": f"{val:.9f}",

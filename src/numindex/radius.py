@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (HomogeneousPolynomial, Operator, OperatorNormEstimate,
-                        _apply_rows, _as_rng, operator_stack, poly_apply)
+                        _apply_rows, _as_rng, _exact_norm, operator_stack,
+                        poly_apply)
 from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
                      conj_sign, eval_pair, phase)
@@ -133,31 +134,20 @@ def _ascent_stack(Ts, budget: int, rngs, extra_starts=()) -> list[RadiusEstimate
 def radius_enumerate(T: Operator) -> RadiusEstimate:
     """Exact nu(T) on spaces isometric to flat l1 or linf.
 
-    These spaces have numerical index 1, so nu(T) = ||T||: the largest
-    column sum of |T_ij| on l1^m, the largest row sum on linf^m.  The witness
-    attains it: on l1^m x = e_i at the best column i with the face
-    functional aligned with that column entrywise; on linf^m dually, the
-    functional e_i at the best row i with x aligned with that row.
+    These spaces have numerical index 1, so nu(T) = ||T||: the value and x
+    are the exact operator norm and its witness, and the functional is the
+    dual-face maximizer at x that the grid oracle scores, which attains it.
     """
     desc = T.descriptor
     p = desc.uniform_exponent
     if p not in (1.0, math.inf):
         raise DegenerateInput("enumeration needs a flat (or uniformly nested) "
                               "l1/linf descriptor")
-    m = T.matrix
-    d = desc.total_dim
-    # l1: x = e_i with the face functional aligned with column i;
-    # linf dually: f = e_i with x aligned with row i
-    lines = m.T if p == 1 else m
-    vals = np.abs(lines).sum(axis=1)
-    i = int(np.argmax(vals))
-    e = np.zeros(d, dtype=desc.dtype)
-    e[i] = 1.0
-    aligned = np.conj(phase(lines[i])) * phase(m[i, i])
-    aligned[i] = 1.0
-    x, f = (e, aligned) if p == 1 else (aligned, e)
-    return RadiusEstimate(float(vals[i]), NormingPair.of(desc, x, f), "enumerate",
-                          "exact-enumeration", d)
+    exact = _exact_norm(T)
+    x = exact.witness
+    f = _face_functional(p, x[None], (T.matrix @ x)[None])[0]
+    return RadiusEstimate(exact.value, NormingPair.of(desc, x, f), "enumerate",
+                          "exact-enumeration", desc.total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +236,7 @@ def absolute_radius_objective(T):
 
 
 def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
-                    method: str = "ascent", resolution: int = 2000,
-                    extra_starts=()) -> RadiusEstimate:
+                    method: str = "ascent", resolution: int = 2000) -> RadiusEstimate:
     """Absolute numerical radius |nu|(T) on a flat lp^m, 1 <= p < inf."""
     desc = T.descriptor
     if not desc.is_flat or desc.p == math.inf:
@@ -256,15 +245,14 @@ def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
         val, x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
         return RadiusEstimate(val, NormingPair.at(desc, x), "grid",
                               "certified-lower-bound", n)
-    return absolute_radius_stack([T], budget, [_as_rng(rng)], extra_starts)[0]
+    return absolute_radius_stack([T], budget, [_as_rng(rng)])[0]
 
 
-def absolute_radius_stack(Ts, budget: int, rngs, extra_starts=()) -> list[RadiusEstimate]:
+def absolute_radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
     """Ascent :func:`absolute_radius` of every operator of a stack sharing one
     flat lp^m descriptor, 1 <= p < inf."""
     desc = Ts[0].descriptor
-    found = maximize_stack(desc, absolute_radius_objective(Ts), rngs,
-                           restarts=budget, extra_starts=extra_starts)
+    found = maximize_stack(desc, absolute_radius_objective(Ts), rngs, restarts=budget)
     return [RadiusEstimate(val, NormingPair.at(desc, x), "ascent",
                            "certified-lower-bound", evals) for x, val, evals in found]
 

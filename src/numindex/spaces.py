@@ -30,6 +30,9 @@ DEFAULT_TOL = 1e-9
 #: matrices, so the cap keeps every space at desk scale
 MAX_TOTAL_DIM = 1024
 
+#: most nested lp(/psum( levels of a descriptor text (the parser recurses per level)
+MAX_DEPTH = 64
+
 
 class SpaceError(ValueError):
     """Base class for space-layer errors."""
@@ -46,53 +49,28 @@ class DegenerateInput(SpaceError):
 def conjugate_exponent(p: float) -> float:
     """Hoelder conjugate with the 1 <-> inf pair handled exactly.
 
-    The generic q = p/(p-1) picks up a few ulps of roundoff when conjugated
-    twice (4 -> 4/3 -> 4.000...001), so descriptor equality compares
-    exponents with a relative tolerance rather than bitwise.
+    The generic q = p/(p-1) is not an exact involution in floating point
+    (4 -> 4/3 -> 4.000...001), so a descriptor's dual never conjugates
+    twice: :func:`dual_descriptor` links each node to its dual both ways.
     """
     if p == 1:
         return math.inf
     if p == math.inf:
         return 1.0
-    if p == 2:
-        return 2.0
     return p / (p - 1.0)
 
 
-def _p_close(a: float, b: float) -> bool:
-    if a == b:
-        return True
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpaceDescriptor:
     """Node of a p-sum tree.  A leaf has ``children == ()`` and ``p is None``.
 
-    Equality compares exponents within relative tolerance 1e-12 so that
-    conjugate-exponent round trips (which lose a few ulps) still compare
-    equal; the hash rounds exponents accordingly.
+    Equality and hash are exact and structural: equal descriptors have
+    bitwise-equal exponents.
     """
 
     p: float | None
     children: tuple["SpaceDescriptor", ...] = ()
     field: str = REAL
-
-    def __eq__(self, other):
-        if not isinstance(other, SpaceDescriptor):
-            return NotImplemented
-        if self.field != other.field or len(self.children) != len(other.children):
-            return False
-        if self.is_leaf:
-            return other.is_leaf
-        if other.is_leaf or not _p_close(self.p, other.p):
-            return False
-        return all(a == b for a, b in zip(self.children, other.children))
-
-    def __hash__(self):
-        key = None if self.is_leaf else (
-            "inf" if self.p == math.inf else round(self.p, 9))
-        return hash((key, self.children, self.field))
 
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
@@ -125,7 +103,12 @@ class SpaceDescriptor:
 
     @cached_property
     def _dual(self) -> "SpaceDescriptor":
-        return _conjugated(self)
+        if self.is_leaf:
+            return self
+        dual = SpaceDescriptor(conjugate_exponent(self.p),
+                               tuple(c._dual for c in self.children), self.field)
+        dual.__dict__["_dual"] = self      # the dual of the dual is this node
+        return dual
 
     @cached_property
     def is_flat(self) -> bool:
@@ -337,16 +320,10 @@ def _segments(desc: SpaceDescriptor, h: int) -> list:
 
 
 def dual_descriptor(desc: SpaceDescriptor) -> SpaceDescriptor:
-    """Same tree shape with every exponent conjugated; an involution.
-    Cached on the descriptor, so its plan is built once."""
+    """Same tree shape with every exponent conjugated.  Cached on the
+    descriptor, so its plan is built once, and an exact involution:
+    ``dual_descriptor(dual_descriptor(d)) is d`` at every node."""
     return desc._dual
-
-
-def _conjugated(desc: SpaceDescriptor) -> SpaceDescriptor:
-    if desc.is_leaf:
-        return desc
-    return SpaceDescriptor(conjugate_exponent(desc.p),
-                           tuple(_conjugated(c) for c in desc.children), desc.field)
 
 
 def dual_norm(desc: SpaceDescriptor, f: np.ndarray) -> float:
@@ -522,7 +499,9 @@ class _Parser:
                     return
             self.error("field must be real or complex")
 
-    def space(self, field: str):
+    def space(self, field: str, depth: int = 1):
+        if depth > MAX_DEPTH:
+            self.error(f"descriptor nests deeper than {MAX_DEPTH} levels")
         if self.peek("lp("):
             self.expect("lp(")
             self.expect("p=")
@@ -542,12 +521,12 @@ class _Parser:
             self.expect("p=")
             p = self.number()
             self.expect(",[")
-            children = [self.space(field)]
+            children = [self.space(field, depth + 1)]
             while self.peek(","):
                 if self.peek(",field="):
                     break
                 self.expect(",")
-                children.append(self.space(field))
+                children.append(self.space(field, depth + 1))
             self.expect("]")
             self.field_opt()
             self.expect(")")

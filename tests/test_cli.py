@@ -12,7 +12,7 @@ import pytest
 from numindex.cli import EXIT_INPUT, EXIT_OK, build_parser, main
 from numindex.operators import Operator, operator_to_json
 from numindex.radius import _grid_points
-from numindex.spaces import DegenerateInput, lp
+from numindex.spaces import MAX_DEPTH, DegenerateInput, lp
 
 
 @pytest.fixture()
@@ -183,6 +183,23 @@ def test_index_non_finite_dimension_exits_2(space, capsys):
     assert main(["index", "--space", space, "--budget", "4"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "dim must be a positive integer" in err and "Traceback" not in err
+
+
+def _nested(depth: int) -> str:
+    text = "lp(p=2,dim=2)"
+    for _ in range(depth - 1):
+        text = f"psum(p=2,[{text}])"
+    return text
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 600])
+def test_radius_over_deep_descriptor_exits_2(depth, id2, capsys):
+    argv = ["radius", "--matrix", id2, "--budget", "1"]
+    assert main(argv + ["--space", _nested(MAX_DEPTH)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + ["--space", _nested(depth)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"nests deeper than {MAX_DEPTH} levels" in err and "Traceback" not in err
 
 
 BAD_COUNTS = [
@@ -356,6 +373,16 @@ def test_sweep_range_non_finite_or_too_long_exits_2(argv, tmp_path, capsys):
     assert main(["sweep", *argv, "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert repr(argv[-1]) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m", ["inf", "nan", "2..3:0.5"])
+def test_sweep_m_must_be_integers(m, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", "lpm", "--p", "3", "--m", m, "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--m" in err and repr(m) in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -167,6 +167,18 @@ def test_plan_matches_recursive_reference(desc, seed):
         assert complex(np.dot(fv, v)) == pytest.approx(nv, abs=1e-12 * max(nv, 1.0))
 
 
+@given(descriptors())
+@settings(max_examples=200, deadline=None)
+def test_dual_descriptor_is_an_involution_at_every_node(desc):
+    nodes = [desc]
+    while nodes:
+        node = nodes.pop()
+        dual = dual_descriptor(node)
+        assert dual_descriptor(dual) is node
+        assert all(dc is dual_descriptor(c) for dc, c in zip(dual.children, node.children))
+        nodes.extend(node.children)
+
+
 def test_plan_inf_ties_pick_lowest_block():
     desc = psum(math.inf, [lp(2, 2), lp(1, 1), lp(2, 2)])
     f, n = desc.plan.norming(np.array([[3.0, 4.0, 5.0, -4.0, 3.0]]))

@@ -225,17 +225,29 @@ def test_enumeration_selfcheck():
 
 @pytest.mark.parametrize("desc", [
     lp(1, 3), lp(math.inf, 3), lp(1, 2, "complex"), lp(math.inf, 3, "complex"),
-    psum(1, [lp(1, 2), scalar()]), psum(math.inf, [scalar(), lp(math.inf, 2)]),
-], ids=["l1", "linf", "complex-l1", "complex-linf", "nested-l1", "nested-linf"])
+    psum(1, [lp(1, 2), psum(1, [scalar(), lp(1, 2)])]),
+    psum(math.inf, [scalar(), lp(math.inf, 2)]),
+    psum(1, [lp(1, 2, "complex"), scalar("complex")]),
+    psum(math.inf, [scalar("complex"), lp(math.inf, 2, "complex")]),
+], ids=["l1", "linf", "complex-l1", "complex-linf", "nested-l1", "nested-linf",
+        "complex-nested-l1", "complex-nested-linf"])
 def test_enumeration_is_the_operator_norm(desc):
     """n(X) = 1 on spaces isometric to l1 or linf, so nu(T) = ||T||: the
-    enumeration value is the exact operator norm, bit for bit."""
+    enumeration value and x are the exact operator norm and its witness, bit
+    for bit, also with a zero row or column, and the witness pair re-derives
+    the value."""
     rng = np.random.default_rng(21)
-    for _ in range(50):
+    for k in range(60):
         T = _rand_op(desc, rng)
-        est = radius_enumerate(T)
-        assert est.value == op_norm(T).value
-        assert _witness_value(T, est) == pytest.approx(est.value, abs=1e-12)
+        if k % 3 == 0:
+            m = T.matrix.copy()
+            m[k % desc.total_dim] = 0.0
+            T = Operator(m if k % 2 else m.T, desc)
+        est, norm_est = radius_enumerate(T), op_norm(T)
+        assert est.value == norm_est.value
+        assert np.array_equal(est.witness.x, norm_est.witness)
+        assert est.witness.slack <= 1e-12
+        assert abs(_witness_value(T, est) - est.value) <= 1e-12
 
 
 def test_enumeration_matches_grid_l1_3d():
@@ -271,8 +283,7 @@ def test_absolute_radius_sandwich(desc):
     for _ in range(10):
         T = _rand_op(desc, rng)
         v = numerical_radius(T, budget=16, rng=rng)
-        a = absolute_radius(T, budget=16, rng=rng,
-                            extra_starts=[v.witness.x]).value
+        a = absolute_radius(T, budget=16, rng=rng).value
         n = op_norm(T, budget=8, rng=rng).value
         assert v.value <= a + 1e-6
         assert a <= n + 1e-6

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from numindex.spaces import (
     DEFAULT_TOL,
+    MAX_DEPTH,
     MAX_TOTAL_DIM,
     DegenerateInput,
     DescriptorMismatch,
@@ -112,7 +113,16 @@ def test_dual_descriptor_examples():
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_dual_descriptor_involution(desc):
-    assert dual_descriptor(dual_descriptor(desc)) == desc
+    assert dual_descriptor(dual_descriptor(desc)) is desc
+
+
+def test_descriptor_equality_is_exact_and_hash_consistent():
+    # exponents within a relative 1e-12 of each other give different
+    # spaces, and equal spaces hash equally
+    a, b = lp(4.4219797384991075, 2), lp(4.421979738501319, 2)
+    assert a != b
+    assert a == lp(4.4219797384991075, 2) and hash(a) == hash(lp(4.4219797384991075, 2))
+    assert len({a, b, lp(4.4219797384991075, 2)}) == 2
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
@@ -272,6 +282,15 @@ def test_parse_rejects_total_dimension_over_cap():
     half = MAX_TOTAL_DIM // 2 + 1
     with pytest.raises(SpaceError, match="exceeds the cap"):
         parse_descriptor(f"psum(p=1,[lp(p=2,dim={half}),lp(p=3,dim={half})])")
+
+
+def test_parse_caps_nesting_depth():
+    text = "lp(p=2,dim=2)"
+    for _ in range(MAX_DEPTH - 1):
+        text = f"psum(p=2,[{text}])"
+    assert parse_descriptor(text).total_dim == 2
+    with pytest.raises(SpaceError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse_descriptor(f"psum(p=1,[lp(p=3,dim=1),{text}])")
 
 
 @given(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
