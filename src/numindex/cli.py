@@ -210,6 +210,8 @@ def _parse_range(text: str) -> list[float]:
             raise ValueError
     except ValueError as exc:
         raise InputError(f"bad range {text!r}") from exc
+    if step < 1e-12:     # points are rounded to 12 decimals, so they would repeat
+        raise InputError(f"range {text!r} steps below the 1e-12 grain of its points")
     out = []
     v = lo
     while v <= hi + 1e-12:

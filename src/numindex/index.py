@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 from . import operators as ops
 from .operators import (HomogeneousPolynomial, Operator, _as_rng, coefficients,
                         op_norm_stack, poly_shape, rank_one)
-from .radius import absolute_radius_stack, poly_norm_stack, radius_stack
+from .radius import absolute_radius_stack, radius_stack
 from .spaces import (COMPLEX, DegenerateInput, SpaceDescriptor,
                      dual_descriptor, unit_sphere_sample)
 
@@ -128,14 +128,14 @@ def _eval_rng(T):
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def _ratios(Ts, norms, norm_budget: int, radii, radius_budget: int) -> list:
+def _ratios(Ts, norm_budget: int, radii, radius_budget: int) -> list:
     """(nu(T) / ||T||, radius method) of every operator or polynomial of a
     stack sharing one descriptor, or None where ||T|| vanishes.  Member k's
-    norm and then its radius draw from its own ``_eval_rng``;
-    ``norms(Ts, budget, rngs)`` and ``radii(Ts, budget, rngs)`` are the
-    stacked norm and radius estimators."""
+    norm (:func:`~numindex.operators.op_norm_stack`) and then its radius
+    draw from its own ``_eval_rng``; ``radii(Ts, budget, rngs)`` is the
+    stacked radius estimator."""
     erngs = [_eval_rng(T) for T in Ts]
-    values = [n.value for n in norms(Ts, norm_budget, erngs)]
+    values = [n.value for n in op_norm_stack(Ts, norm_budget, erngs)]
     live = [k for k, n in enumerate(values) if n >= 1e-13]
     out = [None] * len(Ts)
     if live:
@@ -154,8 +154,8 @@ def _gaussian(desc: SpaceDescriptor, rng, shape=None) -> np.ndarray:
     return g
 
 
-def _start_portfolio(desc: SpaceDescriptor, rng, dense: int = 4):
-    """Structured candidate operators: antisymmetric, shifts, rank-one,
+def _start_portfolio(desc: SpaceDescriptor, rng):
+    """Structured candidate operators: antisymmetric, shifts, rank-one, four
     dense Gaussian.  Order is deterministic."""
     d = desc.total_dim
     out = []
@@ -172,7 +172,7 @@ def _start_portfolio(desc: SpaceDescriptor, rng, dense: int = 4):
     ddual = dual_descriptor(desc)
     out.append(rank_one(desc, unit_sphere_sample(ddual, rng),
                         unit_sphere_sample(desc, rng)))
-    for _ in range(dense):
+    for _ in range(4):
         out.append(Operator(_gaussian(desc, rng), desc))
     return out
 
@@ -247,7 +247,7 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     candidates = list(extra_starts) + _start_portfolio(desc, rng)
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, op_norm_stack, 4, radius_stack, RADIUS_BUDGET_IN_SEARCH),
+        lambda Ts: _ratios(Ts, 4, radius_stack, RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
                          bounds.lower, bounds.lower_tag, desc.field)
@@ -280,8 +280,7 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
     best, evals = _minimize_ratio(
         candidates, lambda _rng: np.array([_gaussian(desc, _rng, (2, d)) for _ in range(r)]),
         lambda TF, scale, noise: factored(TF[1] + scale * noise),
-        lambda TFs: _ratios([T for T, _ in TFs], op_norm_stack, 4, radius_stack,
-                            RADIUS_BUDGET_IN_SEARCH),
+        lambda TFs: _ratios([T for T, _ in TFs], 4, radius_stack, RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     if r == 1:
         lb, tag = INV_E, "rank-one-lower-bound"
@@ -304,8 +303,7 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     target = 1.0 / (p ** (1.0 / p) * q ** (1.0 / q))
     best, evals = _minimize_ratio(
         _start_portfolio(desc, rng), partial(_gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, op_norm_stack, 8, absolute_radius_stack,
-                           RADIUS_BUDGET_IN_SEARCH),
+        lambda Ts: _ratios(Ts, 8, absolute_radius_stack, RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     b = theoretical_bounds(desc)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
@@ -330,8 +328,8 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc, shape=shape),
         lambda P, scale, noise: HomogeneousPolynomial(k, P.tensor + scale * noise, desc),
-        lambda Ps: _ratios(Ps, poly_norm_stack, RADIUS_BUDGET_IN_SEARCH,
-                           radius_stack, RADIUS_BUDGET_IN_SEARCH),
+        lambda Ps: _ratios(Ps, RADIUS_BUDGET_IN_SEARCH, radius_stack,
+                           RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
     bounds = theoretical_bounds(desc)
     lb = bounds.lower if k == 1 else 0.0

@@ -1,10 +1,10 @@
-"""Dense operators on descriptor spaces.
+"""Dense operators and homogeneous polynomials on descriptor spaces.
 
-Matrices act on the depth-first leaf coordinates of a descriptor.
-Operator norms for smooth exponents come from a duality-map fixed-point
-iteration (the power-method generalization); norms on spaces isometric to
-flat l1/linf are exact column/row enumerations.  All reported norm values
-are certified lower bounds attained by the stored witness.
+Matrices act on the depth-first leaf coordinates of a descriptor.  Operator
+norms on spaces isometric to flat l1/linf are exact column/row sums, other
+operator norms a duality-map fixed point (the power-method generalization),
+polynomial norms a sphere ascent; every value is a certified lower bound
+attained by the stored witness.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .optimize import best_rows
+from .optimize import best_rows, maximize_stack
 from .spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch,
                      SpaceDescriptor, descriptor_to_text, dual_descriptor,
                      SpaceError, parse_descriptor, phase, projection_matrix,
@@ -71,7 +71,7 @@ def _coefficient_array(what: str, a, shape: tuple, desc: SpaceDescriptor) -> np.
 class OperatorNormEstimate:
     value: float
     witness: np.ndarray       # unit vector with ||T w|| = value (up to defect)
-    method: str               # ascent | grid | exact
+    method: str               # fixed-point | ascent | exact
     defect: float
 
 
@@ -90,28 +90,32 @@ def adjoint(T: Operator) -> Operator:
     return Operator(m, dual_descriptor(T.descriptor))
 
 
-def op_norm(T: Operator, budget: int = 16,
+def op_norm(T, budget: int = 16,
             rng: np.random.Generator | int | None = None) -> OperatorNormEstimate:
-    """Certified lower bound of ||T|| with a near-attaining witness.
+    """Certified lower bound of ||T|| with a near-attaining witness, for an
+    operator or a homogeneous polynomial ``T`` (||P|| = sup ||P(x)||).
 
-    Flat (or uniformly nested) l1/linf descriptors are exact (column/row
-    enumeration); otherwise a duality-map fixed-point iteration
-    x <- J*(T^adj J(Tx)) runs from ``budget`` starts (coordinate directions
-    first, then random samples).  The one-operator case of
-    :func:`op_norm_stack`.
+    Operators on flat (or uniformly nested) l1/linf descriptors are exact;
+    other operators run the fixed point x <- J*(T^adj J(Tx)), polynomials of
+    any degree the sphere ascent of ||P(x)|| (defect ``nan``), from
+    ``budget`` starts.  The one-member case of :func:`op_norm_stack`.
     """
     return op_norm_stack([T], budget, [_as_rng(rng)])[0]
 
 
 def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
-    """:func:`op_norm` of every operator of a stack sharing one descriptor,
-    operator k drawing its starts from ``rngs[k]``.  The fixed points of all
-    starts of all operators advance together as rows of one array, each
-    row's rounding independent of the others, so every estimate equals its
-    one-operator call bit for bit."""
+    """:func:`op_norm` of every operator, or every polynomial of one degree,
+    of a stack sharing one descriptor, member k drawing its starts from
+    ``rngs[k]``.  The searches of all starts of all members advance together
+    as rows of one array, each row's rounding independent of the others, so
+    every estimate equals its one-member call bit for bit."""
     if not Ts:
         return []
     desc, m = operator_stack(Ts)
+    if isinstance(Ts[0], HomogeneousPolynomial):
+        found = maximize_stack(desc, lambda x, k: desc.plan.norm(_apply_rows(m, x, k)),
+                               rngs, budget)
+        return [OperatorNormEstimate(val, x, "ascent", math.nan) for x, val, _ in found]
     if desc.uniform_exponent in (1.0, math.inf):
         # the largest column sum, attained at e_j (l1), or row sum (linf)
         return [_exact_norm(T) for T in Ts]
@@ -142,7 +146,7 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
         x[step], val[step] = x_new[~kink], new_val[~kink]
         active[a[kink]] = False
         active[step[defect[step] < OP_NORM_VALUE_TOL]] = False
-    return [OperatorNormEstimate(float(val[i]), x[i], "ascent", float(defect[i]))
+    return [OperatorNormEstimate(float(val[i]), x[i], "fixed-point", float(defect[i]))
             for i in best_rows(val, g, len(Ts))]
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .spaces import COMPLEX, SpaceDescriptor, norm, sphere_starts
 
 FD_STEP = 1e-6
+MAX_ITERS = 500
 STALL_ITERS = 5
 VALUE_TOL = 1e-10
 #: step sizes one backtracking sub-step scores per searching row
@@ -39,21 +40,20 @@ def _from_params(y: np.ndarray, complex_field: bool) -> np.ndarray:
 
 
 def maximize_on_sphere(desc: SpaceDescriptor, objective, rng: np.random.Generator,
-                       restarts: int = 64, max_iters: int = 500,
-                       extra_starts=()):
+                       restarts: int = 64):
     """Return (best_x, best_value, evals) for ``objective`` over the unit
     sphere of ``desc``: the one-problem case of :func:`maximize_stack`.
 
-    Starts: the given extra starts, the coordinate directions, then random
-    sphere samples up to ``restarts`` total; the start list grows with
-    ``restarts`` as a prefix, so enlarging the budget never lowers the result
-    under a shared seed.
+    Starts: the coordinate directions, then random sphere samples up to
+    ``restarts`` total (:func:`~numindex.spaces.sphere_starts`); the start
+    list grows with ``restarts`` as a prefix, so enlarging the budget never
+    lowers the result under a shared seed.
     """
-    return maximize_stack(desc, objective, [rng], restarts, max_iters, extra_starts)[0]
+    return maximize_stack(desc, objective, [rng], restarts)[0]
 
 
-def maximize_stack(desc: SpaceDescriptor, objective, rngs, restarts: int = 64,
-                   max_iters: int = 500, extra_starts=()) -> list[tuple]:
+def maximize_stack(desc: SpaceDescriptor, objective, rngs,
+                   restarts: int = 64) -> list[tuple]:
     """Maximize one objective per generator in ``rngs`` at once; returns
     (best_x, best_value, evals) of each.  ``objective`` maps a (B, d) batch
     of norm-one rows and the (B,) problem index of every row to their B
@@ -65,12 +65,8 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs, restarts: int = 64,
     equals the one-problem call bit for bit."""
     cplx = desc.field == COMPLEX
     plan = desc.plan
-    starts = np.concatenate([sphere_starts(desc, rng, restarts, extra_starts)
-                             for rng in rngs])
+    starts = np.concatenate([sphere_starts(desc, rng, restarts) for rng in rngs])
     group = np.repeat(np.arange(len(rngs)), len(starts) // len(rngs))
-    n0 = plan.norm(starts)
-    ok = n0 != 0.0
-    group = group[ok]
     evaluated = []       # rows of every evaluation, counted per problem at the end
 
     def normed_obj(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -82,8 +78,7 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs, restarts: int = 64,
         out[ok] = objective(x[ok] / n[ok, None], group[evaluated[-1]])
         return out
 
-    ys, vals = _ascend(normed_obj, _to_params(starts[ok] / n0[ok, None], cplx),
-                       max_iters)
+    ys, vals = _ascend(normed_obj, _to_params(starts / plan.norm(starts)[:, None], cplx))
     evals = np.bincount(group[np.concatenate(evaluated)], minlength=len(rngs))
     found = []
     for k, best in enumerate(best_rows(vals, group, len(rngs))):
@@ -102,7 +97,7 @@ def best_rows(vals: np.ndarray, group: np.ndarray, n: int) -> list[int]:
     return best
 
 
-def _ascend(obj, y: np.ndarray, max_iters: int):
+def _ascend(obj, y: np.ndarray):
     """Gradient ascent of every row of ``y``; returns (y, values).  ``obj``
     takes a batch and the row of ``y`` each batch row belongs to.  Each
     iteration takes the central differences of all active rows in one
@@ -119,7 +114,7 @@ def _ascend(obj, y: np.ndarray, max_iters: int):
     active = np.ones(r, dtype=bool)
     e = FD_STEP * np.eye(d)
     halvings = 0.5 ** np.arange(LINE_SEARCH_WIDTH)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         a = np.flatnonzero(active)
         if a.size == 0:
             break

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (HomogeneousPolynomial, Operator, OperatorNormEstimate,
-                        _apply_rows, _as_rng, _exact_norm, operator_stack,
-                        poly_apply)
+from .operators import (HomogeneousPolynomial, Operator, _apply_rows, _as_rng,
+                        _exact_norm, op_norm, operator_stack, poly_apply)
 from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
                      conj_sign, eval_pair, phase)
@@ -78,8 +77,7 @@ def radius_objective(T):
 
 
 def numerical_radius(T, method: str = "auto", budget: int = DEFAULT_RESTARTS,
-                     rng=None, resolution: int = 2000,
-                     extra_starts=()) -> RadiusEstimate:
+                     rng=None, resolution: int = 2000) -> RadiusEstimate:
     """Supremum estimate of |x*(T x)| over norming pairs, for an operator or
     a polynomial ``T``, by the backend :func:`_backend` picks for ``method``."""
     backend = _backend(T, method)
@@ -87,7 +85,7 @@ def numerical_radius(T, method: str = "auto", budget: int = DEFAULT_RESTARTS,
         return radius_enumerate(T)
     if backend == "grid":
         return radius_grid_oracle(T, resolution)
-    return _ascent_stack([T], budget, [_as_rng(rng)], extra_starts)[0]
+    return _ascent_stack([T], budget, [_as_rng(rng)])[0]
 
 
 def _backend(T, method: str, quantity: str | None = None) -> str:
@@ -119,10 +117,9 @@ def radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
     return _ascent_stack(Ts, budget, rngs)
 
 
-def _ascent_stack(Ts, budget: int, rngs, extra_starts=()) -> list[RadiusEstimate]:
+def _ascent_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
     """Multi-start local maximization of |J(x) . T_k x| over the unit sphere."""
-    found = maximize_stack(Ts[0].descriptor, radius_objective(Ts), rngs,
-                           restarts=budget, extra_starts=extra_starts)
+    found = maximize_stack(Ts[0].descriptor, radius_objective(Ts), rngs, restarts=budget)
     return [_estimate_at(T, x, "ascent", "certified-lower-bound", evals)
             for T, (x, _, evals) in zip(Ts, found)]
 
@@ -272,23 +269,9 @@ def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
 def poly_norm(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
               rng=None):
     """(sup ||P(x)|| over the unit sphere, attaining x): a certified lower
-    bound, the one-polynomial case of :func:`poly_norm_stack`."""
-    est = poly_norm_stack([P], budget, [_as_rng(rng)])[0]
+    bound, the value and witness of :func:`~numindex.operators.op_norm`."""
+    est = op_norm(P, budget, rng)
     return est.value, est.witness
-
-
-def poly_norm_stack(Ps, budget: int, rngs) -> list[OperatorNormEstimate]:
-    """sup ||P_k(x)|| over the unit sphere of every polynomial of a stack
-    sharing one descriptor and degree, P_k drawing its ascent starts from
-    ``rngs[k]``; each equals its one-polynomial call bit for bit.  The
-    ascent has no fixed-point defect, so the estimates report ``nan``."""
-    desc, m = operator_stack(Ps)
-
-    def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return desc.plan.norm(_apply_rows(m, x, k))
-
-    return [OperatorNormEstimate(val, x, "ascent", math.nan)
-            for x, val, _ in maximize_stack(desc, g, rngs, restarts=budget)]
 
 
 def _grid_points(desc: SpaceDescriptor, resolution: int) -> np.ndarray:

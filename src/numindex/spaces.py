@@ -30,7 +30,7 @@ DEFAULT_TOL = 1e-9
 #: matrices, so the cap keeps every space at desk scale
 MAX_TOTAL_DIM = 1024
 
-#: most nested lp(/psum( levels of a descriptor text (the parser recurses per level)
+#: most p-sum levels of a descriptor (its height); the text parser stops there too
 MAX_DEPTH = 64
 
 
@@ -85,6 +85,8 @@ class SpaceDescriptor:
                 if c.field != self.field:
                     raise SpaceError("mixed scalar fields in one descriptor")
             _check_total_dim(self.total_dim)
+            if self.height > MAX_DEPTH:
+                raise SpaceError(f"descriptor nests deeper than {MAX_DEPTH} levels")
 
     @property
     def is_leaf(self) -> bool:
@@ -95,6 +97,11 @@ class SpaceDescriptor:
         if self.is_leaf:
             return 1
         return sum(c.total_dim for c in self.children)
+
+    @cached_property
+    def height(self) -> int:
+        """Levels of p-sum nodes from this node down to its deepest leaf."""
+        return 0 if self.is_leaf else 1 + max(c.height for c in self.children)
 
     @cached_property
     def plan(self) -> "NormPlan":
@@ -242,7 +249,7 @@ class NormPlan:
     __slots__ = ("stages",)
 
     def __init__(self, desc: SpaceDescriptor):
-        self.stages = [_Stage(_segments(desc, h)) for h in range(1, _height(desc) + 1)]
+        self.stages = [_Stage(_segments(desc, h)) for h in range(1, desc.height + 1)]
 
     def _levels(self, a: np.ndarray) -> list[np.ndarray]:
         """Block norms of every stage, leaves (|x|) first, root last."""
@@ -305,16 +312,11 @@ class _Stage:
         return w
 
 
-def _height(desc: SpaceDescriptor) -> int:
-    return 0 if desc.is_leaf else 1 + max(_height(c) for c in desc.children)
-
-
 def _segments(desc: SpaceDescriptor, h: int) -> list:
     """(length, exponent) of every segment that stage h reduces, in leaf order."""
-    height = _height(desc)
-    if height < h:
+    if desc.height < h:
         return [(1, 1.0)]
-    if height == h:
+    if desc.height == h:
         return [(len(desc.children), desc.p)]
     return [seg for c in desc.children for seg in _segments(c, h)]
 
@@ -420,16 +422,16 @@ def unit_sphere_sample(desc: SpaceDescriptor, rng: np.random.Generator) -> np.nd
     return g / norm(desc, g)
 
 
-def sphere_starts(desc: SpaceDescriptor, rng: np.random.Generator, count: int,
-                  extra_starts=()) -> np.ndarray:
-    """Start rows of a multi-start search: the extra starts, the coordinate
-    directions, then sphere samples from ``rng`` up to ``count`` rows.  The
-    rows for ``count`` are a prefix of the rows for any larger count."""
-    starts = [np.asarray(s, dtype=desc.dtype) for s in extra_starts]
-    starts.extend(np.eye(desc.total_dim, dtype=desc.dtype))
-    while len(starts) < max(count, 1):
+def sphere_starts(desc: SpaceDescriptor, rng: np.random.Generator,
+                  count: int) -> np.ndarray:
+    """``count`` (at least one) nonzero start rows of a multi-start search:
+    the coordinate directions, then sphere samples from ``rng``.  The rows
+    for ``count`` are a prefix of the rows for any larger count."""
+    count = max(count, 1)
+    starts = list(np.eye(desc.total_dim, dtype=desc.dtype)[:count])
+    while len(starts) < count:
         starts.append(unit_sphere_sample(desc, rng))
-    return np.array(starts[:max(count, len(extra_starts), 1)])
+    return np.array(starts)
 
 
 # ---------------------------------------------------------------------------

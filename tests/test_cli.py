@@ -367,6 +367,8 @@ def test_sweep_empty_range(capsys):
     ["--family", "lp2-curve", "--p", "1..3:1e-300"],
     ["--family", "lp2-curve", "--p", "1..3:nan"],
     ["--family", "lpm", "--p", "3", "--m", "1e17..100000000000000100"],
+    # a step below the 1e-12 rounding grain of the points would repeat them
+    ["--family", "lp2-curve", "--p", "1..1.0000000000004:0.0000000000001"],
 ], ids=lambda argv: argv[-1])
 def test_sweep_range_non_finite_or_too_long_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "sweep.csv"

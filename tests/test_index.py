@@ -18,8 +18,8 @@ from numindex.index import (
 from numindex.operators import (HomogeneousPolynomial, Operator, coefficients,
                                 op_norm, op_norm_stack)
 from numindex.radius import (absolute_radius, absolute_radius_stack,
-                             numerical_radius, poly_norm, poly_norm_stack,
-                             poly_radius, radius_stack)
+                             numerical_radius, poly_norm, poly_radius,
+                             radius_stack)
 from numindex.spaces import COMPLEX, DegenerateInput, lp, psum, scalar, tower
 
 
@@ -239,8 +239,7 @@ def test_poly_index_witness_rescored_exactly():
     for desc, k in ((lp(3, 2), 2), (lp(1.5, 2), 1)):
         est = poly_index_estimate(desc, k, budget=24, rng=5)
         b = index.RADIUS_BUDGET_IN_SEARCH
-        r = index._ratios([est.witness_operator], poly_norm_stack, b,
-                          radius_stack, b)[0]
+        r = index._ratios([est.witness_operator], b, radius_stack, b)[0]
         assert r == (est.upper_bound, est.radius_method)
 
 
@@ -286,7 +285,7 @@ def _random_polynomials(desc, k, n, seed=0):
 @pytest.mark.parametrize("desc", STACK_SPACES, ids=str)
 def test_stacked_ratio_matches_one_operator_calls(desc):
     Ts = _random_operators(desc, 5)
-    for T, r in zip(Ts, index._ratios(Ts, op_norm_stack, 4, radius_stack, 6)):
+    for T, r in zip(Ts, index._ratios(Ts, 4, radius_stack, 6)):
         erng = index._eval_rng(T)
         n = op_norm(T, budget=4, rng=erng)
         if n.value < 1e-13:
@@ -302,8 +301,8 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
     # polynomial stacks: stacked norm and radius against one-polynomial calls
     for deg in (1, 2):
         Ps = _random_polynomials(desc, deg, 3)
-        ratios = index._ratios(Ps, poly_norm_stack, 4, radius_stack, 6)
-        norms = poly_norm_stack(Ps, 4, [index._eval_rng(P) for P in Ps])
+        ratios = index._ratios(Ps, 4, radius_stack, 6)
+        norms = op_norm_stack(Ps, 4, [index._eval_rng(P) for P in Ps])
         for P, r, n in zip(Ps, ratios, norms):
             erng = index._eval_rng(P)
             ref_n, ref_x = poly_norm(P, budget=4, rng=erng)

@@ -26,7 +26,9 @@ from numindex.operators import (
     rank_one,
     rank_r_sample,
 )
+from numindex.radius import poly_norm
 from numindex.spaces import (
+    COMPLEX,
     DegenerateInput,
     DescriptorMismatch,
     SpaceError,
@@ -165,6 +167,29 @@ def test_op_norm_witness_certificate():
         w = est.witness
         assert norm(desc, w) == pytest.approx(1.0, abs=1e-9)
         assert norm(desc, T.matrix @ w) == pytest.approx(est.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("desc", [lp(3, 2), lp(1, 3), lp(4, 2, COMPLEX),
+                                  psum(1.5, [lp(3, 2), scalar()])], ids=str)
+def test_op_norm_of_polynomial_is_the_ascent(desc, k):
+    rng = np.random.default_rng(11)
+    shape = (desc.total_dim,) * (k + 1)
+    t = rng.standard_normal(shape)
+    if desc.field == COMPLEX:
+        t = t + 1j * rng.standard_normal(shape)
+    P = HomogeneousPolynomial(k, t, desc)
+    est = op_norm(P, budget=8, rng=5)
+    assert est.method == "ascent" and math.isnan(est.defect)
+    assert abs(norm(desc, poly_apply(P, est.witness)) - est.value) <= 1e-12
+    value, witness = poly_norm(P, budget=8, rng=5)
+    assert est.value == value
+    np.testing.assert_array_equal(est.witness, witness)
+    if k == 1:
+        # the same matrix as an operator takes the closed form or the fixed point
+        exact = desc.uniform_exponent in (1.0, math.inf)
+        method = op_norm(Operator(P.tensor, desc), budget=8, rng=5).method
+        assert method == ("exact" if exact else "fixed-point")
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_ascent_budget_prefix(desc):
 SPECULATIVE_ASCEND = optimize._ascend
 
 
-def _ascend_one_halving(obj, y, max_iters):
+def _ascend_one_halving(obj, y):
     """The lockstep ascent whose rows still line-searching try one step size
     per batch, halving it on failure: the reference for the speculative
     line search."""
@@ -254,7 +254,7 @@ def _ascend_one_halving(obj, y, max_iters):
     stall = np.zeros(r, dtype=int)
     active = np.ones(r, dtype=bool)
     e = FD_STEP * np.eye(d)
-    for _ in range(max_iters):
+    for _ in range(optimize.MAX_ITERS):
         a = np.flatnonzero(active)
         if a.size == 0:
             break
@@ -307,9 +307,9 @@ def _ascent_run(monkeypatch, ascend, cap, desc, objective, seed):
     """(y, values, objective calls) of the ascent inside maximize_on_sphere."""
     out = {}
 
-    def spy(obj, y, max_iters):
+    def spy(obj, y):
         counted = _Counted(obj, cap)
-        out["y"], out["val"] = ascend(counted, y, max_iters)
+        out["y"], out["val"] = ascend(counted, y)
         out["calls"] = counted.calls
         return out["y"], out["val"]
 
@@ -360,9 +360,9 @@ def test_speculative_line_search_edge_rows():
     them."""
     y0 = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 0.0], [0.0, 1.0]])
     ref = _Counted(_edge_objective)
-    y_ref, val_ref = _ascend_one_halving(ref, y0.copy(), 500)
+    y_ref, val_ref = _ascend_one_halving(ref, y0.copy())
     got = _Counted(_edge_objective, cap=ref.calls)
-    y, val = SPECULATIVE_ASCEND(got, y0.copy(), 500)
+    y, val = SPECULATIVE_ASCEND(got, y0.copy())
     assert y.tobytes() == y_ref.tobytes()
     assert val.tobytes() == val_ref.tobytes()
     scored = np.bincount(np.concatenate(ref.rows), minlength=4)

@@ -293,6 +293,22 @@ def test_parse_caps_nesting_depth():
         parse_descriptor(f"psum(p=1,[lp(p=3,dim=1),{text}])")
 
 
+def test_depth_cap_holds_for_trees_built_in_code():
+    d = lp(2, 2)
+    for _ in range(MAX_DEPTH - 1):
+        d = psum(2, [d])
+    assert d.height == MAX_DEPTH
+    # the deepest tree allowed hashes, plans, dualizes and prints
+    assert hash(d) == hash(psum(2, d.children))
+    assert d.plan.norm(np.array([[3.0, 4.0]]))[0] == pytest.approx(5.0)
+    assert dual_descriptor(d).height == MAX_DEPTH
+    assert parse_descriptor(descriptor_to_text(d)) == d and repr(d)
+    with pytest.raises(SpaceError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        psum(2, [d])
+    with pytest.raises(SpaceError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        psum(1, [scalar(), d])
+
+
 @given(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
        st.integers(min_value=1, max_value=5))
 @settings(max_examples=50)
