@@ -18,7 +18,7 @@ Run:  python3 demos/02_index_and_mp_curve.py     (about a minute)
 import numpy as np
 
 from numindex import (COMPLEX, descriptor_to_text, lp, mp_constant,
-                      numerical_index_estimate, theoretical_bounds)
+                      numerical_index_estimate)
 
 
 def main() -> None:
@@ -33,9 +33,8 @@ def main() -> None:
         budget = 200 if desc.field == COMPLEX else 100
         est = numerical_index_estimate(desc, budget=budget,
                                        rng=np.random.default_rng(0))
-        box = theoretical_bounds(desc)
         print(f"{descriptor_to_text(desc):24s} upper bound {est.upper_bound:.4f}  "
-              f"theory [{box.lower:.4f}, {box.upper:.4f}]   ({note})")
+              f"theory [{est.bounds.lower:.4f}, {est.bounds.upper:.4f}]   ({note})")
     print()
 
     # --- the M_p curve -------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .index import (absolute_index_estimate, mp_constant, mp_curve,
                     numerical_index_estimate, poly_index_estimate,
-                    rank_r_index_estimate, theoretical_bounds)
+                    rank_r_index_estimate)
 from .operators import operator_from_json, poly_from_json
 from .radius import BudgetExceeded, absolute_radius, numerical_radius
 from .spaces import SpaceError, lp, parse_descriptor, scalar, tower
@@ -154,18 +155,12 @@ def cmd_index(args) -> int:
                                   rng=args.seed)
     else:
         est = numerical_index_estimate(desc, budget=args.budget, rng=args.seed)
-    bounds = theoretical_bounds(desc)
     payload = {"command": "index",
                "space": args.space,
                "upper_bound_best_found": est.upper_bound,
                "radius_method": est.radius_method,
                "restarts_used": est.restarts_used,
-               "theoretical_bounds": {"lower": bounds.lower,
-                                      "lower_tag": bounds.lower_tag,
-                                      "upper": bounds.upper,
-                                      "upper_tag": bounds.upper_tag,
-                                      "note": bounds.note},
-               "closed_form_target": est.target,
+               "theoretical_bounds": dataclasses.asdict(est.bounds),
                "seed": args.seed}
     _emit(args, payload, started, {"ratio_evals": est.restarts_used})
     return EXIT_OK
@@ -226,33 +221,27 @@ def _parse_range(text: str) -> list[float]:
 def cmd_sweep(args) -> int:
     started = time.time()
     _check_counts(args)
-    rows = []
-    if args.family == "lpm":
-        ps = _parse_range(args.p)
-        ms = _parse_range(args.m or "2..4")
-        if not all(m.is_integer() for m in ms):
-            raise InputError(f"--m must be a range of integers, got {args.m!r}")
-        if not ps or not ms:
-            raise InputError("empty sweep range")
-        for p in ps:
-            report = monotone_sweep(p, map(int, ms), budget=args.budget, seed=args.seed)
-            mp = mp_constant(p) if p != math.inf else None
-            for (m, val) in report.extra["trajectory"]:
-                rows.append({"p": p, "m": m, "index_upper_bound": f"{val:.9f}",
-                             "mp": f"{mp.value:.9f}" if mp else ""})
-    elif args.m:
+    if args.m and args.family != "lpm":
         raise InputError("--m applies only to --family lpm")
-    else:
-        ps = _parse_range(args.p)
-        if not ps:
-            raise InputError("empty sweep range")
-        for k, p in enumerate(ps):
+    ps = _parse_range(args.p)
+    ms = _parse_range(args.m or "2..4") if args.family == "lpm" else [2.0]
+    if not all(m.is_integer() for m in ms):
+        raise InputError(f"--m must be a range of integers, got {args.m!r}")
+    if not ps or not ms:
+        raise InputError("empty sweep range")
+    rows = []
+    for k, p in enumerate(ps):
+        if args.family == "lpm":
+            report = monotone_sweep(p, map(int, ms), budget=args.budget, seed=args.seed)
+            trajectory = report.extra["trajectory"]
+        else:
             est = numerical_index_estimate(lp(p, 2), budget=args.budget,
                                            rng=args.seed + k)
-            mp = mp_constant(p)
-            rows.append({"p": p, "m": 2,
-                         "index_upper_bound": f"{est.upper_bound:.9f}",
-                         "mp": f"{mp.value:.9f}"})
+            trajectory = [(2, est.upper_bound)]
+        # mp_constant takes finite p only; the cell stays empty at p = inf
+        mp = "" if p == math.inf else f"{mp_constant(p).value:.9f}"
+        rows += [{"p": p, "m": m, "index_upper_bound": f"{val:.9f}", "mp": mp}
+                 for m, val in trajectory]
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["p", "m", "index_upper_bound", "mp"])

@@ -2,8 +2,9 @@
 
 The index n(X) = inf { nu(T) : ||T|| = 1 } is a nonconvex min over a
 nonconvex max; every value reported here is the best-found *upper bound*,
-never the true index.  Lower anchors come only from the known theoretical
-bounds (see :func:`theoretical_bounds`).
+never the true index.  Each estimate carries the tightest known interval of
+the quantity it bounds; lower anchors come only from theorems (see
+:func:`theoretical_bounds`).
 """
 
 from __future__ import annotations
@@ -113,10 +114,11 @@ class IndexEstimate:
     witness_operator: object          # Operator or HomogeneousPolynomial
     restarts_used: int
     radius_method: str
-    lower_bound_theoretical: float
-    lower_bound_tag: str
-    field: str
-    target: float | None = None       # closed-form comparison value, if any
+    bounds: BoundsInterval            # known interval of the estimated quantity
+
+    @property
+    def lower_bound_theoretical(self) -> float:
+        return self.bounds.lower
 
 
 def _eval_rng(T):
@@ -242,15 +244,13 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     rng = _as_rng(rng)
     bounds = theoretical_bounds(desc)
     if desc.total_dim == 1:
-        return IndexEstimate(1.0, ops.identity(desc), 0, "exact",
-                             bounds.lower, bounds.lower_tag, desc.field)
+        return IndexEstimate(1.0, ops.identity(desc), 0, "exact", bounds)
     candidates = list(extra_starts) + _start_portfolio(desc, rng)
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc), _perturb_dense,
         lambda Ts: _ratios(Ts, 4, radius_stack, RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
-    return IndexEstimate(float(best[0]), best[1], evals, best[2],
-                         bounds.lower, bounds.lower_tag, desc.field)
+    return IndexEstimate(float(best[0]), best[1], evals, best[2], bounds)
 
 
 def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
@@ -282,32 +282,34 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
         lambda TF, scale, noise: factored(TF[1] + scale * noise),
         lambda TFs: _ratios([T for T, _ in TFs], 4, radius_stack, RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
-    if r == 1:
+    # n_r(X) >= n(X), and n_1(X) >= 1/e on every space
+    n = theoretical_bounds(desc)
+    lb, tag = n.lower, n.lower_tag
+    if r == 1 and INV_E >= lb:
         lb, tag = INV_E, "rank-one-lower-bound"
-    else:
-        b = theoretical_bounds(desc)
-        lb, tag = b.lower, b.lower_tag
-    return IndexEstimate(float(best[0]), best[1][0], evals, best[2], lb, tag,
-                         desc.field)
+    return IndexEstimate(float(best[0]), best[1][0], evals, best[2],
+                         BoundsInterval(lb, 1.0, tag, "index-range"))
 
 
 def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
                             rng=None) -> IndexEstimate:
-    """Upper bound of the absolute index |n| on flat lp^m, 1 < p < inf,
-    reported next to the closed-form target 1 / (p^{1/p} q^{1/q})."""
+    """Upper bound of the absolute index |n| on flat lp^m, 1 < p < inf.  It
+    lies above n(X), since |nu| >= nu, and at most 1 / (p^{1/p} q^{1/q}):
+    the shift x -> x_2 e_1 has norm 1 and absolute radius
+    sup |x_1|^{p-1} |x_2|, which is that value by weighted AM-GM."""
     if not desc.is_flat or not (1.0 < desc.p < math.inf) or desc.total_dim < 2:
         raise DegenerateInput("absolute index needs flat lp^m, 1 < p < inf, m >= 2")
     rng = _as_rng(rng)
     p = desc.p
     q = p / (p - 1.0)
-    target = 1.0 / (p ** (1.0 / p) * q ** (1.0 / q))
     best, evals = _minimize_ratio(
         _start_portfolio(desc, rng), partial(_gaussian, desc), _perturb_dense,
         lambda Ts: _ratios(Ts, 8, absolute_radius_stack, RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
-    b = theoretical_bounds(desc)
+    n = theoretical_bounds(desc)
+    shift = 1.0 / (p ** (1.0 / p) * q ** (1.0 / q))
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
-                         b.lower, b.lower_tag, desc.field, target=target)
+                         BoundsInterval(n.lower, shift, n.lower_tag, "rank-one-shift"))
 
 
 def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
@@ -331,8 +333,6 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
         lambda Ps: _ratios(Ps, RADIUS_BUDGET_IN_SEARCH, radius_stack,
                            RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
-    bounds = theoretical_bounds(desc)
-    lb = bounds.lower if k == 1 else 0.0
-    tag = bounds.lower_tag if k == 1 else "polynomial-range"
-    return IndexEstimate(float(best[0]), best[1], evals, best[2], lb, tag,
-                         desc.field)
+    bounds = (theoretical_bounds(desc) if k == 1 else
+              BoundsInterval(0.0, 1.0, "polynomial-range", "index-range"))
+    return IndexEstimate(float(best[0]), best[1], evals, best[2], bounds)

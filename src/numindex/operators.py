@@ -70,9 +70,8 @@ def _coefficient_array(what: str, a, shape: tuple, desc: SpaceDescriptor) -> np.
 @dataclass(frozen=True)
 class OperatorNormEstimate:
     value: float
-    witness: np.ndarray       # unit vector with ||T w|| = value (up to defect)
+    witness: np.ndarray       # unit vector with ||T w|| = value
     method: str               # fixed-point | ascent | exact
-    defect: float
 
 
 def identity(desc: SpaceDescriptor) -> Operator:
@@ -97,8 +96,8 @@ def op_norm(T, budget: int = 16,
 
     Operators on flat (or uniformly nested) l1/linf descriptors are exact;
     other operators run the fixed point x <- J*(T^adj J(Tx)), polynomials of
-    any degree the sphere ascent of ||P(x)|| (defect ``nan``), from
-    ``budget`` starts.  The one-member case of :func:`op_norm_stack`.
+    any degree the sphere ascent of ||P(x)||, from ``budget`` starts.  The
+    one-member case of :func:`op_norm_stack`.
     """
     return op_norm_stack([T], budget, [_as_rng(rng)])[0]
 
@@ -115,7 +114,7 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     if isinstance(Ts[0], HomogeneousPolynomial):
         found = maximize_stack(desc, lambda x, k: desc.plan.norm(_apply_rows(m, x, k)),
                                rngs, budget)
-        return [OperatorNormEstimate(val, x, "ascent", math.nan) for x, val, _ in found]
+        return [OperatorNormEstimate(val, x, "ascent") for x, val, _ in found]
     if desc.uniform_exponent in (1.0, math.inf):
         # the largest column sum, attained at e_j (l1), or row sum (linf)
         return [_exact_norm(T) for T in Ts]
@@ -125,7 +124,6 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     g = np.repeat(np.arange(len(Ts)), len(x) // len(Ts))
     mt = m.transpose(0, 2, 1)
     val = plan.norm(_apply_rows(m, x, g))
-    defect = np.full(len(x), np.inf)
     active = np.ones(len(x), dtype=bool)
     # every start runs its own fixed point; the rows advance together
     for _ in range(OP_NORM_MAX_ITERS):
@@ -136,17 +134,16 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
         # bilinear adjoint of the pairing; J is 0-homogeneous, so no rescaling
         x_new, ng = dplan.norming(_apply_rows(mt, f, g[a]))
         stuck = ng == 0.0                 # Tx = 0, or T^adj J(Tx) = 0
-        defect[a[stuck]] = 0.0
         active[a[stuck]] = False
         a, x_new = a[~stuck], x_new[~stuck]
         new_val = plan.norm(_apply_rows(m, x_new, g[a]))
-        defect[a] = np.abs(new_val - val[a])
-        kink = new_val < val[a]           # nonsmooth kink; keep the best seen
-        step = a[~kink]
-        x[step], val[step] = x_new[~kink], new_val[~kink]
-        active[a[kink]] = False
-        active[step[defect[step] < OP_NORM_VALUE_TOL]] = False
-    return [OperatorNormEstimate(float(val[i]), x[i], "fixed-point", float(defect[i]))
+        rise = new_val - val[a]
+        # a row steps unless the value fell (a nonsmooth kink: keep the best
+        # seen) and stops once it rises by less than the tolerance
+        step = rise >= 0
+        x[a[step]], val[a[step]] = x_new[step], new_val[step]
+        active[a[rise < OP_NORM_VALUE_TOL]] = False
+    return [OperatorNormEstimate(float(val[i]), x[i], "fixed-point")
             for i in best_rows(val, g, len(Ts))]
 
 
@@ -157,7 +154,7 @@ def _exact_norm(T: Operator) -> OperatorNormEstimate:
     i = int(np.argmax(sums))
     w = (np.eye(desc.total_dim, dtype=desc.dtype)[i] if l1
          else np.conj(phase(T.matrix[i])))
-    return OperatorNormEstimate(float(sums[i]), w, "exact", 0.0)
+    return OperatorNormEstimate(float(sums[i]), w, "exact")
 
 
 def operator_stack(T) -> tuple[SpaceDescriptor, np.ndarray]:

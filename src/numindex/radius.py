@@ -47,11 +47,15 @@ class RadiusEstimate:
     value: float
     witness: NormingPair
     method: str               # ascent | enumerate | grid
-    guarantee: str            # certified-lower-bound | exact-enumeration
     evals: int
 
+    @property
+    def guarantee(self) -> str:
+        """Only the enumeration is exact; other values re-derive from the witness."""
+        return "exact-enumeration" if self.method == "enumerate" else "certified-lower-bound"
 
-def _estimate_at(T, x: np.ndarray, method: str, guarantee: str, evals: int,
+
+def _estimate_at(T, x: np.ndarray, method: str, evals: int,
                  xstar: np.ndarray | None = None) -> RadiusEstimate:
     """Estimate re-derived from the witness pair at x: through the canonical
     J at x / ||x||, or with the given unit x and functional ``xstar``."""
@@ -59,7 +63,7 @@ def _estimate_at(T, x: np.ndarray, method: str, guarantee: str, evals: int,
             else NormingPair.of(T.descriptor, x, xstar))
     image = T.matrix @ pair.x if isinstance(T, Operator) else poly_apply(T, pair.x)
     value = abs(eval_pair(pair.xstar, image))
-    return RadiusEstimate(float(value), pair, method, guarantee, evals)
+    return RadiusEstimate(float(value), pair, method, evals)
 
 
 def radius_objective(T):
@@ -120,7 +124,7 @@ def radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
 def _ascent_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
     """Multi-start local maximization of |J(x) . T_k x| over the unit sphere."""
     found = maximize_stack(Ts[0].descriptor, radius_objective(Ts), rngs, restarts=budget)
-    return [_estimate_at(T, x, "ascent", "certified-lower-bound", evals)
+    return [_estimate_at(T, x, "ascent", evals)
             for T, (x, _, evals) in zip(Ts, found)]
 
 
@@ -144,7 +148,7 @@ def radius_enumerate(T: Operator) -> RadiusEstimate:
     x = exact.witness
     f = _face_functional(p, x[None], (T.matrix @ x)[None])[0]
     return RadiusEstimate(exact.value, NormingPair.of(desc, x, f), "enumerate",
-                          "exact-enumeration", desc.total_dim)
+                          desc.total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +169,7 @@ def radius_grid_oracle(T, resolution: int = 2000) -> RadiusEstimate:
     p = desc.uniform_exponent
     if p not in (1.0, math.inf):
         _, x, n = _grid_sweep(desc, resolution, radius_objective(T))
-        return _estimate_at(T, x, "grid", "certified-lower-bound", n)
+        return _estimate_at(T, x, "grid", n)
 
     def face(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         y = _apply_rows(m, x, k)
@@ -173,7 +177,7 @@ def radius_grid_oracle(T, resolution: int = 2000) -> RadiusEstimate:
 
     _, x, n = _grid_sweep(desc, resolution, face)
     f = _face_functional(p, x[None], _apply_rows(m, x[None], None))[0]
-    return _estimate_at(T, x, "grid", "certified-lower-bound", n, xstar=f)
+    return _estimate_at(T, x, "grid", n, xstar=f)
 
 
 def _face_functional(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -240,8 +244,7 @@ def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
         raise DegenerateInput("absolute radius needs a flat lp^m with finite p")
     if _backend(T, method, "absolute radius") == "grid":
         val, x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
-        return RadiusEstimate(val, NormingPair.at(desc, x), "grid",
-                              "certified-lower-bound", n)
+        return RadiusEstimate(val, NormingPair.at(desc, x), "grid", n)
     return absolute_radius_stack([T], budget, [_as_rng(rng)])[0]
 
 
@@ -250,8 +253,8 @@ def absolute_radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
     flat lp^m descriptor, 1 <= p < inf."""
     desc = Ts[0].descriptor
     found = maximize_stack(desc, absolute_radius_objective(Ts), rngs, restarts=budget)
-    return [RadiusEstimate(val, NormingPair.at(desc, x), "ascent",
-                           "certified-lower-bound", evals) for x, val, evals in found]
+    return [RadiusEstimate(val, NormingPair.at(desc, x), "ascent", evals)
+            for x, val, evals in found]
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,13 @@ def lp(p: float, dim: int, field: str = REAL) -> SpaceDescriptor:
 
 def psum(p: float, children, field: str | None = None) -> SpaceDescriptor:
     """The p-sum of ``children``, whose fields must all be ``field`` (by
-    default the first child's)."""
+    default the first child's); a sum of one leaf is the leaf, as in
+    ``lp(p, 1)``, so text round-trips stay exact."""
     children = tuple(children)
     if not children:
         raise SpaceError("psum needs at least one child")
-    return SpaceDescriptor(float(p), children, field or children[0].field)
+    desc = SpaceDescriptor(float(p), children, field or children[0].field)
+    return children[0] if desc.total_dim == 1 else desc
 
 
 def tower(p_list, block_dims=None, field: str = REAL) -> SpaceDescriptor:

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: exit codes, formats, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import shutil
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from numindex.cli import EXIT_INPUT, EXIT_OK, build_parser, main
+from numindex.index import (absolute_index_estimate, numerical_index_estimate,
+                            poly_index_estimate, rank_r_index_estimate)
 from numindex.operators import Operator, operator_to_json
 from numindex.radius import _grid_points
 from numindex.spaces import MAX_DEPTH, DegenerateInput, lp
@@ -167,7 +170,25 @@ def test_index_absolute_flag(capsys):
                  "--budget", "40"])
     assert code == EXIT_OK
     payload = _json_out(capsys)
-    assert payload["closed_form_target"] == pytest.approx(0.5)
+    assert payload["theoretical_bounds"]["upper"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("flags, estimate", [
+    ([], lambda d: numerical_index_estimate(d, budget=6, rng=3)),
+    (["--rank", "1"], lambda d: rank_r_index_estimate(d, 1, budget=6, rng=3)),
+    (["--absolute"], lambda d: absolute_index_estimate(d, budget=6, rng=3)),
+    (["--poly-k", "2"], lambda d: poly_index_estimate(d, 2, budget=6, rng=3)),
+], ids=["plain", "rank", "absolute", "poly"])
+def test_index_prints_the_interval_of_its_estimate(flags, estimate, capsys):
+    """Each estimator flag prints the interval of the quantity it bounds,
+    the library estimate's own, and nothing else beside it."""
+    argv = ["index", "--space", "lp(p=3,dim=2)", "--budget", "6", "--seed", "3"]
+    assert main(argv + flags) == EXIT_OK
+    payload = _json_out(capsys)
+    est = estimate(lp(3, 2))
+    assert payload["theoretical_bounds"] == dataclasses.asdict(est.bounds)
+    assert payload["upper_bound_best_found"] == est.upper_bound
+    assert "closed_form_target" not in payload
 
 
 def test_index_rank_flag(capsys):
@@ -355,6 +376,18 @@ def test_sweep_lpm(tmp_path, capsys):
     vals = [float(r["index_upper_bound"]) for r in rows]
     assert vals[0] == pytest.approx(1.0)
     assert all(vals[i] >= vals[i + 1] - 0.02 for i in range(2))
+
+
+@pytest.mark.parametrize("family", ["lpm", "lp2-curve"])
+def test_sweep_leaves_mp_empty_at_p_inf(family, tmp_path, capsys):
+    """Both families write an empty mp cell at p = inf, where linf^m has
+    index 1."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", family, "--p", "inf", "--budget", "4", "--out", str(out)]
+    assert main(argv + (["--m", "2..3"] if family == "lpm" else [])) == EXIT_OK
+    rows = list(csv.DictReader(out.open()))
+    assert rows and all(r["mp"] == "" for r in rows)
+    assert all(float(r["index_upper_bound"]) == 1.0 for r in rows)
 
 
 def test_sweep_empty_range(capsys):

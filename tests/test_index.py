@@ -176,6 +176,23 @@ def test_rank_one_lower_bound_tagged():
     assert est.upper_bound >= INV_E - 0.02
 
 
+@pytest.mark.parametrize("desc, lower", [(lp(3, 2), INV_E), (lp(1, 3), 1.0),
+                                         (lp(math.inf, 2), 1.0), (scalar(), 1.0)],
+                         ids=str)
+def test_rank_one_lower_side_is_the_larger_known_bound(desc, lower):
+    """n_1(X) >= n(X) and n_1(X) >= 1/e; the upper side is the range's 1."""
+    b = rank_r_index_estimate(desc, 1, budget=2, rng=0).bounds
+    assert (b.lower, b.upper, b.upper_tag) == (lower, 1.0, "index-range")
+    assert b.lower >= theoretical_bounds(desc).lower
+
+
+def test_poly_index_bounds_per_degree():
+    desc = lp(3, 2)
+    assert poly_index_estimate(desc, 1, budget=2, rng=0).bounds == theoretical_bounds(desc)
+    b = poly_index_estimate(desc, 2, budget=2, rng=0).bounds
+    assert (b.lower, b.upper, b.lower_tag) == (0.0, 1.0, "polynomial-range")
+
+
 def test_rank_full_matches_unconstrained_on_index_one_space():
     full = numerical_index_estimate(lp(1, 3), budget=30, rng=5).upper_bound
     ranked = rank_r_index_estimate(lp(1, 3), 3, budget=30, rng=5).upper_bound
@@ -193,7 +210,7 @@ def test_rank_matrix_rank_constraint():
 
 def test_absolute_index_target_p2():
     est = absolute_index_estimate(lp(2, 2), budget=120, rng=0)
-    assert est.target == pytest.approx(0.5)
+    assert est.bounds.upper == pytest.approx(0.5)
     assert abs(est.upper_bound - 0.5) <= 0.05
 
 
@@ -202,7 +219,20 @@ def test_absolute_index_target_p4_arithmetic():
     # independent arithmetic for 1/(p^{1/p} q^{1/q})
     p, q = 4.0, 4.0 / 3.0
     ref = math.exp(-(math.log(p) / p + math.log(q) / q))
-    assert est.target == pytest.approx(ref, abs=1e-12)
+    assert est.bounds.upper == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_absolute_index_upper_side_is_the_shift(p):
+    """x -> x_2 e_1 has norm 1, and its absolute radius is the upper side."""
+    desc = lp(p, 2)
+    est = absolute_index_estimate(desc, budget=2, rng=0)
+    shift = Operator([[0.0, 1.0], [0.0, 0.0]], desc)
+    assert op_norm(shift, rng=0).value == pytest.approx(1.0, abs=1e-12)
+    assert absolute_radius(shift, rng=0).value == pytest.approx(est.bounds.upper, abs=1e-9)
+    assert est.bounds.upper_tag == "rank-one-shift"
+    # |nu| >= nu, so the lower side is that of n(X)
+    assert est.bounds.lower == theoretical_bounds(desc).lower
 
 
 def test_absolute_index_dominates_index():
@@ -296,7 +326,7 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
     rngs = [np.random.default_rng(k) for k in range(len(Ts))]
     for k, (T, n) in enumerate(zip(Ts, op_norm_stack(Ts, 8, rngs))):
         ref = op_norm(T, budget=8, rng=k)
-        assert (n.value, n.method, n.defect) == (ref.value, ref.method, ref.defect)
+        assert (n.value, n.method) == (ref.value, ref.method)
         np.testing.assert_array_equal(n.witness, ref.witness)
     # polynomial stacks: stacked norm and radius against one-polynomial calls
     for deg in (1, 2):

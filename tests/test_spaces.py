@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numindex.spaces import (
+    COMPLEX,
     DEFAULT_TOL,
     MAX_DEPTH,
     MAX_TOTAL_DIM,
@@ -237,6 +238,20 @@ def test_sampler_norm_and_support(desc):
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_text_round_trip(desc):
     assert parse_descriptor(descriptor_to_text(desc)) == desc
+
+
+def test_one_leaf_psum_is_the_leaf():
+    """A p-sum of one leaf is that scalar line, as lp(p, 1) is, so trees
+    built in code with one round-trip through the text format."""
+    for desc in (psum(3, [scalar()]), psum(2, [psum(3, [scalar()]), lp(2, 2)]),
+                 psum(3, [scalar(COMPLEX)])):
+        assert parse_descriptor(descriptor_to_text(desc)) == desc
+    assert psum(3, [scalar()]) == scalar() == lp(3, 1)
+    # the sum is still checked before it collapses
+    with pytest.raises(SpaceError, match="mixed scalar fields"):
+        psum(3, [scalar()], COMPLEX)
+    with pytest.raises(SpaceError, match="exponent"):
+        psum(0.5, [scalar()])
 
 
 def test_parse_examples():

@@ -148,6 +148,15 @@ def test_bounds_check_small():
     assert val >= mp / 2 - 0.02
 
 
+def test_bounds_check_scalar_line():
+    """At m = 1 the space is the scalar line, with interval [1, 1]."""
+    rep = bounds_check([1.5], [1, 2], budget=60, seed=0)
+    assert rep.passed, rep.max_violation
+    line = rep.cases[0]
+    assert line["m"] == 1 and line["index_upper_bound"] == 1.0
+    assert line["violation"] == 0.0 and line["soft_upper_ok"]
+
+
 def test_bounds_check_rejects_inf():
     with pytest.raises(DegenerateInput):
         bounds_check([math.inf], [2], seed=0)
