@@ -45,7 +45,8 @@ def main() -> None:
     # closed form max_i ( |T_ii| + sum_{j != i} |T_ji| ).
     T = Operator(rng.standard_normal((3, 3)), lp(1.0, 3, REAL))
     exact = radius_enumerate(T)
-    ascent = numerical_radius(T, budget=64, rng=np.random.default_rng(3))
+    ascent = numerical_radius(T, method="ascent", budget=64,
+                              rng=np.random.default_rng(3))
     grid = radius_grid_oracle(T, resolution=2000)
     print(f"l_1^3 radius: enumeration = {exact.value:.9f}, "
           f"ascent = {ascent.value:.9f}, grid oracle = {grid.value:.9f}")

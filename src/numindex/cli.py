@@ -80,7 +80,7 @@ def _emit(args, payload: dict, started: float, counters: dict | None = None):
 
 def _load_space(args) -> "SpaceDescriptor":
     try:
-        return parse_descriptor(args.space, field=args.field)
+        return parse_descriptor(args.space, field=getattr(args, "field", None))
     except SpaceError as exc:
         raise InputError(f"bad --space: {exc}") from exc
 
@@ -168,7 +168,7 @@ def cmd_index(args) -> int:
 
 def cmd_mp(args) -> int:
     started = time.time()
-    if args.p < 1 or args.p == math.inf:
+    if not 1 <= args.p < math.inf:
         raise InputError("--p must be a finite number >= 1")
     res = mp_constant(args.p)
     payload = {"command": "mp", "p": res.p, "value": res.value,
@@ -283,7 +283,7 @@ def cmd_verify(args) -> int:
     if args.space and "duality" not in names:
         raise InputError(f"--space is read only by the duality suite, "
                          f"which --suite {args.suite} does not run")
-    duality_space = parse_descriptor(args.space) if args.space else lp(3, 2)
+    duality_space = _load_space(args) if args.space else lp(3, 2)
     outdir = args.out or "reports"
     os.makedirs(outdir, exist_ok=True)
     all_passed = True

@@ -3,25 +3,29 @@
 Three backends behind one entry point, :func:`numerical_radius`, for an
 operator or a homogeneous polynomial alike:
 
-* ``ascent``    -- multi-start sphere maximization of |J(x) . Tx| over the
-                   dense all-coordinates-nonzero set, where the canonical
-                   norming functional J is a closed form of x;
+* ``ascent``    -- multi-start sphere maximization of |x*(Tx)| over the
+                   unit sphere;
 * ``enumerate`` -- exact finite enumeration on flat l1 / linf spaces, for
                    operators;
 * ``grid``      -- brute-force dense sphere sweep of an operator or
                    polynomial for small dimensions, used as the independent
-                   oracle; on l1 / linf it maximizes over the dual face at
-                   every grid point.
+                   oracle.
 
-Every estimate carries a norming-pair witness from which the value can be
-re-derived, so reported values are certified lower bounds of the radius.
+At every unit x one rule, :func:`_functional`, picks the norming functional
+x*: on spaces isometric to flat l1 / linf, where a corner of the ball has a
+whole face of them, the one that maximizes |x*(Tx)|, and the canonical J(x)
+elsewhere.  The ascent and grid objectives score it, and
+every estimate stores it with x as its witness pair and re-derives its value
+from that pair, so reported values are certified lower bounds of the radius
+(the enumeration's value is the exact closed form).  The absolute radius
+picks x* by the same rule and re-derives sum_i |x*_i| |(Tx)_i|.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,26 +60,45 @@ class RadiusEstimate:
 
 
 def _estimate_at(T, x: np.ndarray, method: str, evals: int,
-                 xstar: np.ndarray | None = None) -> RadiusEstimate:
-    """Estimate re-derived from the witness pair at x: through the canonical
-    J at x / ||x||, or with the given unit x and functional ``xstar``."""
-    pair = (NormingPair.at(T.descriptor, x) if xstar is None
-            else NormingPair.of(T.descriptor, x, xstar))
-    image = T.matrix @ pair.x if isinstance(T, Operator) else poly_apply(T, pair.x)
-    value = abs(eval_pair(pair.xstar, image))
-    return RadiusEstimate(float(value), pair, method, evals)
+                 absolute: bool = False) -> RadiusEstimate:
+    """Estimate at the unit x: the functional x* of :func:`_functional`
+    against Tx, stored with x as the witness pair, and the value re-derived
+    from that pair, |x*(Tx)| or, for the absolute radius, sum_i |x*_i| |(Tx)_i|."""
+    image = T.matrix @ x if isinstance(T, Operator) else poly_apply(T, x)
+    f = _functional(T.descriptor, x[None], image[None])[0]
+    value = np.sum(np.abs(f) * np.abs(image)) if absolute else abs(eval_pair(f, image))
+    return RadiusEstimate(float(value), NormingPair.of(T.descriptor, x, f), method, evals)
+
+
+def _functional(desc: SpaceDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows f of Pi(X) at the unit rows x.  On spaces isometric to flat l1
+    (p = 1) or linf, the functional of the dual face that maximizes
+    |f . y_b|: at p = 1 the sign of x on its support and, off it, the sign
+    of y turned to the phase of the support's sum; at p = inf the extreme
+    functional at the max-modulus coordinate of x with the largest |y_i|,
+    the first one on ties.  Everywhere else the canonical J(x)."""
+    p = desc.uniform_exponent
+    if p not in (1.0, math.inf):
+        return desc.plan.norming(x)[0]
+    a = np.abs(x)
+    f = conj_sign(x, a)
+    if p == 1:
+        s = phase(np.sum(f * y, axis=1, keepdims=True))
+        return np.where(a > 0, f, np.conj(phase(y)) * s)
+    top = a >= a.max(axis=1, keepdims=True) - 1e-15
+    i = np.argmax(np.where(top, np.abs(y), -1.0), axis=1)
+    return f * (np.arange(x.shape[1]) == i[:, None])
 
 
 def radius_objective(T):
-    """Unit rows x of problem k -> |J(x) . T_k(x)|, the quantity whose sup
-    over Pi(X) is nu(T_k); ``T`` is one operator or polynomial, or a stack of
-    them sharing a descriptor and degree."""
+    """Unit rows x of problem k -> |x*(T_k x)| with x* from :func:`_functional`,
+    whose sup over the unit sphere is nu(T_k); ``T`` is one operator or
+    polynomial, or a stack of them sharing a descriptor and degree."""
     desc, m = operator_stack(T)
-    plan = desc.plan
 
     def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        f, _ = plan.norming(x)
-        return np.abs(np.sum(f * _apply_rows(m, x, k), axis=1))
+        y = _apply_rows(m, x, k)
+        return np.abs(np.sum(_functional(desc, x, y) * y, axis=1))
 
     return g
 
@@ -122,7 +145,7 @@ def radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
 
 
 def _ascent_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
-    """Multi-start local maximization of |J(x) . T_k x| over the unit sphere."""
+    """Multi-start local maximization of |x*(T_k x)| over the unit sphere."""
     found = maximize_stack(Ts[0].descriptor, radius_objective(Ts), rngs, restarts=budget)
     return [_estimate_at(T, x, "ascent", evals)
             for T, (x, _, evals) in zip(Ts, found)]
@@ -137,18 +160,15 @@ def radius_enumerate(T: Operator) -> RadiusEstimate:
 
     These spaces have numerical index 1, so nu(T) = ||T||: the value and x
     are the exact operator norm and its witness, and the functional is the
-    dual-face maximizer at x that the grid oracle scores, which attains it.
+    one :func:`_functional` picks at x, which attains it.
     """
     desc = T.descriptor
-    p = desc.uniform_exponent
-    if p not in (1.0, math.inf):
+    if desc.uniform_exponent not in (1.0, math.inf):
         raise DegenerateInput("enumeration needs a flat (or uniformly nested) "
                               "l1/linf descriptor")
     exact = _exact_norm(T)
-    x = exact.witness
-    f = _face_functional(p, x[None], (T.matrix @ x)[None])[0]
-    return RadiusEstimate(exact.value, NormingPair.of(desc, x, f), "enumerate",
-                          desc.total_dim)
+    est = _estimate_at(T, exact.witness, "enumerate", desc.total_dim)
+    return replace(est, value=exact.value)
 
 
 # ---------------------------------------------------------------------------
@@ -163,37 +183,10 @@ def radius_grid_oracle(T, resolution: int = 2000) -> RadiusEstimate:
     real 2-dim spaces the value never decreases when the resolution doubles
     (those angle grids are nested; the others are not).  On spaces
     isometric to flat l1 / linf every grid point scores the best functional
-    of its dual face, and the winner's is the witness.
+    of its dual face, as :func:`radius_objective` does everywhere.
     """
-    desc, m = operator_stack(T)
-    p = desc.uniform_exponent
-    if p not in (1.0, math.inf):
-        _, x, n = _grid_sweep(desc, resolution, radius_objective(T))
-        return _estimate_at(T, x, "grid", n)
-
-    def face(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        y = _apply_rows(m, x, k)
-        return np.abs(np.sum(_face_functional(p, x, y) * y, axis=1))
-
-    _, x, n = _grid_sweep(desc, resolution, face)
-    f = _face_functional(p, x[None], _apply_rows(m, x[None], None))[0]
-    return _estimate_at(T, x, "grid", n, xstar=f)
-
-
-def _face_functional(p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows f of the dual face at the unit rows x of a space isometric to
-    flat l1 (p = 1) or linf that maximize |f . y_b|: at p = 1 the sign of x
-    on its support and, off it, the sign of y turned to the phase of the
-    support's sum; at p = inf the extreme functional at the max-modulus
-    coordinate of x with the largest |y_i|, the first one on ties."""
-    a = np.abs(x)
-    f = conj_sign(x, a)
-    if p == 1:
-        s = phase(np.sum(f * y, axis=1, keepdims=True))
-        return np.where(a > 0, f, np.conj(phase(y)) * s)
-    top = a >= a.max(axis=1, keepdims=True) - 1e-15
-    i = np.argmax(np.where(top, np.abs(y), -1.0), axis=1)
-    return f * (np.arange(x.shape[1]) == i[:, None])
+    x, n = _grid_sweep(T.descriptor, resolution, radius_objective(T))
+    return _estimate_at(T, x, "grid", n)
 
 
 def _complex_grid(resolution: int) -> np.ndarray:
@@ -210,14 +203,13 @@ def _complex_grid(resolution: int) -> np.ndarray:
 
 
 def _grid_sweep(desc: SpaceDescriptor, resolution: int, objective):
-    """(value, point, grid size) of the best row of a batched objective over
-    the direction grid normalized onto the unit sphere; the first maximal
-    row wins."""
+    """(point, grid size) of the best row of a batched objective over the
+    direction grid normalized onto the unit sphere; the first maximal row
+    wins.  The point is a copy, so a stored witness does not keep the grid."""
     xs = _grid_points(desc, resolution).astype(desc.dtype)
     xs = xs / desc.plan.norm(xs)[:, None]
     vals = objective(xs, np.zeros(len(xs), dtype=int))
-    k = int(np.argmax(vals))
-    return float(vals[k]), xs[k], len(xs)
+    return xs[int(np.argmax(vals))].copy(), len(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +235,18 @@ def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
     if not desc.is_flat or desc.p == math.inf:
         raise DegenerateInput("absolute radius needs a flat lp^m with finite p")
     if _backend(T, method, "absolute radius") == "grid":
-        val, x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
-        return RadiusEstimate(val, NormingPair.at(desc, x), "grid", n)
+        x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
+        return _estimate_at(T, x, "grid", n, absolute=True)
     return absolute_radius_stack([T], budget, [_as_rng(rng)])[0]
 
 
 def absolute_radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
     """Ascent :func:`absolute_radius` of every operator of a stack sharing one
     flat lp^m descriptor, 1 <= p < inf."""
-    desc = Ts[0].descriptor
-    found = maximize_stack(desc, absolute_radius_objective(Ts), rngs, restarts=budget)
-    return [RadiusEstimate(val, NormingPair.at(desc, x), "ascent", evals)
-            for x, val, evals in found]
+    found = maximize_stack(Ts[0].descriptor, absolute_radius_objective(Ts), rngs,
+                           restarts=budget)
+    return [_estimate_at(T, x, "ascent", evals, absolute=True)
+            for T, (x, _, evals) in zip(Ts, found)]
 
 
 # ---------------------------------------------------------------------------

@@ -359,7 +359,9 @@ def test_mp_emit_curve(tmp_path, capsys):
 
 
 def test_mp_rejects_bad_p(capsys):
-    assert main(["mp", "--p", "0.5"]) == EXIT_INPUT
+    for p in ("0.5", "nan"):
+        assert main(["mp", "--p", p]) == EXIT_INPUT
+        assert "--p must be a finite number >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +447,8 @@ def test_verify_bad_space_exits_before_any_suite(tmp_path, capsys):
     out = tmp_path / "reports"
     assert main(["verify", "--suite", "all", "--space", "lq(p=3)",
                  "--cases", "1", "--out", str(out)]) == EXIT_INPUT
-    assert "descriptor parse error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad --space" in err and "descriptor parse error" in err
     assert not out.exists()
 
 

@@ -37,6 +37,12 @@ def _witness_value(T, est):
     return abs(eval_pair(w.xstar, T.matrix @ w.x))
 
 
+def _absolute_witness_value(T, est):
+    """Recompute sum_i |x*_i| |(Tx)_i| at the stored witness, fresh."""
+    w = est.witness
+    return float(np.sum(np.abs(w.xstar) * np.abs(T.matrix @ w.x)))
+
+
 # ---------------------------------------------------------------------------
 # headline examples
 # ---------------------------------------------------------------------------
@@ -84,12 +90,36 @@ def test_linf_identity():
 @pytest.mark.parametrize("desc", [lp(1, 3), lp(2, 2), lp(3, 2), lp(math.inf, 2),
                                   lp(2, 2, "complex")])
 def test_witness_certificate(desc):
+    """Every backend of both radii that applies to the space stores a norming
+    pair from which its value re-derives: |x*(Tx)|, and sum_i |x*_i| |(Tx)_i|
+    for the absolute radius.  Every space here is within the grid's cap."""
     rng = np.random.default_rng(2)
     for _ in range(10):
         T = _rand_op(desc, rng)
-        est = numerical_radius(T, budget=16, rng=rng)
-        assert _witness_value(T, est) == pytest.approx(est.value, abs=1e-9)
-        assert est.witness.slack <= 1e-9
+        checks = [(numerical_radius(T, m, budget=16, rng=rng), _witness_value)
+                  for m in ("auto", "ascent", "grid")]
+        if desc.is_flat and desc.p < math.inf:
+            checks += [(absolute_radius(T, budget=16, rng=rng), _absolute_witness_value),
+                       (absolute_radius(T, method="grid", resolution=1000),
+                        _absolute_witness_value)]
+        for est, rederive in checks:
+            assert abs(rederive(T, est) - est.value) <= 1e-12 * max(1.0, est.value)
+            assert est.witness.slack <= 1e-12
+
+
+@pytest.mark.parametrize("desc", [
+    lp(1, 3), lp(1, 5), psum(1, [lp(1, 2), psum(1, [scalar(), lp(1, 2)])]),
+    lp(1, 2, "complex"),
+], ids=["l1-3", "l1-5", "nested-l1", "complex-l1"])
+def test_l1_ascent_reaches_the_enumeration(desc):
+    """The coordinate starts of the ascent are corners of the l1 ball, where
+    the ascent scores the best functional of the dual face, so it reaches
+    nu(T) = ||T||, the enumeration's value."""
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        T = _rand_op(desc, rng)
+        ascent = numerical_radius(T, method="ascent", budget=16, rng=rng)
+        assert ascent.value == pytest.approx(radius_enumerate(T).value, rel=1e-12)
 
 
 @pytest.mark.parametrize("desc", [lp(1.5, 2), lp(2, 3), lp(3, 2), lp(1, 3),
