@@ -10,8 +10,8 @@ from .spaces import (COMPLEX, REAL, NormingPair, SpaceDescriptor,
                      unit_sphere_sample)
 from .operators import (CoordinateProjection, HomogeneousPolynomial, Operator,
                         adjoint, apply, compose_with_projection,
-                        coordinate_projection, identity, op_norm, poly_apply,
-                        rank_one, rank_r_sample)
+                        coordinate_projection, identity, op_norm, rank_one,
+                        rank_r_sample)
 from .radius import (RadiusEstimate, absolute_radius, numerical_radius,
                      poly_radius, radius_enumerate, radius_grid_oracle)
 from .index import (BoundsInterval, IndexEstimate, MpResult,

@@ -147,7 +147,7 @@ def cmd_index(args) -> int:
     _check_counts(args)
     if args.absolute:
         est = absolute_index_estimate(desc, budget=args.budget, rng=args.seed)
-    elif args.rank:
+    elif args.rank is not None:
         est = rank_r_index_estimate(desc, args.rank, budget=args.budget,
                                     rng=args.seed)
     elif args.poly_k > 1:
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space", required=True)
     sp.add_argument("--field", choices=["real", "complex"])
     estimator = sp.add_mutually_exclusive_group()
-    estimator.add_argument("--rank", type=int, default=0, help="rank-r index")
+    estimator.add_argument("--rank", type=int, help="rank-r index")
     estimator.add_argument("--absolute", action="store_true", help="absolute index")
     estimator.add_argument("--poly-k", type=int, default=0,
                            help="polynomial index of order k (k <= 1: the index)")

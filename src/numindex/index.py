@@ -124,8 +124,9 @@ class IndexEstimate:
 def _eval_rng(T):
     """Generator keyed to the coefficients of an operator or polynomial, so
     its ratio is a pure function of it: re-encountering a witness (warm
-    starts, embedded summand witnesses, rank chains) reproduces its ratio
-    exactly instead of re-rolling the evaluation noise."""
+    starts, embedded summand witnesses, a witness re-scored at the search's
+    budgets) reproduces its ratio exactly instead of re-rolling the
+    evaluation noise."""
     digest = hashlib.blake2b(coefficients(T).tobytes(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
@@ -254,10 +255,9 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
 
 
 def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
-                          rng=None, extra_starts=()) -> IndexEstimate:
+                          rng=None) -> IndexEstimate:
     """Upper bound of the rank-r index n_r(X); candidates and perturbations
-    act on rank-one factor pairs so the rank constraint holds exactly.  An
-    extra start is factored by its SVD; one of rank above r is rejected."""
+    act on rank-one factor pairs so the rank constraint holds exactly."""
     d = desc.total_dim
     if not (1 <= r <= d):
         raise DegenerateInput(f"rank {r} out of range 1..{d}")
@@ -268,15 +268,9 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
         # a candidate: the operator of the (r, 2, d) factor pairs (f, y), and F
         return Operator(sum(np.outer(y, f) for f, y in F), desc), F
 
-    candidates = []
-    for T in extra_starts:
-        if np.linalg.matrix_rank(T.matrix) > r:
-            raise DegenerateInput(f"extra start of rank above {r}")
-        u, s, vh = np.linalg.svd(T.matrix)
-        candidates.append((T, np.array([(vh[i], s[i] * u[:, i]) for i in range(r)])))
-    candidates += [factored(np.array([(unit_sphere_sample(ddual, rng),
-                                       unit_sphere_sample(desc, rng)) for _ in range(r)]))
-                   for _ in range(8)]
+    candidates = [factored(np.array([(unit_sphere_sample(ddual, rng),
+                                      unit_sphere_sample(desc, rng)) for _ in range(r)]))
+                  for _ in range(8)]
     best, evals = _minimize_ratio(
         candidates, lambda _rng: np.array([_gaussian(desc, _rng, (2, d)) for _ in range(r)]),
         lambda TF, scale, noise: factored(TF[1] + scale * noise),
@@ -314,25 +308,23 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
 
 def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
                         rng=None) -> IndexEstimate:
-    """Upper bound of the order-k polynomial index over random symmetric
-    coefficient tensors with perturbation descent.  The candidates are the
-    structured portfolio at k = 1, then random tensors up to
-    ``POLY_STARTS`` candidates in all, whatever the budget."""
+    """Upper bound of the order-k polynomial index.  Order 1 is the
+    numerical index n(X) itself, so k = 1 returns
+    :func:`numerical_index_estimate`; for k >= 2 the search runs perturbation
+    descent over random symmetric coefficient tensors from ``POLY_STARTS``
+    candidates, whatever the budget.  A bad degree is rejected before any
+    draw."""
     shape = poly_shape(desc, k)
-    rng = _as_rng(rng)
-    candidates = []
     if k == 1:
-        # order 1 is the classical index; reuse the structured portfolio
-        candidates = [HomogeneousPolynomial(1, T.matrix, desc)
-                      for T in _start_portfolio(desc, rng)]
-    candidates += [HomogeneousPolynomial(k, _gaussian(desc, rng, shape), desc)
-                   for _ in range(POLY_STARTS - len(candidates))]
+        return numerical_index_estimate(desc, budget, rng)
+    rng = _as_rng(rng)
+    candidates = [HomogeneousPolynomial(k, _gaussian(desc, rng, shape), desc)
+                  for _ in range(POLY_STARTS)]
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc, shape=shape),
         lambda P, scale, noise: HomogeneousPolynomial(k, P.tensor + scale * noise, desc),
         lambda Ps: _ratios(Ps, RADIUS_BUDGET_IN_SEARCH, radius_stack,
                            RADIUS_BUDGET_IN_SEARCH),
         budget, rng)
-    bounds = (theoretical_bounds(desc) if k == 1 else
-              BoundsInterval(0.0, 1.0, "polynomial-range", "index-range"))
-    return IndexEstimate(float(best[0]), best[1], evals, best[2], bounds)
+    return IndexEstimate(float(best[0]), best[1], evals, best[2],
+                         BoundsInterval(0.0, 1.0, "polynomial-range", "index-range"))

@@ -1,10 +1,12 @@
 """Dense operators and homogeneous polynomials on descriptor spaces.
 
-Matrices act on the depth-first leaf coordinates of a descriptor.  Operator
-norms on spaces isometric to flat l1/linf are exact column/row sums, other
-operator norms a duality-map fixed point (the power-method generalization),
-polynomial norms a sphere ascent; every value is a certified lower bound
-attained by the stored witness.
+Matrices act on the depth-first leaf coordinates of a descriptor.  Where the
+math differs, the degree of the coefficient array decides, not the class that
+holds it: a degree-1 map, an operator or a degree-1 polynomial alike, has
+exact column/row-sum norms on spaces isometric to flat l1/linf and a
+duality-map fixed point (the power-method generalization) elsewhere; degree
+k >= 2 runs a sphere ascent.  Every value is a certified lower bound attained
+by the stored witness.
 """
 
 from __future__ import annotations
@@ -78,9 +80,12 @@ def identity(desc: SpaceDescriptor) -> Operator:
     return Operator(np.eye(desc.total_dim, dtype=desc.dtype), desc)
 
 
-def apply(T: Operator, v: np.ndarray) -> np.ndarray:
+def apply(T, v: np.ndarray) -> np.ndarray:
+    """T(v) for an operator or a polynomial: the matrix product at degree 1,
+    the contraction of the symmetric tensor with k copies of v at degree k."""
     v = spaces.check_vector(T.descriptor, v)
-    return T.matrix @ v
+    m = coefficients(T)
+    return m @ v if m.ndim == 2 else _apply_rows(m[None], v[None], None)[0]
 
 
 def adjoint(T: Operator) -> Operator:
@@ -94,24 +99,26 @@ def op_norm(T, budget: int = 16,
     """Certified lower bound of ||T|| with a near-attaining witness, for an
     operator or a homogeneous polynomial ``T`` (||P|| = sup ||P(x)||).
 
-    Operators on flat (or uniformly nested) l1/linf descriptors are exact;
-    other operators run the fixed point x <- J*(T^adj J(Tx)), polynomials of
-    any degree the sphere ascent of ||P(x)||, from ``budget`` starts.  The
-    one-member case of :func:`op_norm_stack`.
+    A degree-1 map, operator or polynomial, is exact on flat (or uniformly
+    nested) l1/linf descriptors and runs the fixed point
+    x <- J*(T^adj J(Tx)) elsewhere; degree k >= 2 runs the sphere ascent of
+    ||P(x)||.  Searches start from ``budget`` starts.  The one-member case
+    of :func:`op_norm_stack`.
     """
     return op_norm_stack([T], budget, [_as_rng(rng)])[0]
 
 
 def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
-    """:func:`op_norm` of every operator, or every polynomial of one degree,
-    of a stack sharing one descriptor, member k drawing its starts from
-    ``rngs[k]``.  The searches of all starts of all members advance together
-    as rows of one array, each row's rounding independent of the others, so
+    """:func:`op_norm` of every operator or polynomial of a stack sharing one
+    descriptor and degree, member k drawing its starts from ``rngs[k]``; the
+    engine follows the degree, so a degree-1 polynomial gets its operator's
+    estimate.  The searches of all starts of all members advance together as
+    rows of one array, each row's rounding independent of the others, so
     every estimate equals its one-member call bit for bit."""
     if not Ts:
         return []
     desc, m = operator_stack(Ts)
-    if isinstance(Ts[0], HomogeneousPolynomial):
+    if m.ndim > 3:                        # degree >= 2
         found = maximize_stack(desc, lambda x, k: desc.plan.norm(_apply_rows(m, x, k)),
                                rngs, budget)
         return [OperatorNormEstimate(val, x, "ascent") for x, val, _ in found]
@@ -147,13 +154,13 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
             for i in best_rows(val, g, len(Ts))]
 
 
-def _exact_norm(T: Operator) -> OperatorNormEstimate:
-    desc = T.descriptor
+def _exact_norm(T) -> OperatorNormEstimate:
+    desc, m = T.descriptor, coefficients(T)
     l1 = desc.uniform_exponent == 1
-    sums = np.abs(T.matrix).sum(axis=0 if l1 else 1)
+    sums = np.abs(m).sum(axis=0 if l1 else 1)
     i = int(np.argmax(sums))
     w = (np.eye(desc.total_dim, dtype=desc.dtype)[i] if l1
-         else np.conj(phase(T.matrix[i])))
+         else np.conj(phase(m[i])))
     return OperatorNormEstimate(float(sums[i]), w, "exact")
 
 
@@ -304,16 +311,6 @@ def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:
             acc += np.swapaxes(t, i, j)
         t = acc / j
     return t
-
-
-def poly_from_operator(T: Operator) -> HomogeneousPolynomial:
-    return HomogeneousPolynomial(1, T.matrix, T.descriptor)
-
-
-def poly_apply(P: HomogeneousPolynomial, v: np.ndarray) -> np.ndarray:
-    """Contract the symmetric tensor with k copies of v."""
-    v = spaces.check_vector(P.descriptor, v)
-    return _apply_rows(P.tensor[None], v[None], None)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Numerical radius, absolute numerical radius and polynomial radius.
 
 Three backends behind one entry point, :func:`numerical_radius`, for an
-operator or a homogeneous polynomial alike:
+operator or a homogeneous polynomial alike; the degree of the map, not its
+class, decides which apply:
 
 * ``ascent``    -- multi-start sphere maximization of |x*(Tx)| over the
                    unit sphere;
 * ``enumerate`` -- exact finite enumeration on flat l1 / linf spaces, for
-                   operators;
+                   every degree-1 map;
 * ``grid``      -- brute-force dense sphere sweep of an operator or
                    polynomial for small dimensions, used as the independent
                    oracle.
@@ -29,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (HomogeneousPolynomial, Operator, _apply_rows, _as_rng,
-                        _exact_norm, op_norm, operator_stack, poly_apply)
+from .operators import (HomogeneousPolynomial, _apply_rows, _as_rng, _exact_norm,
+                        apply, coefficients, op_norm, operator_stack)
 from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
                      conj_sign, eval_pair, phase)
@@ -64,7 +65,7 @@ def _estimate_at(T, x: np.ndarray, method: str, evals: int,
     """Estimate at the unit x: the functional x* of :func:`_functional`
     against Tx, stored with x as the witness pair, and the value re-derived
     from that pair, |x*(Tx)| or, for the absolute radius, sum_i |x*_i| |(Tx)_i|."""
-    image = T.matrix @ x if isinstance(T, Operator) else poly_apply(T, x)
+    image = apply(T, x)
     f = _functional(T.descriptor, x[None], image[None])[0]
     value = np.sum(np.abs(f) * np.abs(image)) if absolute else abs(eval_pair(f, image))
     return RadiusEstimate(float(value), NormingPair.of(T.descriptor, x, f), method, evals)
@@ -118,19 +119,20 @@ def numerical_radius(T, method: str = "auto", budget: int = DEFAULT_RESTARTS,
 def _backend(T, method: str, quantity: str | None = None) -> str:
     """The backend ``method`` names for the numerical radius of ``T`` or, given
     ``quantity``, for that radius of an operator: ``ascent`` and ``grid``
-    always, ``enumerate`` for an operator's numerical radius only, which
-    ``auto`` picks on spaces isometric to flat l1/linf; ``auto`` is the
-    ascent everywhere else."""
-    operator = quantity is None and isinstance(T, Operator)
-    quantity = quantity or ("numerical radius" if operator else "polynomial radius")
-    backends = (("auto", "ascent", "enumerate", "grid") if operator
+    always, ``enumerate`` for the numerical radius of a degree-1 map only,
+    operator or polynomial, which ``auto`` picks on spaces isometric to flat
+    l1/linf, where the ascent can stall (at 0 for the linf shift); ``auto``
+    is the ascent everywhere else."""
+    linear = quantity is None and coefficients(T).ndim == 2
+    quantity = quantity or ("numerical radius" if linear else "polynomial radius")
+    backends = (("auto", "ascent", "enumerate", "grid") if linear
                 else ("auto", "ascent", "grid"))
     if method not in backends:
         raise DegenerateInput(f"the {quantity} has no {method!r} backend; "
                               f"choose {', '.join(backends[:-1])} or {backends[-1]}")
     if method != "auto":
         return method
-    exact = operator and T.descriptor.uniform_exponent in (1.0, math.inf)
+    exact = linear and T.descriptor.uniform_exponent in (1.0, math.inf)
     return "enumerate" if exact else "ascent"
 
 
@@ -155,17 +157,18 @@ def _ascent_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
 # exact enumeration on flat l1 / linf
 # ---------------------------------------------------------------------------
 
-def radius_enumerate(T: Operator) -> RadiusEstimate:
-    """Exact nu(T) on spaces isometric to flat l1 or linf.
+def radius_enumerate(T) -> RadiusEstimate:
+    """Exact nu(T) of a degree-1 map, operator or polynomial, on spaces
+    isometric to flat l1 or linf.
 
     These spaces have numerical index 1, so nu(T) = ||T||: the value and x
     are the exact operator norm and its witness, and the functional is the
     one :func:`_functional` picks at x, which attains it.
     """
     desc = T.descriptor
-    if desc.uniform_exponent not in (1.0, math.inf):
-        raise DegenerateInput("enumeration needs a flat (or uniformly nested) "
-                              "l1/linf descriptor")
+    if coefficients(T).ndim != 2 or desc.uniform_exponent not in (1.0, math.inf):
+        raise DegenerateInput("enumeration needs a degree-1 map on a flat (or "
+                              "uniformly nested) l1/linf descriptor")
     exact = _exact_norm(T)
     est = _estimate_at(T, exact.witness, "enumerate", desc.total_dim)
     return replace(est, value=exact.value)
@@ -228,12 +231,14 @@ def absolute_radius_objective(T):
     return h
 
 
-def absolute_radius(T: Operator, budget: int = DEFAULT_RESTARTS, rng=None,
+def absolute_radius(T, budget: int = DEFAULT_RESTARTS, rng=None,
                     method: str = "ascent", resolution: int = 2000) -> RadiusEstimate:
-    """Absolute numerical radius |nu|(T) on a flat lp^m, 1 <= p < inf."""
+    """Absolute numerical radius |nu|(T) of a degree-1 map on a flat lp^m,
+    1 <= p < inf."""
     desc = T.descriptor
-    if not desc.is_flat or desc.p == math.inf:
-        raise DegenerateInput("absolute radius needs a flat lp^m with finite p")
+    if coefficients(T).ndim != 2 or not desc.is_flat or desc.p == math.inf:
+        raise DegenerateInput("absolute radius needs a degree-1 map on a flat "
+                              "lp^m with finite p")
     if _backend(T, method, "absolute radius") == "grid":
         x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
         return _estimate_at(T, x, "grid", n, absolute=True)

@@ -170,7 +170,7 @@ def sum_index_check(summands, mode: str = "linf", budget: int = 120,
     for i, s in enumerate(summands):
         est = numerical_index_estimate(s, budget=budget, rng=case_rng(seed, i))
         summand_vals.append(est.upper_bound)
-        if len(summands) > 1 and isinstance(est.witness_operator, Operator):
+        if len(summands) > 1:
             # the sum attains inf_i n(X_i) on block operators: seed the sum
             # search with each summand witness composed with its projection
             Q = coordinate_projection(sum_desc, (i,))

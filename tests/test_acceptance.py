@@ -191,9 +191,7 @@ def test_12_rank_one_bound_and_chain():
     chain = []
     chain_ok = True
     for r in (1, 2):
-        extra = [prev.witness_operator] if prev else []
-        est = rank_r_index_estimate(lp(3, 2), r, budget=60, rng=1,
-                                    extra_starts=extra)
+        est = rank_r_index_estimate(lp(3, 2), r, budget=60, rng=1)
         if prev is not None:
             chain_ok = chain_ok and est.upper_bound <= prev.upper_bound + 0.02
         chain.append(round(est.upper_bound, 4))

@@ -232,6 +232,7 @@ BAD_COUNTS = [
     (["radius", "--matrix", "/no/such.json", "--budget", "0"], "--budget must be >= 1"),
     (["verify", "--suite", "sums", "--budget", "0"], "--budget must be >= 1"),
     (["index", "--poly-k", "17"], "exceeds cap 100000"),
+    (["index", "--rank", "0"], "rank 0 out of range 1..2"),
     (["verify", "--suite", "all", "--cases", "0"], "--cases must be >= 1"),
     (["verify", "--suite", "lcc", "--cases", "-1"], "--cases must be >= 1"),
 ]

@@ -18,8 +18,7 @@ from numindex.index import (
 from numindex.operators import (HomogeneousPolynomial, Operator, coefficients,
                                 op_norm, op_norm_stack)
 from numindex.radius import (absolute_radius, absolute_radius_stack,
-                             numerical_radius, poly_norm, poly_radius,
-                             radius_stack)
+                             numerical_radius, poly_norm, radius_stack)
 from numindex.spaces import COMPLEX, DegenerateInput, lp, psum, scalar, tower
 
 
@@ -253,9 +252,45 @@ def test_absolute_index_shape_errors():
 # ---------------------------------------------------------------------------
 
 def test_poly_index_degree_one_agrees():
-    a = poly_index_estimate(lp(3, 2), 1, budget=40, rng=4).upper_bound
-    b = numerical_index_estimate(lp(3, 2), budget=40, rng=4).upper_bound
-    assert abs(a - b) <= 0.02
+    """The order-1 polynomial index is the numerical index, field for field."""
+    for desc in (lp(3, 2), lp(math.inf, 2), lp(math.inf, 3), lp(1.5, 3),
+                 lp(4, 2, COMPLEX)):
+        a = poly_index_estimate(desc, 1, budget=40, rng=4)
+        b = numerical_index_estimate(desc, budget=40, rng=4)
+        _assert_same_estimate(a, b)
+        assert a.bounds == b.bounds
+
+
+#: the index searches of the benchmark, then order-1 polynomial searches on
+#: l1/linf, where an ascent of the radius can stall at 0
+INTERVAL_SEARCHES = [
+    ("plain lp(1.5,3)", numerical_index_estimate, (lp(1.5, 3),)),
+    ("plain l1^3", numerical_index_estimate, (lp(1, 3),)),
+    ("rank one lp(3,2)", rank_r_index_estimate, (lp(3, 2), 1)),
+    ("plain complex l2^2", numerical_index_estimate, (lp(2, 2, COMPLEX),)),
+    ("plain linf^3", numerical_index_estimate, (lp(math.inf, 3),)),
+    ("absolute lp(3,2)", absolute_index_estimate, (lp(3, 2),)),
+    ("plain nested", numerical_index_estimate, (psum(1.5, [lp(3, 2), lp(2, 1)]),)),
+    ("plain l2^2", numerical_index_estimate, (lp(2, 2),)),
+    ("poly two lp(3,2)", poly_index_estimate, (lp(3, 2), 2)),
+    ("plain complex lp(4,2)", numerical_index_estimate, (lp(4, 2, COMPLEX),)),
+    ("rank two lp(1.5,2)", rank_r_index_estimate, (lp(1.5, 2), 2)),
+    ("plain lp(3,2)", numerical_index_estimate, (lp(3, 2),)),
+    ("poly one linf^2", poly_index_estimate, (lp(math.inf, 2), 1)),
+    ("poly one linf^3", poly_index_estimate, (lp(math.inf, 3), 1)),
+    ("poly one l1^3", poly_index_estimate, (lp(1, 3), 1)),
+]
+
+
+@pytest.mark.parametrize("name,search,args", INTERVAL_SEARCHES,
+                         ids=[s[0] for s in INTERVAL_SEARCHES])
+def test_index_search_stays_in_its_interval(name, search, args):
+    """No search reports an upper bound below the lower end of its own known
+    interval, up to the slack 0.02 of the benchmark's check."""
+    for budget in (16, 40):
+        for seed in range(3):
+            est = search(*args, budget=budget, rng=seed)
+            assert est.upper_bound >= est.bounds.lower - 0.02, (budget, seed)
 
 
 def test_poly_index_in_unit_interval():
@@ -266,10 +301,11 @@ def test_poly_index_in_unit_interval():
 def test_poly_index_witness_rescored_exactly():
     # the ratio noise is keyed by the tensor, so the witness re-scores to the
     # reported bound
-    for desc, k in ((lp(3, 2), 2), (lp(1.5, 2), 1)):
+    b = index.RADIUS_BUDGET_IN_SEARCH
+    # order 1 is the numerical search, which scores norms at budget 4
+    for desc, k, norm_budget in ((lp(3, 2), 2, b), (lp(1.5, 2), 1, 4)):
         est = poly_index_estimate(desc, k, budget=24, rng=5)
-        b = index.RADIUS_BUDGET_IN_SEARCH
-        r = index._ratios([est.witness_operator], b, radius_stack, b)[0]
+        r = index._ratios([est.witness_operator], norm_budget, radius_stack, b)[0]
         assert r == (est.upper_bound, est.radius_method)
 
 
@@ -328,7 +364,8 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
         ref = op_norm(T, budget=8, rng=k)
         assert (n.value, n.method) == (ref.value, ref.method)
         np.testing.assert_array_equal(n.witness, ref.witness)
-    # polynomial stacks: stacked norm and radius against one-polynomial calls
+    # polynomial stacks: stacked norm and radius against one-polynomial calls,
+    # through the engines of the degree
     for deg in (1, 2):
         Ps = _random_polynomials(desc, deg, 3)
         ratios = index._ratios(Ps, 4, radius_stack, 6)
@@ -341,8 +378,45 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
             if ref_n < 1e-13:
                 assert r is None
                 continue
-            nu = poly_radius(P, budget=6, rng=erng)
+            nu = numerical_radius(P, budget=6, rng=erng)
             assert r == (nu.value / ref_n, nu.method)
+
+
+@pytest.mark.parametrize("desc", STACK_SPACES, ids=str)
+def test_degree_one_polynomial_is_its_operator(desc):
+    """A degree-1 polynomial runs its operator's engines: every radius
+    backend that applies, the radius and norm stacks and the norm agree bit
+    for bit in value, method and witness."""
+    Ts = _random_operators(desc, 3, seed=2)
+    Ps = [HomogeneousPolynomial(1, T.matrix, desc) for T in Ts]
+    methods = ["auto", "ascent"]
+    if desc.total_dim <= (2 if desc.field == COMPLEX else 3):
+        methods.append("grid")
+    if desc.uniform_exponent in (1.0, math.inf):
+        methods.append("enumerate")
+
+    def same_radius(a, b):
+        assert (a.value, a.method, a.evals) == (b.value, b.method, b.evals)
+        np.testing.assert_array_equal(a.witness.x, b.witness.x)
+        np.testing.assert_array_equal(a.witness.xstar, b.witness.xstar)
+
+    def same_norm(a, b):
+        assert (a.value, a.method) == (b.value, b.method)
+        np.testing.assert_array_equal(a.witness, b.witness)
+
+    for T, P in zip(Ts, Ps):
+        for method in methods:
+            same_radius(numerical_radius(P, method, budget=6, rng=3, resolution=300),
+                        numerical_radius(T, method, budget=6, rng=3, resolution=300))
+        same_norm(op_norm(P, budget=6, rng=3), op_norm(T, budget=6, rng=3))
+
+    def rngs():
+        return [np.random.default_rng(k) for k in range(len(Ts))]
+
+    for a, b in zip(radius_stack(Ps, 6, rngs()), radius_stack(Ts, 6, rngs())):
+        same_radius(a, b)
+    for a, b in zip(op_norm_stack(Ps, 6, rngs()), op_norm_stack(Ts, 6, rngs())):
+        same_norm(a, b)
 
 
 @pytest.mark.parametrize("desc", [lp(3, 2), lp(1.5, 3), lp(4, 2, COMPLEX)], ids=str)
@@ -423,7 +497,6 @@ def _assert_same_estimate(a, b):
                                   coefficients(b.witness_operator))
 
 
-ZERO2 = Operator(np.zeros((2, 2)), lp(3, 2))
 SEARCHES = [
     ("plain lp(3,2)", numerical_index_estimate, (lp(3, 2),), {}),
     ("plain lp(1.5,3) zero start", numerical_index_estimate, (lp(1.5, 3),),
@@ -432,7 +505,7 @@ SEARCHES = [
     ("plain nested", numerical_index_estimate, (psum(1.5, [lp(3, 2), scalar()]),), {}),
     ("plain linf", numerical_index_estimate, (lp(math.inf, 3),), {}),
     ("early exit", numerical_index_estimate, (lp(2, 2),), {}),
-    ("rank one", rank_r_index_estimate, (lp(3, 2), 1), {"extra_starts": [ZERO2]}),
+    ("rank one", rank_r_index_estimate, (lp(3, 2), 1), {}),
     ("rank two", rank_r_index_estimate, (lp(1.5, 2), 2), {}),
     ("rank complex", rank_r_index_estimate, (lp(3, 3, COMPLEX), 2), {}),
     ("poly two", poly_index_estimate, (lp(3, 2), 2), {}),
@@ -506,15 +579,3 @@ def test_speculative_descent_matches_sequential_on_synthetic_ratios():
     assert any(None in b[:-1] for b in batches)
     assert exits > 0
 
-
-def test_rank_search_factors_extra_starts():
-    desc = lp(3, 2)
-    with pytest.raises(DegenerateInput):
-        rank_r_index_estimate(desc, 1, budget=12, rng=0,
-                              extra_starts=[Operator([[0.0, 1.0], [-1.0, 0.0]], desc)])
-    # a plain rank-one operator as the best start is perturbed through its SVD
-    seed_est = rank_r_index_estimate(desc, 1, budget=40, rng=1)
-    start = Operator(seed_est.witness_operator.matrix, desc)
-    est = rank_r_index_estimate(desc, 1, budget=20, rng=5, extra_starts=[start])
-    assert est.upper_bound <= seed_est.upper_bound
-    assert np.linalg.matrix_rank(est.witness_operator.matrix, tol=1e-10) <= 1

@@ -21,8 +21,6 @@ from numindex.operators import (
     op_norm,
     operator_from_json,
     operator_to_json,
-    poly_apply,
-    poly_from_operator,
     rank_one,
     rank_r_sample,
 )
@@ -180,16 +178,19 @@ def test_op_norm_of_polynomial_is_the_ascent(desc, k):
         t = t + 1j * rng.standard_normal(shape)
     P = HomogeneousPolynomial(k, t, desc)
     est = op_norm(P, budget=8, rng=5)
-    assert est.method == "ascent"
-    assert abs(norm(desc, poly_apply(P, est.witness)) - est.value) <= 1e-12
+    assert abs(norm(desc, apply(P, est.witness)) - est.value) <= 1e-12
     value, witness = poly_norm(P, budget=8, rng=5)
     assert est.value == value
     np.testing.assert_array_equal(est.witness, witness)
     if k == 1:
-        # the same matrix as an operator takes the closed form or the fixed point
+        # degree 1 is the operator: the closed form or the fixed point, bit for bit
         exact = desc.uniform_exponent in (1.0, math.inf)
-        method = op_norm(Operator(P.tensor, desc), budget=8, rng=5).method
-        assert method == ("exact" if exact else "fixed-point")
+        ref = op_norm(Operator(P.tensor, desc), budget=8, rng=5)
+        assert (est.value, est.method) == (ref.value, ref.method)
+        assert est.method == ("exact" if exact else "fixed-point")
+        np.testing.assert_array_equal(est.witness, ref.witness)
+    else:
+        assert est.method == "ascent"
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +278,15 @@ def test_op_norm_submultiplicative_exact_backends():
 def test_poly_apply_examples():
     d = lp(2, 2)
     T = Operator([[1.0, 2.0], [3.0, 4.0]], d)
-    P1 = poly_from_operator(T)
+    P1 = HomogeneousPolynomial(1, T.matrix, d)
     v = np.array([0.5, -1.5])
-    np.testing.assert_allclose(poly_apply(P1, v), T.matrix @ v)
+    np.testing.assert_array_equal(apply(P1, v), apply(T, v))
     # P(x) = (x1^2, 0)
     t = np.zeros((2, 2, 2))
     t[0, 0, 0] = 1.0
     P2 = HomogeneousPolynomial(2, t, d)
-    np.testing.assert_allclose(poly_apply(P2, [2.0, 5.0]), [4.0, 0.0])
-    np.testing.assert_allclose(poly_apply(P2, [0.0, 0.0]), [0.0, 0.0])
+    np.testing.assert_allclose(apply(P2, [2.0, 5.0]), [4.0, 0.0])
+    np.testing.assert_allclose(apply(P2, [0.0, 0.0]), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -306,7 +307,7 @@ def test_apply_rows_polynomial_stacks(field):
     Ps = [HomogeneousPolynomial(2, gauss((3, 3, 3)), d) for _ in range(4)]
     rows = _apply_rows(np.stack([P.tensor for P in Ps]), x, g)
     for b in range(len(x)):
-        np.testing.assert_array_equal(rows[b], poly_apply(Ps[g[b]], x[b]))
+        np.testing.assert_array_equal(rows[b], apply(Ps[g[b]], x[b]))
 
 
 def test_apply_rows_tensor_stack_applies_member_by_member():
@@ -336,8 +337,8 @@ def test_poly_homogeneity():
     P = HomogeneousPolynomial(3, rng.standard_normal((2, 2, 2, 2)), d)
     v = rng.standard_normal(2)
     for a in (0.5, -2.0, 3.0):
-        np.testing.assert_allclose(poly_apply(P, a * v),
-                                   a ** 3 * poly_apply(P, v), atol=1e-12)
+        np.testing.assert_allclose(apply(P, a * v),
+                                   a ** 3 * apply(P, v), atol=1e-12)
 
 
 def test_poly_tensor_symmetrized():

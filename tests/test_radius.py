@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from numindex.operators import (HomogeneousPolynomial, Operator, identity,
-                                op_norm, poly_apply, poly_from_operator)
+                                apply, op_norm)
 from numindex.radius import (
     BudgetExceeded,
     RadiusEstimate,
@@ -227,12 +227,12 @@ def test_poly_grid_maximizes_over_the_l1_face():
         2, np.random.default_rng(8).standard_normal((3, 3, 3)), desc)
     est = poly_radius(P, method="grid", resolution=400)
     w = est.witness
-    assert est.value == abs(eval_pair(w.xstar, poly_apply(P, w.x)))
+    assert est.value == abs(eval_pair(w.xstar, apply(P, w.x)))
     assert w.slack <= 1e-12
     best = 0.0
     for x in _grid_points(desc, 400):
         x = x / np.abs(x).sum()
-        y = poly_apply(P, x)
+        y = apply(P, x)
         for s in itertools.product((-1.0, 1.0), repeat=3):
             f = np.where(x != 0, np.sign(x), s)
             best = max(best, abs(f @ y))
@@ -335,6 +335,9 @@ def test_absolute_radius_shape_errors():
         absolute_radius(identity(lp(math.inf, 2)))
     with pytest.raises(DegenerateInput):
         absolute_radius(identity(psum(2, [lp(2, 2), lp(2, 2)])))
+    # the absolute radius is defined for degree-1 maps only
+    with pytest.raises(DegenerateInput, match="degree-1"):
+        absolute_radius(HomogeneousPolynomial(2, np.ones((2, 2, 2)), lp(3, 2)))
 
 
 @pytest.mark.parametrize("T", [identity(lp(2, 2)),
@@ -354,12 +357,14 @@ def test_ascent_or_grid_backends(T):
 
 
 def test_numerical_radius_backends():
-    """``auto`` enumerates an operator radius on l1/linf and runs the ascent
-    elsewhere and for every polynomial; a missing backend is named."""
+    """``auto`` enumerates the radius of a degree-1 map, operator or
+    polynomial, on l1/linf and runs the ascent elsewhere; a missing backend
+    is named."""
     T = Operator(np.array([[1.0, 2.0], [0.0, 1.0]]), lp(1, 2))
     assert numerical_radius(T).method == "enumerate"
     assert numerical_radius(T, method="ascent", budget=4, rng=0).method == "ascent"
-    assert numerical_radius(poly_from_operator(T), budget=4, rng=0).method == "ascent"
+    P = HomogeneousPolynomial(1, T.matrix, T.descriptor)
+    assert numerical_radius(P, budget=4, rng=0).method == "enumerate"
     with pytest.raises(DegenerateInput, match="numerical radius has no 'bogus' "
                                               "backend; choose auto, ascent, enumerate or grid"):
         numerical_radius(T, method="bogus")
@@ -387,9 +392,11 @@ def test_poly_radius_degree_one_reduction():
     d = lp(3, 2)
     for _ in range(10):
         T = _rand_op(d, rng)
-        a = numerical_radius(T, method="ascent", budget=16, rng=0).value
-        b = poly_radius(poly_from_operator(T), budget=16, rng=0).value
-        assert a == pytest.approx(b, abs=1e-9)
+        a = numerical_radius(T, method="ascent", budget=16, rng=0)
+        b = poly_radius(HomogeneousPolynomial(1, T.matrix, d), budget=16, rng=0)
+        assert (a.value, a.method, a.evals) == (b.value, b.method, b.evals)
+        np.testing.assert_array_equal(a.witness.x, b.witness.x)
+        np.testing.assert_array_equal(a.witness.xstar, b.witness.xstar)
 
 
 def test_poly_radius_square_example():
