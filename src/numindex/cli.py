@@ -29,7 +29,7 @@ from .index import (absolute_index_estimate, mp_constant, mp_curve,
                     numerical_index_estimate, poly_index_estimate,
                     rank_r_index_estimate)
 from .operators import operator_from_json, poly_from_json
-from .radius import BudgetExceeded, absolute_radius, numerical_radius
+from .radius import absolute_radius, numerical_radius
 from .spaces import SpaceError, lp, parse_descriptor, scalar, tower
 from .suites import (SuiteReport, bounds_check, duality_check, gcc_check,
                      lcc_check, monotone_sweep, sum_index_check)
@@ -375,7 +375,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (InputError, SpaceError, BudgetExceeded) as exc:
+    except (InputError, SpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -56,19 +56,19 @@ def mp_curve(p: float, t):
     return abs(t ** (p - 1.0) - t) / (1.0 + t ** p)
 
 
-def mp_constant(p: float, grid_points: int = 100_000) -> MpResult:
+def mp_constant(p: float) -> MpResult:
     """M_p = sup over t in [0,1] of |t^{p-1} - t| / (1 + t^p).
 
-    Dense scan plus bounded local refinement; deterministic.  M_2 = 0 and
-    M_1 = 1 (attained at t = 0).
+    Dense scan of 100,000 steps plus bounded local refinement;
+    deterministic.  M_2 = 0 and M_1 = 1 (attained at t = 0).
     """
     if not (1.0 <= p < math.inf):
         raise DegenerateInput("mp_constant needs finite p >= 1")
-    ts = np.linspace(0.0, 1.0, grid_points + 1)
+    ts = np.linspace(0.0, 1.0, 100_001)
     vals = mp_curve(p, ts)
     k = int(np.argmax(vals))
     lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, grid_points)]
+    hi = ts[min(k + 1, len(ts) - 1)]
     res = minimize_scalar(lambda t: -mp_curve(p, t), bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-14})
     t_best, v_best = float(res.x), float(-res.fun)
@@ -131,18 +131,19 @@ def _eval_rng(T):
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def _ratios(Ts, norm_budget: int, radii, radius_budget: int) -> list:
+def _ratios(Ts, norm_budget: int, radii) -> list:
     """(nu(T) / ||T||, radius method) of every operator or polynomial of a
     stack sharing one descriptor, or None where ||T|| vanishes.  Member k's
     norm (:func:`~numindex.operators.op_norm_stack`) and then its radius
     draw from its own ``_eval_rng``; ``radii(Ts, budget, rngs)`` is the
-    stacked radius estimator."""
+    stacked radius estimator, run at ``RADIUS_BUDGET_IN_SEARCH``."""
     erngs = [_eval_rng(T) for T in Ts]
     values = [n.value for n in op_norm_stack(Ts, norm_budget, erngs)]
     live = [k for k, n in enumerate(values) if n >= 1e-13]
     out = [None] * len(Ts)
     if live:
-        nus = radii([Ts[k] for k in live], radius_budget, [erngs[k] for k in live])
+        nus = radii([Ts[k] for k in live], RADIUS_BUDGET_IN_SEARCH,
+                    [erngs[k] for k in live])
         for k, nu in zip(live, nus):
             out[k] = (nu.value / values[k], nu.method)
     return out
@@ -242,6 +243,8 @@ def _minimize_ratio(candidates, draw, perturb, ratios, budget: int, rng):
 def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
                              rng=None, extra_starts=()) -> IndexEstimate:
     """Best-found upper bound of n(X) with its witness operator."""
+    if budget < 1:
+        raise DegenerateInput("budget must be >= 1")
     rng = _as_rng(rng)
     bounds = theoretical_bounds(desc)
     if desc.total_dim == 1:
@@ -249,7 +252,7 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     candidates = list(extra_starts) + _start_portfolio(desc, rng)
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, 4, radius_stack, RADIUS_BUDGET_IN_SEARCH),
+        lambda Ts: _ratios(Ts, 4, radius_stack),
         budget, rng)
     return IndexEstimate(float(best[0]), best[1], evals, best[2], bounds)
 
@@ -274,7 +277,7 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
     best, evals = _minimize_ratio(
         candidates, lambda _rng: np.array([_gaussian(desc, _rng, (2, d)) for _ in range(r)]),
         lambda TF, scale, noise: factored(TF[1] + scale * noise),
-        lambda TFs: _ratios([T for T, _ in TFs], 4, radius_stack, RADIUS_BUDGET_IN_SEARCH),
+        lambda TFs: _ratios([T for T, _ in TFs], 4, radius_stack),
         budget, rng)
     # n_r(X) >= n(X), and n_1(X) >= 1/e on every space
     n = theoretical_bounds(desc)
@@ -298,7 +301,7 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     q = p / (p - 1.0)
     best, evals = _minimize_ratio(
         _start_portfolio(desc, rng), partial(_gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, 8, absolute_radius_stack, RADIUS_BUDGET_IN_SEARCH),
+        lambda Ts: _ratios(Ts, 8, absolute_radius_stack),
         budget, rng)
     n = theoretical_bounds(desc)
     shift = 1.0 / (p ** (1.0 / p) * q ** (1.0 / q))
@@ -323,8 +326,7 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     best, evals = _minimize_ratio(
         candidates, partial(_gaussian, desc, shape=shape),
         lambda P, scale, noise: HomogeneousPolynomial(k, P.tensor + scale * noise, desc),
-        lambda Ps: _ratios(Ps, RADIUS_BUDGET_IN_SEARCH, radius_stack,
-                           RADIUS_BUDGET_IN_SEARCH),
+        lambda Ps: _ratios(Ps, RADIUS_BUDGET_IN_SEARCH, radius_stack),
         budget, rng)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],
                          BoundsInterval(0.0, 1.0, "polynomial-range", "index-range"))

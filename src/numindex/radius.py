@@ -8,9 +8,9 @@ class, decides which apply:
                    unit sphere;
 * ``enumerate`` -- exact finite enumeration on flat l1 / linf spaces, for
                    every degree-1 map;
-* ``grid``      -- brute-force dense sphere sweep of an operator or
-                   polynomial for small dimensions, used as the independent
-                   oracle.
+* ``grid``      -- dense sweep of a nested mesh of at most two angles
+                   (real dimension <= 3, complex <= 2), the independent
+                   oracle; its value never falls when the resolution doubles.
 
 At every unit x one rule, :func:`_functional`, picks the norming functional
 x*: on spaces isometric to flat l1 / linf, where a corner of the ball has a
@@ -34,16 +34,13 @@ from .operators import (HomogeneousPolynomial, _apply_rows, _as_rng, _exact_norm
                         apply, coefficients, op_norm, operator_stack)
 from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
-                     conj_sign, eval_pair, phase)
+                     SpaceError, conj_sign, eval_pair, phase)
 
 #: default restart budget for the ascent backend
 DEFAULT_RESTARTS = 64
 
-GRID_DIM_CAP_REAL = 3
-GRID_DIM_CAP_COMPLEX = 2
 
-
-class BudgetExceeded(ValueError):
+class BudgetExceeded(SpaceError):
     """Grid oracle requested beyond its dimension cap."""
 
 
@@ -182,27 +179,15 @@ def radius_grid_oracle(T, resolution: int = 2000) -> RadiusEstimate:
     """Deterministic dense sphere sweep of an operator or polynomial;
     independent lower-bound oracle.
 
-    Real descriptors up to dimension 3, complex up to dimension 2.  On
-    real 2-dim spaces the value never decreases when the resolution doubles
-    (those angle grids are nested; the others are not).  On spaces
-    isometric to flat l1 / linf every grid point scores the best functional
-    of its dual face, as :func:`radius_objective` does everywhere.
+    Real descriptors up to dimension 3, complex up to dimension 2 (the grid
+    of :func:`_grid_points` is a mesh of at most two angles).  The grid at
+    resolution 2r holds every point of the grid at r, so the value never
+    decreases when the resolution doubles.  On spaces isometric to flat
+    l1 / linf every grid point scores the best functional of its dual face,
+    as :func:`radius_objective` does everywhere.
     """
     x, n = _grid_sweep(T.descriptor, resolution, radius_objective(T))
     return _estimate_at(T, x, "grid", n)
-
-
-def _complex_grid(resolution: int) -> np.ndarray:
-    # an even angle count puts t = pi/4, the corners |x1| = |x2| of the
-    # linf ball, on the grid
-    n = max(int(math.isqrt(resolution)), 8)
-    n += n % 2
-    t = np.linspace(0.0, np.pi / 2, n + 1)
-    ph = np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False)
-    TT, PP = np.meshgrid(t, ph, indexing="ij")
-    # global phase fixed: first coordinate real nonnegative
-    return np.column_stack([np.cos(TT).ravel().astype(complex),
-                            (np.sin(TT) * np.exp(1j * PP)).ravel()])
 
 
 def _grid_sweep(desc: SpaceDescriptor, resolution: int, objective):
@@ -275,32 +260,36 @@ def poly_norm(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
 
 
 def _grid_points(desc: SpaceDescriptor, resolution: int) -> np.ndarray:
-    """Direction grid of the grid oracle.  Real grids always include the
-    +-1/0 kink directions so the sweep is sharp at the extreme points of
-    l1/linf balls; complex grids fix the global phase."""
+    """Direction grid of the grid oracle: a mesh of at most two angles, one
+    per real and two per complex coordinate after the first.  The real
+    circle takes ``resolution`` angles; the two-angle meshes take n + 1
+    polar angles on [0, pi] (real 2-sphere) or [0, pi/2] (complex pair,
+    global phase fixed so the first coordinate is real and >= 0) and 2n
+    azimuth angles, n the least power of two above isqrt(resolution) and at
+    least 16.  Doubling the resolution keeps or doubles every angle count
+    and the power-of-two steps are exact, so the grid at 2r holds every row
+    of the grid at r bit for bit.  Real grids always include the +-1/0 kink
+    directions so the sweep is sharp at the extreme points of l1/linf balls;
+    an even n puts the corners |x1| = |x2| of the complex linf ball on it."""
     if resolution < 1:
         raise DegenerateInput(f"grid resolution must be >= 1, got {resolution}")
-    d = desc.total_dim
-    cap = GRID_DIM_CAP_COMPLEX if desc.field == COMPLEX else GRID_DIM_CAP_REAL
-    if d > cap:
+    d, angles = desc.total_dim, (2 if desc.field == COMPLEX else 1)
+    if (d - 1) * angles > 2:
         raise BudgetExceeded(
-            f"grid oracle capped at dimension {cap} for {desc.field} spaces")
-    if desc.field == COMPLEX:
-        return _complex_grid(resolution) if d == 2 else np.ones((1, 1), dtype=complex)
-    corners = np.array([c for c in itertools.product((-1.0, 0.0, 1.0), repeat=d)
-                        if any(c)])
+            f"grid oracle capped at dimension {1 + 2 // angles} for {desc.field} spaces")
     if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
+        return np.ones((1, 1), dtype=complex) if angles == 2 else np.array([[1.0], [-1.0]])
+    if angles == 1 and d == 2:
         th = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
         xs = np.column_stack([np.cos(th), np.sin(th)])
     else:
-        n = max(int(math.isqrt(resolution)) + 1, 16)
-        th = np.linspace(0.0, np.pi, n + 1)
-        ph = np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        xs = np.column_stack([(np.sin(TH) * np.cos(PH)).ravel(),
-                              (np.sin(TH) * np.sin(PH)).ravel(),
-                              np.cos(TH).ravel()])
-        xs = xs[np.abs(xs).sum(axis=1) > 1e-12]
+        n = max(16, 1 << math.isqrt(resolution).bit_length())
+        th, ph = (a.ravel() for a in np.meshgrid(
+            np.linspace(0.0, np.pi / angles, n + 1),
+            np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False), indexing="ij"))
+        if angles == 2:
+            return np.column_stack([np.cos(th).astype(complex), np.sin(th) * np.exp(1j * ph)])
+        xs = np.column_stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+    corners = np.array([c for c in itertools.product((-1.0, 0.0, 1.0), repeat=d)
+                        if any(c)])
     return np.vstack([xs, corners])

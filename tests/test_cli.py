@@ -58,12 +58,13 @@ def test_radius_antisymmetric_real(rot90, capsys):
 
 
 def test_radius_grid_dimension_cap(tmp_path, capsys):
-    path = tmp_path / "id4.json"
-    path.write_text(operator_to_json(Operator(np.eye(4), lp(2, 4))))
-    code = main(["radius", "--space", "lp(p=2,dim=4)", "--matrix", str(path),
-                 "--method", "grid", "--resolution", "2000"])
-    assert code == EXIT_INPUT
-    assert "capped at dimension" in capsys.readouterr().err
+    for space, field, d in (("lp(p=2,dim=4)", "real", 4), ("lp(p=2,dim=3)", "complex", 3)):
+        path = tmp_path / f"id{d}.json"
+        path.write_text(operator_to_json(Operator(np.eye(d), lp(2, d, field))))
+        code = main(["radius", "--space", space, "--field", field, "--matrix", str(path),
+                     "--method", "grid", "--resolution", "2000"])
+        assert code == EXIT_INPUT
+        assert "capped at dimension" in capsys.readouterr().err
 
 
 def test_radius_missing_matrix_file(capsys):

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and the package
+reads every private name its modules define."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,30 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def unused_private_names(sources: dict) -> list[str]:
+    """``module:name`` of every private (``_``-prefixed) function, class or
+    assignment at module level of ``sources`` (module name -> source) that
+    no module of ``sources`` reads, by name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names if name.startswith("_")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [f"{module}:{name}" for module, name in defined if name not in read]
+
+
 def test_unused_imports_are_found():
     assert unused_imports("import math\nfrom numpy import pi, e\nprint(e)\n") == \
         ["math", "pi"]
@@ -31,3 +56,15 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unused_private_names_are_found():
+    sources = {"a": "_A = 1\n_B: int = 2\n_C, d = 3, 4\ndef _f():\n    return _A\n"
+                    "class _K:\n    pass\n",
+               "b": "import a\nfrom a import _B\na._f()\n"}
+    assert unused_private_names(sources) == ["a:_B", "a:_C", "a:_K"]
+
+
+def test_package_reads_every_private_name():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []

@@ -47,7 +47,7 @@ def test_mp_positive_off_two(p):
 
 def test_mp_zero_iff_p_two_on_grid():
     for p in np.arange(1.0, 6.0 + 1e-9, 0.1):
-        v = mp_constant(float(p), grid_points=10_000).value
+        v = mp_constant(float(p)).value
         if abs(p - 2.0) < 1e-12:
             assert v <= 1e-12
         else:
@@ -56,7 +56,7 @@ def test_mp_zero_iff_p_two_on_grid():
 
 def test_mp_continuity_in_p():
     ps = np.arange(1.0, 6.0 + 1e-9, 0.1)
-    vals = [mp_constant(float(p), grid_points=10_000).value for p in ps]
+    vals = [mp_constant(float(p)).value for p in ps]
     diffs = np.abs(np.diff(vals))
     # steepest near the p = 1 kink (M_1 = 1 attained at t = 0), gentle beyond
     assert diffs.max() < 0.35
@@ -305,7 +305,7 @@ def test_poly_index_witness_rescored_exactly():
     # order 1 is the numerical search, which scores norms at budget 4
     for desc, k, norm_budget in ((lp(3, 2), 2, b), (lp(1.5, 2), 1, 4)):
         est = poly_index_estimate(desc, k, budget=24, rng=5)
-        r = index._ratios([est.witness_operator], norm_budget, radius_stack, b)[0]
+        r = index._ratios([est.witness_operator], norm_budget, radius_stack)[0]
         assert r == (est.upper_bound, est.radius_method)
 
 
@@ -319,9 +319,13 @@ def test_poly_index_checks_degree_before_drawing():
 
 
 def test_search_rejects_budget_below_one():
+    # the scalar lines too, whose index 1 needs no search
     for budget in (0, -1):
-        with pytest.raises(DegenerateInput, match="budget must be >= 1"):
-            numerical_index_estimate(lp(3, 2), budget=budget, rng=0)
+        for desc in (lp(3, 2), lp(2, 1), lp(2, 1, "complex")):
+            with pytest.raises(DegenerateInput, match="budget must be >= 1"):
+                numerical_index_estimate(desc, budget=budget, rng=0)
+            with pytest.raises(DegenerateInput, match="budget must be >= 1"):
+                poly_index_estimate(desc, 1, budget=budget, rng=0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +355,13 @@ def _random_polynomials(desc, k, n, seed=0):
 @pytest.mark.parametrize("desc", STACK_SPACES, ids=str)
 def test_stacked_ratio_matches_one_operator_calls(desc):
     Ts = _random_operators(desc, 5)
-    for T, r in zip(Ts, index._ratios(Ts, 4, radius_stack, 6)):
+    for T, r in zip(Ts, index._ratios(Ts, 4, radius_stack)):
         erng = index._eval_rng(T)
         n = op_norm(T, budget=4, rng=erng)
         if n.value < 1e-13:
             assert r is None
             continue
-        nu = numerical_radius(T, budget=6, rng=erng)
+        nu = numerical_radius(T, budget=index.RADIUS_BUDGET_IN_SEARCH, rng=erng)
         assert r == (nu.value / n.value, nu.method)
     rngs = [np.random.default_rng(k) for k in range(len(Ts))]
     for k, (T, n) in enumerate(zip(Ts, op_norm_stack(Ts, 8, rngs))):
@@ -368,7 +372,7 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
     # through the engines of the degree
     for deg in (1, 2):
         Ps = _random_polynomials(desc, deg, 3)
-        ratios = index._ratios(Ps, 4, radius_stack, 6)
+        ratios = index._ratios(Ps, 4, radius_stack)
         norms = op_norm_stack(Ps, 4, [index._eval_rng(P) for P in Ps])
         for P, r, n in zip(Ps, ratios, norms):
             erng = index._eval_rng(P)
@@ -378,7 +382,7 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
             if ref_n < 1e-13:
                 assert r is None
                 continue
-            nu = numerical_radius(P, budget=6, rng=erng)
+            nu = numerical_radius(P, budget=index.RADIUS_BUDGET_IN_SEARCH, rng=erng)
             assert r == (nu.value / ref_n, nu.method)
 
 

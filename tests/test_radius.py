@@ -160,12 +160,21 @@ def test_ascent_budget_monotone():
 # grid oracle
 # ---------------------------------------------------------------------------
 
-def test_grid_oracle_identity_and_refinement():
-    T = _rand_op(lp(3, 2), np.random.default_rng(5))
-    lo = radius_grid_oracle(T, 500).value
-    hi = radius_grid_oracle(T, 1000).value
-    assert lo <= hi + 1e-15
-    assert radius_grid_oracle(identity(lp(2, 2)), 100).value == pytest.approx(1.0, abs=1e-9)
+@pytest.mark.parametrize("desc", [lp(3, 2), lp(1.5, 3), lp(3, 2, "complex"),
+                                  lp(math.inf, 2, "complex")],
+                         ids=["real-lp3-2", "real-lp1.5-3", "complex-lp3-2", "complex-lpinf-2"])
+def test_grid_oracle_identity_and_refinement(desc):
+    # the grid at 2r holds every row of the grid at r, bit for bit ...
+    for r in (100, 300, 1000, 2000):
+        finer = {row.tobytes() for row in _grid_points(desc, 2 * r)}
+        assert all(row.tobytes() in finer for row in _grid_points(desc, r)), r
+    # ... so the grid value never falls when the resolution doubles
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        T = _rand_op(desc, rng)
+        values = [radius_grid_oracle(T, r).value for r in (500, 1000, 2000, 4000)]
+        assert values == sorted(values)
+    assert radius_grid_oracle(identity(desc), 100).value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grid_oracle_dimension_cap():
