@@ -131,25 +131,26 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     g = np.repeat(np.arange(len(Ts)), len(x) // len(Ts))
     mt = m.transpose(0, 2, 1)
     val = plan.norm(_apply_rows(m, x, g))
-    active = np.ones(len(x), dtype=bool)
-    # every start runs its own fixed point; the rows advance together
+    # every start runs its own fixed point; the running rows sit in compact arrays
+    a, xa, ga, va = np.arange(len(x)), x, g, val
     for _ in range(OP_NORM_MAX_ITERS):
-        a = np.flatnonzero(active)
         if a.size == 0:
             break
-        f, _ = plan.norming(_apply_rows(m, x[a], g[a]))
+        f, _ = plan.norming(_apply_rows(m, xa, ga))
         # bilinear adjoint of the pairing; J is 0-homogeneous, so no rescaling
-        x_new, ng = dplan.norming(_apply_rows(mt, f, g[a]))
-        stuck = ng == 0.0                 # Tx = 0, or T^adj J(Tx) = 0
-        active[a[stuck]] = False
-        a, x_new = a[~stuck], x_new[~stuck]
-        new_val = plan.norm(_apply_rows(m, x_new, g[a]))
-        rise = new_val - val[a]
+        x_new, ng = dplan.norming(_apply_rows(mt, f, ga))
+        new_val = plan.norm(_apply_rows(m, x_new, ga))
+        rise = new_val - va
+        live = ng != 0.0                  # else Tx = 0, or T^adj J(Tx) = 0
         # a row steps unless the value fell (a nonsmooth kink: keep the best
         # seen) and stops once it rises by less than the tolerance
-        step = rise >= 0
-        x[a[step]], val[a[step]] = x_new[step], new_val[step]
-        active[a[rise < OP_NORM_VALUE_TOL]] = False
+        step = live & (rise >= 0)
+        xa, va = np.where(step[:, None], x_new, xa), np.where(step, new_val, va)
+        stop = ~live | (rise < OP_NORM_VALUE_TOL)
+        going = ~stop
+        x[a[stop]], val[a[stop]] = xa[stop], va[stop]
+        a, xa, ga, va = a[going], xa[going], ga[going], va[going]
+    x[a], val[a] = xa, va
     return [OperatorNormEstimate(float(val[i]), x[i], "fixed-point")
             for i in best_rows(val, g, len(Ts))]
 

@@ -6,10 +6,11 @@ Gradients are central finite differences of the normalized objective,
 followed by a backtracking line search and renormalization; each batch of
 the line search scores several halvings of every searching row's step at
 once.  The restarts advance in lockstep as rows of one array, each with its
-own step size and stall count.  Several problems on one descriptor (a
-stack) share the array: every row carries its problem index, and each
-problem keeps its own starts and its own deterministic reduction (best
-value, earliest restart wins ties).
+own step size and stall count; the rows still ascending sit in compact
+arrays, so an iteration costs what its live rows cost.  Several problems
+on one descriptor (a stack) share the array: every row carries its
+problem index, and each problem keeps its own starts and its own
+deterministic reduction (best value, earliest restart wins ties).
 """
 
 from __future__ import annotations
@@ -69,13 +70,18 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs,
     group = np.repeat(np.arange(len(rngs)), len(starts) // len(rngs))
     evaluated = []       # rows of every evaluation, counted per problem at the end
 
+    def scored(x: np.ndarray, n: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        evaluated.append(rows)
+        return objective(x / n[:, None], group[rows])
+
     def normed_obj(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         x = _from_params(y, cplx)
         n = plan.norm(x)
+        if n.all():
+            return scored(x, n, rows)
+        ok = n != 0.0                     # zero rows score 0, unevaluated
         out = np.zeros(len(y))
-        ok = n != 0.0
-        evaluated.append(rows[ok])
-        out[ok] = objective(x[ok] / n[ok, None], group[evaluated[-1]])
+        out[ok] = scored(x[ok], n[ok], rows[ok])
         return out
 
     ys, vals = _ascend(normed_obj, _to_params(starts / plan.norm(starts)[:, None], cplx))
@@ -99,55 +105,54 @@ def best_rows(vals: np.ndarray, group: np.ndarray, n: int) -> list[int]:
 
 def _ascend(obj, y: np.ndarray):
     """Gradient ascent of every row of ``y``; returns (y, values).  ``obj``
-    takes a batch and the row of ``y`` each batch row belongs to.  Each
-    iteration takes the central differences of all active rows in one
-    batch.  The backtracking line search then speculates: each sub-step
+    takes a batch and the row of ``y`` each batch row belongs to.  The rows
+    still ascending keep their point, value, step size and stall count in
+    compact arrays, written back to ``y`` when a row stops.  Each iteration
+    takes their central differences in one batch, from one (2d, d) table of
+    offsets.  The backtracking line search then speculates: each sub-step
     scores the next ``LINE_SEARCH_WIDTH`` halvings s, s/2, ... of every row
-    still searching in one batch, and a row accepts the first (largest)
-    size that improves it.  Halving is exact and a row's value does not
-    depend on the rows beside it, so every row ends where a search of one
-    halving per batch would end it."""
+    still searching in one batch, and a row accepts the first (largest) size
+    that improves it.  Halving is exact and a row's value does not depend on
+    the rows beside it, so every row ends where a search of one halving per
+    batch would end it."""
     r, d = y.shape
     val = obj(y, np.arange(r))
-    step = np.full(r, 0.25)
-    stall = np.zeros(r, dtype=int)
-    active = np.ones(r, dtype=bool)
-    e = FD_STEP * np.eye(d)
+    a, ya, va = np.arange(r), y.copy(), val.copy()
+    step, stall = np.full(r, 0.25), np.zeros(r, dtype=int)
+    offsets = FD_STEP * np.concatenate([np.eye(d), -np.eye(d)])
     halvings = 0.5 ** np.arange(LINE_SEARCH_WIDTH)
     for _ in range(MAX_ITERS):
-        a = np.flatnonzero(active)
         if a.size == 0:
             break
-        ya = y[a][:, None, :]
-        fd = obj(np.concatenate([ya + e, ya - e], axis=1).reshape(-1, d),
-                 np.repeat(a, 2 * d))
+        fd = obj((ya[:, None, :] + offsets).reshape(-1, d), a.repeat(2 * d))
         fd = fd.reshape(a.size, 2, d)
         grad = (fd[:, 0] - fd[:, 1]) / (2 * FD_STEP)
-        gn = np.linalg.norm(grad, axis=1)
-        moving = gn >= 1e-12              # a vanishing gradient ends the row
-        direction = grad / np.where(moving, gn, 1.0)[:, None]
-        searching = moving.copy()
-        prev, s = val[a], step[a]
-        while True:
-            k = np.flatnonzero(searching & (s > 1e-14))
-            if k.size == 0:
-                break
-            sizes = s[k, None] * halvings             # (K, W), largest first
+        gn = np.sqrt((grad * grad).sum(axis=1))
+        k = (gn >= 1e-12).nonzero()[0]       # a vanishing gradient ends the row
+        direction = grad[k] / gn[k, None]
+        prev, s = va.copy(), step[k]
+        improved = np.zeros(a.size, dtype=bool)
+        while k.size:
+            sizes = s[:, None] * halvings             # (K, W), largest first
             tried = sizes > 1e-14
-            cand = y[a[k], None, :] + sizes[..., None] * direction[k, None, :]
+            cand = ya[k, None, :] + sizes[..., None] * direction[:, None, :]
             cval = np.full(sizes.shape, -np.inf)
-            cval[tried] = obj(cand[tried], np.repeat(a[k], tried.sum(axis=1)))
-            up = cval > val[a[k], None] + 1e-15
+            cval[tried] = obj(cand[tried], a[k].repeat(tried.sum(axis=1)))
+            up = cval > va[k, None] + 1e-15
             hit = up.any(axis=1)
             j = up.argmax(axis=1)[hit]                # first improving size
-            ku, rows = k[hit], a[k[hit]]
-            y[rows], val[rows] = cand[hit, j], cval[hit, j]
-            step[rows] = np.minimum(sizes[hit, j] * 2.0, 1.0)
-            searching[ku] = False
-            s[k[~hit]] *= 0.5 ** LINE_SEARCH_WIDTH
-        improved = moving & ~searching    # rows still searching found no step
-        active[a[~improved]] = False
-        a, prev = a[improved], prev[improved]
-        stall[a] = np.where(val[a] - prev < VALUE_TOL, stall[a] + 1, 0)
-        active[a[stall[a] >= STALL_ITERS]] = False
+            kh = k[hit]
+            ya[kh], va[kh] = cand[hit, j], cval[hit, j]
+            step[kh] = np.minimum(sizes[hit, j] * 2.0, 1.0)
+            improved[kh] = True
+            s = s * 0.5 ** LINE_SEARCH_WIDTH
+            miss = ~hit & (s > 1e-14)
+            k, s, direction = k[miss], s[miss], direction[miss]
+        # a row that found no step stops, and so does one that stalled
+        stall = np.where(va - prev < VALUE_TOL, stall + 1, 0)
+        going = improved & (stall < STALL_ITERS)
+        stop = ~going
+        y[a[stop]], val[a[stop]] = ya[stop], va[stop]
+        a, ya, va, step, stall = a[going], ya[going], va[going], step[going], stall[going]
+    y[a], val[a] = ya, va
     return y, val

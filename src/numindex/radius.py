@@ -81,7 +81,7 @@ def _functional(desc: SpaceDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarr
     a = np.abs(x)
     f = conj_sign(x, a)
     if p == 1:
-        s = phase(np.sum(f * y, axis=1, keepdims=True))
+        s = phase((f * y).sum(axis=1, keepdims=True))
         return np.where(a > 0, f, np.conj(phase(y)) * s)
     top = a >= a.max(axis=1, keepdims=True) - 1e-15
     i = np.argmax(np.where(top, np.abs(y), -1.0), axis=1)
@@ -96,7 +96,7 @@ def radius_objective(T):
 
     def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         y = _apply_rows(m, x, k)
-        return np.abs(np.sum(_functional(desc, x, y) * y, axis=1))
+        return np.abs((_functional(desc, x, y) * y).sum(axis=1))
 
     return g
 

@@ -246,7 +246,9 @@ class NormPlan:
     the block norms below it (``np.add.reduceat`` of |.|^p, a max-reduce at
     p = inf) into the nodes of height h; a block whose parent sits higher
     passes through as a one-column segment with exponent 1, which is exact.
-    The norming functional runs back down, multiplying block weights."""
+    The norming functional runs back down, multiplying block weights; its
+    divisions by a norm put inf in the denominator where that norm is 0, so
+    zero rows and zero blocks get exact zeros and no warning."""
 
     __slots__ = ("stages",)
 
@@ -273,10 +275,11 @@ class NormPlan:
         conj(x_i)/|x_i|, so the pairing with x comes out real."""
         a = np.abs(x)
         levels = self._levels(a)
-        w = np.ones((len(x), 1))
+        f, w = conj_sign(x, a), None
         for st, below, above in zip(self.stages[::-1], levels[-2::-1], levels[:0:-1]):
-            w = w[:, st.parent] * st.weights(below, above)
-        return w * conj_sign(x, a), levels[-1][:, 0]
+            sw = st.weights(below, above)
+            w = sw if w is None else w[:, st.parent] * sw      # no product at the root
+        return f if w is None else w * f, levels[-1][:, 0]
 
 
 class _Stage:
@@ -304,7 +307,7 @@ class _Stage:
     def weights(self, below: np.ndarray, above: np.ndarray) -> np.ndarray:
         """Weight of every block of ``below`` inside its segment of ``above``."""
         total = above[:, self.parent]
-        ratio = np.divide(below, total, out=np.zeros_like(below), where=total > 0)
+        ratio = below / np.where(total > 0, total, np.inf)     # 0 in a zero segment
         w = ratio ** (self.p - 1.0)
         if self.inf_seg is not None:
             hit = below == total
@@ -357,7 +360,7 @@ def conj_sign(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Elementwise conj(x)/|x|, and 0 where x = 0, given a = |x|: the norming
     functional of every nonzero scalar coordinate.  Unlike :func:`phase` it
     vanishes at zero, so J is 0 at the zero coordinates of p = 1 blocks."""
-    return np.divide(np.conj(x), a, out=np.zeros_like(x), where=a > 0)
+    return np.conj(x) / np.where(a > 0, a, np.inf)
 
 
 def norming_functional(desc: SpaceDescriptor, x: np.ndarray) -> np.ndarray:

@@ -195,11 +195,51 @@ def test_plan_l1_weights_only_nonzero_blocks():
     np.testing.assert_array_equal(f[0], [0.0, 0.0, -1.0, 1.0, 0.0])
 
 
+#: trees with zero blocks under p = 1, p = inf and smooth nodes: the root's
+#: children, and the children of its first child
+ZERO_BLOCK_TREES = [psum(1.5, [psum(1, [lp(2, 2, f), lp(3, 1, f)], f),
+                               psum(math.inf, [lp(1, 2, f), lp(2, 2, f)], f)], f)
+                    for f in (REAL, COMPLEX)] + [
+    psum(math.inf, [psum(3, [lp(1, 2), lp(math.inf, 1)]), lp(1, 2)]),
+    lp(2, 1, COMPLEX)]
+
+
+@pytest.mark.parametrize("desc", ZERO_BLOCK_TREES, ids=str)
+def test_plan_zero_rows_and_blocks_are_exact(desc):
+    """An all-zero row has norm 0 and J = 0; a zero block has J = 0 on it
+    while its row keeps the reference norm and functional; no division
+    warns."""
+    spans = list(desc.child_spans)
+    if not desc.is_leaf:
+        o0 = spans[0][0]
+        spans += [(o0 + o, d) for o, d in desc.children[0].child_spans]
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((len(spans) + 2, desc.total_dim))
+    if desc.field == COMPLEX:
+        x = x + 1j * rng.standard_normal(x.shape)
+    x[0] = 0.0
+    for row, (o, d) in enumerate(spans, start=1):
+        x[row, o:o + d] = 0.0
+    x = x.astype(desc.dtype)
+    with np.errstate(all="raise"):
+        n = desc.plan.norm(x)
+        f, n2 = desc.plan.norming(x)
+    assert n[0] == 0.0 and n2[0] == 0.0 and np.all(f[0] == 0.0)
+    for row, (o, d) in enumerate(spans, start=1):
+        assert np.all(f[row, o:o + d] == 0.0)
+    np.testing.assert_array_equal(n, n2)
+    np.testing.assert_allclose(n, [ref_norm(desc, v) for v in x], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(f, [ref_norming(desc, v)[0] for v in x], rtol=0, atol=1e-12)
+    assert np.all(n[1:] > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # lockstep ascent vs the one-at-a-time reference
 # ---------------------------------------------------------------------------
 
-ASCENT_SPACES = [lp(3, 2), lp(1.5, 3), lp(2, 2, COMPLEX), tower([3, 1.5], [2, 1, 2])]
+ASCENT_SPACES = [lp(3, 2), lp(1.5, 3), lp(2, 2, COMPLEX), tower([3, 1.5], [2, 1, 2]),
+                 psum(math.inf, [lp(1, 2), lp(3, 2)]),
+                 psum(3, [lp(1.5, 2, COMPLEX), lp(1, 1, COMPLEX)], COMPLEX)]
 
 
 def _operator(desc, seed):
