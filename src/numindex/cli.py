@@ -8,7 +8,8 @@ for timestamps.  The CLI interprets no flag itself: each one is handed
 to the library, which rejects a backend its quantity lacks, and the flags
 that pick an estimator are mutually exclusive.
 
-Exit codes: 0 = all checks passed, 1 = suite violation, 2 = input error.
+Exit codes: 0 = all checks passed, 1 = suite violation, 2 = input error
+(a bad flag, environment variable or input file, or an unwritable output path).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import __version__
 from .index import (absolute_index_estimate, mp_constant, mp_curve,
                     numerical_index_estimate, poly_index_estimate,
                     rank_r_index_estimate)
-from .operators import operator_from_json, poly_from_json
+from .operators import operator_from_json
 from .radius import absolute_radius, numerical_radius
 from .spaces import SpaceError, lp, parse_descriptor, scalar, tower
 from .suites import (SuiteReport, bounds_check, duality_check, gcc_check,
@@ -50,7 +51,10 @@ class InputError(ValueError):
 
 def _default_seed() -> int:
     env = os.environ.get("NUMINDEX_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError as exc:
+        raise InputError(f"NUMINDEX_SEED must be an integer, got {env!r}") from exc
 
 
 def _manifest(args, started: float, summary: dict,
@@ -99,25 +103,17 @@ def _check_counts(args, budget_used: bool = True):
         raise InputError(f"--resolution must be >= 1, got {args.resolution}")
 
 
-def _load_matrix(args, parse):
-    """``parse`` applied to the text of the --matrix file."""
-    try:
-        with open(args.matrix) as fh:
-            return parse(fh.read())
-    except FileNotFoundError as exc:
-        raise InputError(f"matrix file not found: {args.matrix}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"bad --matrix file {args.matrix}: {exc}") from exc
-
-
 def cmd_radius(args) -> int:
     started = time.time()
     desc = _load_space(args)
     _check_counts(args, args.method in ("auto", "ascent"))
-    if args.poly_k > 1:
-        T = _load_matrix(args, lambda text: poly_from_json(text, args.poly_k, desc))
-    else:
-        T = _load_matrix(args, lambda text: operator_from_json(text, desc))
+    try:
+        with open(args.matrix) as fh:
+            T = operator_from_json(fh.read(), desc, max(args.poly_k, 1))
+    except FileNotFoundError as exc:
+        raise InputError(f"matrix file not found: {args.matrix}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"bad --matrix file {args.matrix}: {exc}") from exc
     radius = absolute_radius if args.absolute else numerical_radius
     est = radius(T, method=args.method, budget=args.budget, rng=args.seed,
                  resolution=args.resolution)
@@ -367,15 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags already
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
-    except (InputError, SpaceError) as exc:
+    except (InputError, SpaceError, OSError) as exc:
+        # OSError: a path that cannot be read or written, e.g. --out in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,8 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import operators as ops
-from .operators import (HomogeneousPolynomial, Operator, _as_rng, coefficients,
-                        op_norm_stack, poly_shape, rank_one)
+from .operators import HomogeneousPolynomial, Operator, op_norm_stack, poly_shape, rank_one
 from .radius import absolute_radius_stack, radius_stack
 from .spaces import (COMPLEX, DegenerateInput, SpaceDescriptor,
                      dual_descriptor, unit_sphere_sample)
@@ -111,7 +110,7 @@ def theoretical_bounds(desc: SpaceDescriptor) -> BoundsInterval:
 @dataclass(frozen=True)
 class IndexEstimate:
     upper_bound: float
-    witness_operator: object          # Operator or HomogeneousPolynomial
+    witness_operator: Operator        # a map of the searched degree
     restarts_used: int
     radius_method: str
     bounds: BoundsInterval            # known interval of the estimated quantity
@@ -122,12 +121,12 @@ class IndexEstimate:
 
 
 def _eval_rng(T):
-    """Generator keyed to the coefficients of an operator or polynomial, so
+    """Generator keyed to the coefficients of a map of any degree, so
     its ratio is a pure function of it: re-encountering a witness (warm
     starts, embedded summand witnesses, a witness re-scored at the search's
     budgets) reproduces its ratio exactly instead of re-rolling the
     evaluation noise."""
-    digest = hashlib.blake2b(coefficients(T).tobytes(), digest_size=8).digest()
+    digest = hashlib.blake2b(T.matrix.tobytes(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
@@ -245,7 +244,7 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     """Best-found upper bound of n(X) with its witness operator."""
     if budget < 1:
         raise DegenerateInput("budget must be >= 1")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     bounds = theoretical_bounds(desc)
     if desc.total_dim == 1:
         return IndexEstimate(1.0, ops.identity(desc), 0, "exact", bounds)
@@ -264,7 +263,7 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
     d = desc.total_dim
     if not (1 <= r <= d):
         raise DegenerateInput(f"rank {r} out of range 1..{d}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     ddual = dual_descriptor(desc)
 
     def factored(F) -> tuple:
@@ -296,7 +295,7 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     sup |x_1|^{p-1} |x_2|, which is that value by weighted AM-GM."""
     if not desc.is_flat or not (1.0 < desc.p < math.inf) or desc.total_dim < 2:
         raise DegenerateInput("absolute index needs flat lp^m, 1 < p < inf, m >= 2")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     p = desc.p
     q = p / (p - 1.0)
     best, evals = _minimize_ratio(
@@ -320,7 +319,7 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     shape = poly_shape(desc, k)
     if k == 1:
         return numerical_index_estimate(desc, budget, rng)
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     candidates = [HomogeneousPolynomial(k, _gaussian(desc, rng, shape), desc)
                   for _ in range(POLY_STARTS)]
     best, evals = _minimize_ratio(

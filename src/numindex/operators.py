@@ -1,12 +1,12 @@
 """Dense operators and homogeneous polynomials on descriptor spaces.
 
-Matrices act on the depth-first leaf coordinates of a descriptor.  Where the
-math differs, the degree of the coefficient array decides, not the class that
-holds it: a degree-1 map, an operator or a degree-1 polynomial alike, has
-exact column/row-sum norms on spaces isometric to flat l1/linf and a
-duality-map fixed point (the power-method generalization) elsewhere; degree
-k >= 2 runs a sphere ascent.  Every value is a certified lower bound attained
-by the stored witness.
+One class, :class:`Operator`, holds the coefficient array of a map of any
+degree k >= 1 on the depth-first leaf coordinates of a descriptor; where the
+math differs, the degree decides.  A degree-1 map has exact column/row-sum
+norms on spaces isometric to flat l1/linf and a duality-map fixed point (the
+power-method generalization) elsewhere; degree k >= 2 runs a sphere ascent.
+Adjoints and compositions need degree 1.  Every value is a certified lower
+bound attained by the stored witness.
 """
 
 from __future__ import annotations
@@ -35,15 +35,27 @@ GATHER_CAP = 1 << 20
 
 @dataclass(frozen=True)
 class Operator:
-    """Square matrix bound to a descriptor (domain = codomain)."""
+    """The d x d matrix of an operator at degree 1, the (d,) * (k+1) tensor of
+    P(x) = A(x, ..., x) at degree k: output index first, the k input indices
+    symmetrized at construction."""
 
     matrix: np.ndarray
     descriptor: SpaceDescriptor
+    _noun = "matrix"            # in error messages; not a field
 
     def __post_init__(self):
-        d = self.descriptor.total_dim
-        object.__setattr__(self, "matrix", _coefficient_array(
-            "matrix", self.matrix, (d, d), self.descriptor))
+        k = max(np.ndim(self.matrix) - 1, 1)
+        a = _coefficient_array(self._noun, self.matrix,
+                               poly_shape(self.descriptor, k), self.descriptor)
+        object.__setattr__(self, "matrix", _symmetrize(a, k))
+
+    @property
+    def degree(self) -> int:
+        return self.matrix.ndim - 1
+
+    @property
+    def tensor(self) -> np.ndarray:
+        return self.matrix
 
     @property
     def field(self) -> str:
@@ -52,6 +64,19 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.descriptor.total_dim
+
+
+class HomogeneousPolynomial(Operator):
+    """k-homogeneous polynomial P(x) = A(x, ..., x): the :class:`Operator`
+    of degree k whose array ``tensor`` must have shape (dim,) * (k+1)."""
+
+    _noun = "tensor"
+
+    def __init__(self, degree: int, tensor, descriptor: SpaceDescriptor):
+        shape = poly_shape(descriptor, degree)
+        if np.shape(tensor) != shape:
+            raise DescriptorMismatch(f"tensor shape {np.shape(tensor)}, expected {shape}")
+        super().__init__(tensor, descriptor)
 
 
 def _coefficient_array(what: str, a, shape: tuple, desc: SpaceDescriptor) -> np.ndarray:
@@ -84,12 +109,14 @@ def apply(T, v: np.ndarray) -> np.ndarray:
     """T(v) for an operator or a polynomial: the matrix product at degree 1,
     the contraction of the symmetric tensor with k copies of v at degree k."""
     v = spaces.check_vector(T.descriptor, v)
-    m = coefficients(T)
-    return m @ v if m.ndim == 2 else _apply_rows(m[None], v[None], None)[0]
+    m = T.matrix
+    return m @ v if T.degree == 1 else _apply_rows(m[None], v[None], None)[0]
 
 
 def adjoint(T: Operator) -> Operator:
     """Transpose (real) / conjugate transpose (complex) on the dual space."""
+    if T.degree != 1:
+        raise DegenerateInput(f"the adjoint needs a degree-1 map, got degree {T.degree}")
     m = T.matrix.conj().T if T.field == COMPLEX else T.matrix.T
     return Operator(m, dual_descriptor(T.descriptor))
 
@@ -105,7 +132,7 @@ def op_norm(T, budget: int = 16,
     ||P(x)||.  Searches start from ``budget`` starts.  The one-member case
     of :func:`op_norm_stack`.
     """
-    return op_norm_stack([T], budget, [_as_rng(rng)])[0]
+    return op_norm_stack([T], budget, [np.random.default_rng(rng)])[0]
 
 
 def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
@@ -130,16 +157,16 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     x = np.concatenate([sphere_starts(desc, rng, budget) for rng in rngs])
     g = np.repeat(np.arange(len(Ts)), len(x) // len(Ts))
     mt = m.transpose(0, 2, 1)
-    val = plan.norm(_apply_rows(m, x, g))
-    # every start runs its own fixed point; the running rows sit in compact arrays
-    a, xa, ga, va = np.arange(len(x)), x, g, val
+    f, val = plan.norming(_apply_rows(m, x, g))
+    # every start runs its own fixed point; the running rows and their
+    # f = J(Tx) sit in compact arrays
+    a, xa, ga, va, fa = np.arange(len(x)), x, g, val, f
     for _ in range(OP_NORM_MAX_ITERS):
         if a.size == 0:
             break
-        f, _ = plan.norming(_apply_rows(m, xa, ga))
         # bilinear adjoint of the pairing; J is 0-homogeneous, so no rescaling
-        x_new, ng = dplan.norming(_apply_rows(mt, f, ga))
-        new_val = plan.norm(_apply_rows(m, x_new, ga))
+        x_new, ng = dplan.norming(_apply_rows(mt, fa, ga))
+        f_new, new_val = plan.norming(_apply_rows(m, x_new, ga))
         rise = new_val - va
         live = ng != 0.0                  # else Tx = 0, or T^adj J(Tx) = 0
         # a row steps unless the value fell (a nonsmooth kink: keep the best
@@ -149,14 +176,15 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
         stop = ~live | (rise < OP_NORM_VALUE_TOL)
         going = ~stop
         x[a[stop]], val[a[stop]] = xa[stop], va[stop]
-        a, xa, ga, va = a[going], xa[going], ga[going], va[going]
+        # a running row has stepped: its f is that of x_new
+        a, xa, ga, va, fa = a[going], xa[going], ga[going], va[going], f_new[going]
     x[a], val[a] = xa, va
     return [OperatorNormEstimate(float(val[i]), x[i], "fixed-point")
             for i in best_rows(val, g, len(Ts))]
 
 
 def _exact_norm(T) -> OperatorNormEstimate:
-    desc, m = T.descriptor, coefficients(T)
+    desc, m = T.descriptor, T.matrix
     l1 = desc.uniform_exponent == 1
     sums = np.abs(m).sum(axis=0 if l1 else 1)
     i = int(np.argmax(sums))
@@ -166,15 +194,10 @@ def _exact_norm(T) -> OperatorNormEstimate:
 
 
 def operator_stack(T) -> tuple[SpaceDescriptor, np.ndarray]:
-    """Descriptor and (K, d, ..., d) coefficient stack of one operator or
-    polynomial, or of a sequence of them sharing a descriptor and degree."""
-    Ts = [T] if isinstance(T, (Operator, HomogeneousPolynomial)) else T
-    return Ts[0].descriptor, np.stack([coefficients(t) for t in Ts])
-
-
-def coefficients(T) -> np.ndarray:
-    """The matrix of an operator, the coefficient tensor of a polynomial."""
-    return T.tensor if isinstance(T, HomogeneousPolynomial) else T.matrix
+    """Descriptor and (K, d, ..., d) coefficient stack of one map, or of a
+    list or tuple of maps sharing a descriptor and degree."""
+    Ts = T if isinstance(T, (list, tuple)) else [T]
+    return Ts[0].descriptor, np.stack([t.matrix for t in Ts])
 
 
 def _apply_rows(m: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -200,12 +223,6 @@ def _apply_rows(m: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def rank_one(desc: SpaceDescriptor, f: np.ndarray, y: np.ndarray) -> Operator:
     """T(x) = (f . x) y as a matrix; ||T|| = ||f||_dual ||y||."""
     f = np.asarray(f, dtype=desc.dtype)
@@ -220,7 +237,7 @@ def rank_r_sample(desc: SpaceDescriptor, r: int,
     """Random operator of rank <= r, rescaled to op-norm estimate 1."""
     if not (1 <= r <= desc.total_dim):
         raise DegenerateInput(f"rank {r} out of range 1..{desc.total_dim}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     ddual = dual_descriptor(desc)
     m = np.zeros((desc.total_dim, desc.total_dim), dtype=desc.dtype)
     for _ in range(r):
@@ -253,40 +270,18 @@ def coordinate_projection(desc: SpaceDescriptor, keep) -> CoordinateProjection:
         sub = desc.children[kept[0]]
     else:
         sub = spaces.psum(desc.p, [desc.children[i] for i in kept], desc.field)
-    rows = []
-    for i in kept:
-        o, d = desc.child_spans[i]
-        rows.extend(range(o, o + d))
-    embed = np.zeros((desc.total_dim, sub.total_dim), dtype=desc.dtype)
-    for c, r in enumerate(rows):
-        embed[r, c] = 1.0
+    embed = np.eye(desc.total_dim, dtype=desc.dtype)[:, np.diag(mat) != 0]
     return CoordinateProjection(Operator(mat, desc), kept, sub, embed)
 
 
 def compose_with_projection(L: Operator, Q: CoordinateProjection) -> Operator:
     """L on the kept block composed with Q, as an operator on the full space."""
+    if L.degree != 1:
+        raise DegenerateInput(f"composition needs a degree-1 map, got degree {L.degree}")
     if L.descriptor != Q.sub_descriptor:
         raise DescriptorMismatch("operator does not act on the projected block")
     E = Q.embed
     return Operator(E @ L.matrix @ E.T, Q.operator.descriptor)
-
-
-@dataclass(frozen=True)
-class HomogeneousPolynomial:
-    """k-homogeneous polynomial map P(x) = A(x, ..., x) on a descriptor.
-
-    The coefficient tensor has shape (dim,) * (k+1): output index first,
-    then k symmetric input indices (symmetrized at construction).
-    """
-
-    degree: int
-    tensor: np.ndarray
-    descriptor: SpaceDescriptor
-
-    def __post_init__(self):
-        t = _coefficient_array("tensor", self.tensor,
-                               poly_shape(self.descriptor, self.degree), self.descriptor)
-        object.__setattr__(self, "tensor", _symmetrize(t, self.degree))
 
 
 def poly_shape(desc: SpaceDescriptor, k: int) -> tuple[int, ...]:
@@ -319,6 +314,7 @@ def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def operator_to_json(T: Operator) -> str:
+    """The descriptor, field and row-major coefficients of a map of any degree."""
     if T.field == COMPLEX:
         entries = [[z.real, z.imag] for z in T.matrix.ravel()]
     else:
@@ -328,19 +324,17 @@ def operator_to_json(T: Operator) -> str:
                        "matrix": entries}, sort_keys=True)
 
 
-def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None) -> Operator:
+def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None,
+                       degree: int = 1) -> Operator:
+    """The degree-k map whose "matrix" field holds its d^(k+1) coefficients
+    in row-major order, as :func:`operator_to_json` writes them;
+    ``descriptor`` replaces the file's own."""
     obj = json.loads(text)
+    if not isinstance(obj, dict) or "matrix" not in obj:
+        raise DescriptorMismatch('expected a JSON object with a "matrix" field')
     desc = descriptor or parse_descriptor(obj["descriptor"], field=obj.get("field", REAL))
-    d = desc.total_dim
-    return Operator(_json_entries(obj, d * d).reshape(d, d), desc)
-
-
-def poly_from_json(text: str, degree: int, descriptor: SpaceDescriptor) -> HomogeneousPolynomial:
-    """Degree-k polynomial whose "matrix" field holds the d^(k+1) tensor
-    entries, in the operator exchange format."""
-    shape = poly_shape(descriptor, degree)
-    flat = _json_entries(json.loads(text), math.prod(shape))
-    return HomogeneousPolynomial(degree, flat.reshape(shape), descriptor)
+    shape = poly_shape(desc, degree)
+    return Operator(_json_entries(obj, math.prod(shape)).reshape(shape), desc)
 
 
 def _json_entries(obj: dict, size: int) -> np.ndarray:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (HomogeneousPolynomial, _apply_rows, _as_rng, _exact_norm,
-                        apply, coefficients, op_norm, operator_stack)
+from .operators import (HomogeneousPolynomial, _apply_rows, _exact_norm,
+                        apply, op_norm, operator_stack)
 from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
                      SpaceError, conj_sign, eval_pair, phase)
@@ -110,7 +110,7 @@ def numerical_radius(T, method: str = "auto", budget: int = DEFAULT_RESTARTS,
         return radius_enumerate(T)
     if backend == "grid":
         return radius_grid_oracle(T, resolution)
-    return _ascent_stack([T], budget, [_as_rng(rng)])[0]
+    return _ascent_stack([T], budget, [np.random.default_rng(rng)])[0]
 
 
 def _backend(T, method: str, quantity: str | None = None) -> str:
@@ -120,7 +120,7 @@ def _backend(T, method: str, quantity: str | None = None) -> str:
     operator or polynomial, which ``auto`` picks on spaces isometric to flat
     l1/linf, where the ascent can stall (at 0 for the linf shift); ``auto``
     is the ascent everywhere else."""
-    linear = quantity is None and coefficients(T).ndim == 2
+    linear = quantity is None and T.degree == 1
     quantity = quantity or ("numerical radius" if linear else "polynomial radius")
     backends = (("auto", "ascent", "enumerate", "grid") if linear
                 else ("auto", "ascent", "grid"))
@@ -163,7 +163,7 @@ def radius_enumerate(T) -> RadiusEstimate:
     one :func:`_functional` picks at x, which attains it.
     """
     desc = T.descriptor
-    if coefficients(T).ndim != 2 or desc.uniform_exponent not in (1.0, math.inf):
+    if T.degree != 1 or desc.uniform_exponent not in (1.0, math.inf):
         raise DegenerateInput("enumeration needs a degree-1 map on a flat (or "
                               "uniformly nested) l1/linf descriptor")
     exact = _exact_norm(T)
@@ -221,13 +221,13 @@ def absolute_radius(T, budget: int = DEFAULT_RESTARTS, rng=None,
     """Absolute numerical radius |nu|(T) of a degree-1 map on a flat lp^m,
     1 <= p < inf."""
     desc = T.descriptor
-    if coefficients(T).ndim != 2 or not desc.is_flat or desc.p == math.inf:
+    if T.degree != 1 or not desc.is_flat or desc.p == math.inf:
         raise DegenerateInput("absolute radius needs a degree-1 map on a flat "
                               "lp^m with finite p")
     if _backend(T, method, "absolute radius") == "grid":
         x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
         return _estimate_at(T, x, "grid", n, absolute=True)
-    return absolute_radius_stack([T], budget, [_as_rng(rng)])[0]
+    return absolute_radius_stack([T], budget, [np.random.default_rng(rng)])[0]
 
 
 def absolute_radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:

@@ -498,6 +498,41 @@ def test_console_script_installed():
         assert res.stdout.strip() == __version__, f"{cmd}: {res.stderr}"
 
 
+#: inputs that once ended in a traceback with exit code 1, the code of a
+#: suite violation: (argv, environment, what stderr must name); "{tmp}" is a
+#: directory holding id2.json (an operator) and list.json (a JSON list)
+INPUT_ERRORS = [
+    (["radius", "--space", "lp(p=2,dim=2)", "--matrix", "{tmp}/id2.json",
+      "--out", "{tmp}/missing/x.json"], {}, "{tmp}/missing/x.json"),
+    (["index", "--space", "lp(p=1,dim=2)", "--budget", "1",
+      "--out", "{tmp}/missing/x.json"], {}, "{tmp}/missing/x.json"),
+    (["mp", "--p", "1", "--emit-curve", "{tmp}/missing/x.csv"], {}, "{tmp}/missing/x.csv"),
+    (["verify", "--suite", "bounds", "--out", "{tmp}/id2.json"], {}, "{tmp}/id2.json"),
+    (["mp", "--p", "3"], {"NUMINDEX_SEED": "abc"}, "NUMINDEX_SEED"),
+    (["radius", "--space", "lp(p=2,dim=2)", "--matrix", "{tmp}/list.json"], {},
+     'a JSON object with a "matrix" field'),
+]
+
+
+@pytest.mark.parametrize("argv,env,named", INPUT_ERRORS,
+                         ids=[" ".join(a[:2]) + "".join(f" {k}" for k in e)
+                              for a, e, _ in INPUT_ERRORS])
+def test_input_errors_exit_2_without_traceback(argv, env, named, tmp_path):
+    (tmp_path / "id2.json").write_text(operator_to_json(Operator(np.eye(2), lp(2, 2))))
+    (tmp_path / "list.json").write_text("[1.0, 0.0, 0.0, 1.0]")
+
+    def fill(text):
+        return text.replace("{tmp}", str(tmp_path))
+
+    path_entries = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries)), **env}
+    res = subprocess.run([sys.executable, "-m", "numindex.cli", *map(fill, argv)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == EXIT_INPUT, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert fill(named) in res.stderr
+
+
 def test_seed_env_override(monkeypatch):
     monkeypatch.setenv("NUMINDEX_SEED", "123")
     from numindex.cli import _default_seed

@@ -1,6 +1,7 @@
 """Operator layer: apply/adjoint, norms, projections, polynomials, JSON."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -24,7 +25,9 @@ from numindex.operators import (
     rank_one,
     rank_r_sample,
 )
-from numindex.radius import poly_norm
+from numindex.cli import EXIT_OK, main
+from numindex.index import poly_index_estimate, rank_r_index_estimate
+from numindex.radius import numerical_radius, poly_norm
 from numindex.spaces import (
     COMPLEX,
     DegenerateInput,
@@ -249,6 +252,17 @@ def test_compose_descriptor_mismatch():
         compose_with_projection(Operator(np.eye(3), lp(2, 3)), Q)
 
 
+def test_projection_embed_selects_the_kept_leaves():
+    desc = psum(1.5, [lp(2, 2), scalar(), lp(3, 2)])
+    Q = coordinate_projection(desc, (2, 0))
+    want = np.zeros((5, 4))
+    want[[0, 1, 3, 4], [0, 1, 2, 3]] = 1.0
+    np.testing.assert_array_equal(Q.embed, want)
+    L = Operator(np.arange(16.0).reshape(4, 4), Q.sub_descriptor)
+    np.testing.assert_array_equal(compose_with_projection(L, Q).matrix,
+                                  want @ L.matrix @ want.T)
+
+
 def test_projection_never_increases_norm():
     desc = psum(1.5, [lp(2, 2), lp(3, 2)])
     Q = coordinate_projection(desc, (0,))
@@ -425,3 +439,52 @@ def test_json_entry_count_mismatch():
     T = Operator(np.eye(2), lp(2, 2))
     with pytest.raises(DescriptorMismatch):
         operator_from_json(operator_to_json(T), descriptor=lp(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# one map class
+# ---------------------------------------------------------------------------
+
+def test_search_witnesses_expose_the_map_attributes():
+    """The attributes the benchmark's re-scores read on index witnesses."""
+    d = lp(3, 2)
+    P = poly_index_estimate(d, 2, budget=4, rng=0).witness_operator
+    assert isinstance(P, Operator)
+    assert P.tensor is P.matrix and P.matrix.shape == (2, 2, 2)
+    assert (P.degree, P.field, P.dim, P.descriptor) == (2, "real", 2, d)
+    W = rank_r_index_estimate(d, 1, budget=4, rng=0).witness_operator
+    assert W.degree == 1 and np.linalg.matrix_rank(W.matrix) <= 1
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_degree_two_json_round_trip_and_cli_radius(field, tmp_path, capsys):
+    d = lp(3, 2, field)
+    rng = np.random.default_rng(21)
+    t = rng.standard_normal((2, 2, 2))
+    if field == COMPLEX:
+        t = t + 1j * rng.standard_normal((2, 2, 2))
+    P = HomogeneousPolynomial(2, t, d)
+    text = operator_to_json(P)
+    back = operator_from_json(text, degree=2)
+    assert back.degree == 2 and back.descriptor == d
+    np.testing.assert_array_equal(back.matrix, P.matrix)
+    np.testing.assert_array_equal(operator_from_json(text, d, 2).matrix, P.matrix)
+    with pytest.raises(DescriptorMismatch, match="8 entries, expected 4"):
+        operator_from_json(text)
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code = main(["radius", "--space", f"lp(p=3,dim=2,field={field})", "--matrix",
+                 str(path), "--poly-k", "2", "--budget", "8", "--seed", "5"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == numerical_radius(P, budget=8, rng=5).value
+
+
+def test_adjoint_and_composition_need_degree_one():
+    d = lp(3, 2)
+    P = HomogeneousPolynomial(2, np.ones((2, 2, 2)), d)
+    with pytest.raises(DegenerateInput, match="degree 2"):
+        adjoint(P)
+    Q = coordinate_projection(psum(2, [d, scalar()]), (0,))
+    with pytest.raises(DegenerateInput, match="degree 2"):
+        compose_with_projection(P, Q)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numindex import optimize
 from numindex.index import (absolute_index_estimate, numerical_index_estimate,
                             poly_index_estimate, rank_r_index_estimate)
-from numindex.operators import HomogeneousPolynomial, Operator, coefficients, op_norm
+from numindex.operators import HomogeneousPolynomial, Operator, op_norm
 from numindex.optimize import FD_STEP, STALL_ITERS, VALUE_TOL, maximize_on_sphere
 from numindex.radius import (absolute_radius, absolute_radius_objective,
                              numerical_radius, poly_norm, poly_radius,
@@ -436,7 +436,7 @@ def _estimates():
                            ("absolute index", absolute_index_estimate, (lp(3, 2),)),
                            ("poly index", poly_index_estimate, (lp(3, 2), 2))]:
         est = fn(*args, budget=8, rng=2)
-        out[name] = (est.upper_bound, coefficients(est.witness_operator),
+        out[name] = (est.upper_bound, est.witness_operator.matrix,
                      est.restarts_used)
     return out
 
