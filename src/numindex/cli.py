@@ -9,7 +9,8 @@ to the library, which rejects a backend its quantity lacks, and the flags
 that pick an estimator are mutually exclusive.
 
 Exit codes: 0 = all checks passed, 1 = suite violation, 2 = input error
-(a bad flag, environment variable or input file, or an unwritable output path).
+(a bad flag, environment variable or input file, or an output path that
+cannot be written, which is checked before any work).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 
 from . import __version__
 from .index import (absolute_index_estimate, mp_constant, mp_curve,
-                    numerical_index_estimate, poly_index_estimate,
-                    rank_r_index_estimate)
+                    poly_index_estimate, rank_r_index_estimate)
 from .operators import operator_from_json
 from .radius import absolute_radius, numerical_radius
 from .spaces import SpaceError, lp, parse_descriptor, scalar, tower
@@ -73,9 +73,16 @@ def _write_json(path: str, payload: dict):
         fh.write("\n")
 
 
+def _check_outputs(*paths):
+    """Reject, before any work, an output path that names a directory or
+    lies in a missing one, so a failed run prints and writes nothing."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"cannot write {path}: a directory, or in a missing one")
+
+
 def _emit(args, payload: dict, started: float, counters: dict | None = None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         _write_json(args.out, payload)
         _write_json(args.out + ".manifest.json",
@@ -84,7 +91,7 @@ def _emit(args, payload: dict, started: float, counters: dict | None = None):
 
 def _load_space(args) -> "SpaceDescriptor":
     try:
-        return parse_descriptor(args.space, field=getattr(args, "field", None))
+        return parse_descriptor(args.space)
     except SpaceError as exc:
         raise InputError(f"bad --space: {exc}") from exc
 
@@ -105,6 +112,7 @@ def _check_counts(args, budget_used: bool = True):
 
 def cmd_radius(args) -> int:
     started = time.time()
+    _check_outputs(args.out)
     desc = _load_space(args)
     _check_counts(args, args.method in ("auto", "ascent"))
     try:
@@ -139,6 +147,7 @@ def _num_list(arr):
 
 def cmd_index(args) -> int:
     started = time.time()
+    _check_outputs(args.out)
     desc = _load_space(args)
     _check_counts(args)
     if args.absolute:
@@ -146,11 +155,10 @@ def cmd_index(args) -> int:
     elif args.rank is not None:
         est = rank_r_index_estimate(desc, args.rank, budget=args.budget,
                                     rng=args.seed)
-    elif args.poly_k > 1:
-        est = poly_index_estimate(desc, args.poly_k, budget=args.budget,
-                                  rng=args.seed)
     else:
-        est = numerical_index_estimate(desc, budget=args.budget, rng=args.seed)
+        # order 1 is the numerical index itself
+        est = poly_index_estimate(desc, max(args.poly_k, 1), budget=args.budget,
+                                  rng=args.seed)
     payload = {"command": "index",
                "space": args.space,
                "upper_bound_best_found": est.upper_bound,
@@ -164,6 +172,7 @@ def cmd_index(args) -> int:
 
 def cmd_mp(args) -> int:
     started = time.time()
+    _check_outputs(args.emit_curve, args.out)
     if not 1 <= args.p < math.inf:
         raise InputError("--p must be a finite number >= 1")
     res = mp_constant(args.p)
@@ -216,29 +225,23 @@ def _parse_range(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     started = time.time()
+    out = args.out or "sweep.csv"
+    _check_outputs(out)
     _check_counts(args)
     if args.m and args.family != "lpm":
         raise InputError("--m applies only to --family lpm")
     ps = _parse_range(args.p)
+    # lp2-curve is the lpm sweep at m = 2
     ms = _parse_range(args.m or "2..4") if args.family == "lpm" else [2.0]
     if not all(m.is_integer() for m in ms):
         raise InputError(f"--m must be a range of integers, got {args.m!r}")
-    if not ps or not ms:
-        raise InputError("empty sweep range")
     rows = []
-    for k, p in enumerate(ps):
-        if args.family == "lpm":
-            report = monotone_sweep(p, map(int, ms), budget=args.budget, seed=args.seed)
-            trajectory = report.extra["trajectory"]
-        else:
-            est = numerical_index_estimate(lp(p, 2), budget=args.budget,
-                                           rng=args.seed + k)
-            trajectory = [(2, est.upper_bound)]
+    for p in ps:
+        report = monotone_sweep(p, map(int, ms), budget=args.budget, seed=args.seed)
         # mp_constant takes finite p only; the cell stays empty at p = inf
         mp = "" if p == math.inf else f"{mp_constant(p).value:.9f}"
         rows += [{"p": p, "m": m, "index_upper_bound": f"{val:.9f}", "mp": mp}
-                 for m, val in trajectory]
-    out = args.out or "sweep.csv"
+                 for m, val in report.extra["trajectory"]]
     with open(out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["p", "m", "index_upper_bound", "mp"])
         w.writeheader()
@@ -253,15 +256,12 @@ VERIFY_SUITES = ("lcc", "gcc", "sums", "duality", "bounds")
 
 
 def _run_suite(name: str, args, duality_space) -> SuiteReport:
-    seed = args.seed
-    cases = args.cases
-    budget = args.budget
+    seed, cases, budget = args.seed, args.cases, args.budget
     if name == "lcc":
-        tw = tower([3.0, 3.0])
-        return lcc_check(tw, m=1, j=1, cases=cases, seed=seed, budget=budget)
+        return lcc_check(tower([3.0, 3.0]), m=1, j=1, cases=cases, seed=seed,
+                         budget=budget)
     if name == "gcc":
-        space = lp(1.5, 3)
-        return gcc_check(space, subset=(0, 1), cases=cases, seed=seed,
+        return gcc_check(lp(1.5, 3), subset=(0, 1), cases=cases, seed=seed,
                          budget=budget)
     if name == "sums":
         return sum_index_check([scalar(), scalar()], mode="linf",
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("radius", help="numerical radius of one operator")
     sp.add_argument("--space", required=True, help="descriptor text, e.g. lp(p=2,dim=2)")
     sp.add_argument("--matrix", required=True, help="operator JSON file")
-    sp.add_argument("--field", choices=["real", "complex"])
     sp.add_argument("--method", default="auto",
                     choices=["auto", "ascent", "enumerate", "grid"])
     sp.add_argument("--resolution", type=int, default=2000)
@@ -331,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("index", help="numerical-index upper bound")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--field", choices=["real", "complex"])
     estimator = sp.add_mutually_exclusive_group()
     estimator.add_argument("--rank", type=int, help="rank-r index")
     estimator.add_argument("--absolute", action="store_true", help="absolute index")
@@ -343,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mp", help="the constant M_p")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--emit-curve", help="write the (t, value) curve as CSV")
-    common(sp)
+    sp.add_argument("--out", help="output file (JSON)")
     sp.set_defaults(fn=cmd_mp)
 
     sp = sub.add_parser("sweep", help="index sweeps over (p, m) grids")

@@ -432,7 +432,8 @@ def sphere_starts(desc: SpaceDescriptor, rng: np.random.Generator,
     """``count`` (at least one) nonzero start rows of a multi-start search:
     the coordinate directions, then sphere samples from ``rng``.  The rows
     for ``count`` are a prefix of the rows for any larger count."""
-    count = max(count, 1)
+    if count < 1:
+        raise DegenerateInput(f"start budget must be >= 1, got {count}")
     starts = list(np.eye(desc.total_dim, dtype=desc.dtype)[:count])
     while len(starts) < count:
         starts.append(unit_sphere_sample(desc, rng))

@@ -80,6 +80,12 @@ def _suite_tolerance(desc: SpaceDescriptor) -> float:
     return TOL_ENUMERATION if u in (1.0, math.inf) else TOL_ASCENT
 
 
+def _check_cases(cases: int):
+    """A suite of no cases would pass with nothing checked."""
+    if cases < 1:
+        raise DegenerateInput(f"cases must be >= 1, got {cases}")
+
+
 def _random_operator(desc: SpaceDescriptor, rng) -> Operator:
     g = _gaussian(desc, rng)
     T = Operator(g, desc)
@@ -91,6 +97,7 @@ def lcc_check(tower: SpaceDescriptor, m: int, j: int, cases: int = 50,
               seed: int = 0, budget: int = 32) -> SuiteReport:
     """Projection invariance along a tower: nu(L) on level m versus
     nu(L o Q_{m,j}) on level m+j, plus the one-sided level monotonicity."""
+    _check_cases(cases)
     levels = tower_levels(tower)
     if not (1 <= m <= len(levels)) or m + j > len(levels):
         raise DegenerateInput(
@@ -133,6 +140,7 @@ def gcc_check(sum_space: SpaceDescriptor, subset, cases: int = 50,
               seed: int = 0, budget: int = 32) -> SuiteReport:
     """Block-projection invariance on a p-sum: nu(L o P_W) on the full
     space equals nu(L) on the block Z_W."""
+    _check_cases(cases)
     Q = coordinate_projection(sum_space, subset)
     z_w = Q.sub_descriptor
     tol = max(_suite_tolerance(sum_space), _suite_tolerance(z_w))
@@ -221,6 +229,7 @@ def duality_check(desc: SpaceDescriptor, cases: int = 50, budget: int = 32,
                   seed: int = 0, index_budget: int = 80) -> SuiteReport:
     """nu(T*) = nu(T) case by case, plus the coarse index comparison
     n(X*) <= n(X) (equality at finite dimension) on best-found bounds."""
+    _check_cases(cases)
     tol = max(_suite_tolerance(desc), _suite_tolerance(dual_descriptor(desc)))
     report = SuiteReport("duality", [descriptor_to_text(desc),
                                      descriptor_to_text(dual_descriptor(desc))],

@@ -1,5 +1,6 @@
 """End-to-end CLI contract: exit codes, formats, determinism."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -56,18 +57,25 @@ def test_radius_identity(id2, capsys):
 
 
 def test_radius_antisymmetric_real(rot90, capsys):
-    code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", rot90,
-                 "--field", "real"])
+    code = main(["radius", "--space", "lp(p=2,dim=2,field=real)", "--matrix", rot90])
     assert code == EXIT_OK
     assert _json_out(capsys)["value"] <= 1e-9
 
 
+def test_radius_field_is_read_from_the_descriptor(rot90, capsys):
+    """The descriptor text is the one place the field is set: the rotation
+    has complex radius 1 where its real radius is 0."""
+    code = main(["radius", "--space", "lp(p=2,dim=2,field=complex)", "--matrix", rot90])
+    assert code == EXIT_OK
+    assert _json_out(capsys)["value"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_radius_grid_dimension_cap(tmp_path, capsys):
-    for space, field, d in (("lp(p=2,dim=4)", "real", 4), ("lp(p=2,dim=3)", "complex", 3)):
+    for field, d in (("real", 4), ("complex", 3)):
         path = tmp_path / f"id{d}.json"
         path.write_text(operator_to_json(Operator(np.eye(d), lp(2, d, field))))
-        code = main(["radius", "--space", space, "--field", field, "--matrix", str(path),
-                     "--method", "grid", "--resolution", "2000"])
+        code = main(["radius", "--space", f"lp(p=2,dim={d},field={field})",
+                     "--matrix", str(path), "--method", "grid", "--resolution", "2000"])
         assert code == EXIT_INPUT
         assert "capped at dimension" in capsys.readouterr().err
 
@@ -305,9 +313,9 @@ def test_sweep_rejects_budget_below_one(capsys):
 
 
 @pytest.mark.parametrize("space,field,poly_k", [
-    ("lp(p=3,dim=2)", "real", 0),
-    ("lp(p=2,dim=2)", "complex", 0),
-    ("lp(p=3,dim=2)", "real", 2),
+    ("lp(p=3,dim=2,field=real)", "real", 0),
+    ("lp(p=2,dim=2,field=complex)", "complex", 0),
+    ("lp(p=3,dim=2,field=real)", "real", 2),
 ], ids=["real", "complex", "poly-k"])
 @pytest.mark.parametrize("resolution", ["0", "-5"])
 def test_grid_resolution_below_one_exits_2(tmp_path, capsys, space, field, poly_k,
@@ -317,8 +325,8 @@ def test_grid_resolution_below_one_exits_2(tmp_path, capsys, space, field, poly_
         path.write_text(json.dumps({"matrix": [1.0] * 8}))
     else:
         path.write_text(operator_to_json(Operator(np.eye(2), lp(2, 2, field))))
-    argv = ["radius", "--space", space, "--field", field, "--matrix", str(path),
-            "--method", "grid", "--resolution", resolution, "--poly-k", str(poly_k)]
+    argv = ["radius", "--space", space, "--matrix", str(path), "--method", "grid",
+            "--resolution", resolution, "--poly-k", str(poly_k)]
     assert main(argv) == EXIT_INPUT
     assert "--resolution must be >= 1" in capsys.readouterr().err
 
@@ -330,14 +338,66 @@ def test_grid_points_reject_resolution_below_one():
 
 
 @pytest.mark.parametrize("argv", [
-    ["mp", "--p", "2"],
     ["radius", "--space", "lp(p=1,dim=2)", "--method", "enumerate"],
     ["radius", "--space", "lp(p=2,dim=2)", "--method", "grid", "--resolution", "200"],
-], ids=["mp", "radius-enumerate", "radius-grid"])
+], ids=["radius-enumerate", "radius-grid"])
 def test_budget_ignored_where_unused(argv, id2):
-    """Commands whose result the budget cannot change accept any budget."""
-    extra = ["--matrix", id2] if argv[0] == "radius" else []
-    assert main(argv + extra + ["--budget", "0"]) == EXIT_OK
+    """Backends whose result the budget cannot change accept any budget."""
+    assert main(argv + ["--matrix", id2, "--budget", "0"]) == EXIT_OK
+
+
+#: flags no command reads any more: the field is set in the descriptor text
+#: only, and mp draws nothing
+REMOVED_FLAGS = [
+    ["radius", "--space", "lp(p=2,dim=2,field=real)", "--field", "complex"],
+    ["index", "--space", "lp(p=2,dim=2)", "--field", "real"],
+    ["mp", "--p", "3", "--seed", "5"],
+    ["mp", "--p", "2", "--budget", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS,
+                         ids=[" ".join(a[:1] + a[-2:]) for a in REMOVED_FLAGS])
+def test_removed_flags_exit_2(argv, rot90, capsys):
+    extra = ["--matrix", rot90] if argv[0] == "radius" else []
+    assert main(argv + extra) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.out == ""
+
+
+#: a cheap run of every subcommand, for the check that each flag it
+#: declares is read
+CHEAP_RUNS = [
+    ["radius", "--space", "lp(p=2,dim=2)", "--matrix", "{id2}", "--budget", "2"],
+    ["index", "--space", "lp(p=2,dim=2)", "--budget", "2"],
+    ["mp", "--p", "3", "--emit-curve", "{tmp}/curve.csv"],
+    ["sweep", "--family", "lpm", "--p", "3", "--m", "2..2", "--budget", "2"],
+    ["verify", "--suite", "duality", "--space", "lp(p=2,dim=2)", "--cases", "1",
+     "--budget", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", CHEAP_RUNS, ids=[a[0] for a in CHEAP_RUNS])
+def test_every_declared_flag_is_read(argv, id2, tmp_path, capsys):
+    """A flag no command reads is a knob that changes nothing: run each
+    subcommand on a namespace that records attribute reads (the manifest's
+    ``vars(args)`` is not one) and compare them with the declared dests."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    ap = build_parser()
+    argv = [a.replace("{id2}", id2).replace("{tmp}", str(tmp_path)) for a in argv]
+    args = ap.parse_args(argv + ["--out", str(tmp_path / "out")], namespace=Recording())
+    reads.clear()                         # argparse itself reads while parsing
+    assert args.fn(args) == EXIT_OK
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {a.dest for a in sub.choices[argv[0]]._actions if a.dest != "help"}
+    assert declared - reads == set()
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +559,10 @@ def test_console_script_installed():
 
 
 #: inputs that once ended in a traceback with exit code 1, the code of a
-#: suite violation: (argv, environment, what stderr must name); "{tmp}" is a
-#: directory holding id2.json (an operator) and list.json (a JSON list)
+#: suite violation, or printed a result before failing on the output path:
+#: (argv, environment, what stderr must name); "{tmp}" is the working
+#: directory, holding id2.json (an operator), list.json (a JSON list) and a
+#: directory sweep.csv (where sweep writes by default)
 INPUT_ERRORS = [
     (["radius", "--space", "lp(p=2,dim=2)", "--matrix", "{tmp}/id2.json",
       "--out", "{tmp}/missing/x.json"], {}, "{tmp}/missing/x.json"),
@@ -511,6 +573,12 @@ INPUT_ERRORS = [
     (["mp", "--p", "3"], {"NUMINDEX_SEED": "abc"}, "NUMINDEX_SEED"),
     (["radius", "--space", "lp(p=2,dim=2)", "--matrix", "{tmp}/list.json"], {},
      'a JSON object with a "matrix" field'),
+    (["index", "--out", "{tmp}", "--space", "lp(p=1.5,dim=3)", "--budget", "40"], {},
+     "cannot write {tmp}:"),
+    (["mp", "--out", "{tmp}/missing/x.json", "--p", "3"], {}, "{tmp}/missing/x.json"),
+    (["sweep", "--out", "{tmp}/missing/x.csv", "--family", "lpm", "--p", "3"], {},
+     "{tmp}/missing/x.csv"),
+    (["sweep", "--family", "lp2-curve", "--p", "3"], {}, "cannot write sweep.csv:"),
 ]
 
 
@@ -520,6 +588,8 @@ INPUT_ERRORS = [
 def test_input_errors_exit_2_without_traceback(argv, env, named, tmp_path):
     (tmp_path / "id2.json").write_text(operator_to_json(Operator(np.eye(2), lp(2, 2))))
     (tmp_path / "list.json").write_text("[1.0, 0.0, 0.0, 1.0]")
+    (tmp_path / "sweep.csv").mkdir()
+    before = sorted(os.listdir(tmp_path))
 
     def fill(text):
         return text.replace("{tmp}", str(tmp_path))
@@ -531,6 +601,9 @@ def test_input_errors_exit_2_without_traceback(argv, env, named, tmp_path):
     assert res.returncode == EXIT_INPUT, res.stderr
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
     assert fill(named) in res.stderr
+    # nothing printed and no file written before the error
+    assert res.stdout == ""
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_seed_env_override(monkeypatch):

@@ -19,7 +19,8 @@ from numindex.radius import (
     radius_enumerate,
     radius_grid_oracle,
 )
-from numindex.spaces import DegenerateInput, eval_pair, lp, psum, scalar
+from numindex.spaces import (DegenerateInput, eval_pair, lp, psum, scalar,
+                             sphere_starts)
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -447,3 +448,18 @@ def test_guarantee_follows_the_method():
             assert est.guarantee == ("exact-enumeration" if exact else "certified-lower-bound")
             seen.add(est.method)
     assert seen == {"ascent", "enumerate", "grid"}
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_search_budget_below_one_raises(budget):
+    """A multi-start search needs a start: a budget below 1 raises instead
+    of running one start."""
+    desc = lp(3, 2)
+    T = Operator([[0.6, -0.3], [0.2, 0.7]], desc)
+    with pytest.raises(DegenerateInput, match=f"start budget must be >= 1, got {budget}"):
+        sphere_starts(desc, np.random.default_rng(0), budget)
+    for engine in (numerical_radius, op_norm, absolute_radius):
+        with pytest.raises(DegenerateInput, match="start budget must be >= 1"):
+            engine(T, budget=budget, rng=0)
+    # the exact backends read no budget
+    assert numerical_radius(Operator(T.matrix, lp(1, 2)), budget=budget).value > 0

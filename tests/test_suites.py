@@ -136,6 +136,18 @@ def test_duality_symmetric_hilbert_exact_zero_gap():
     assert rep.passed, rep.max_violation
 
 
+@pytest.mark.parametrize("suite", [
+    lambda cases: lcc_check(tower([3.0, 3.0]), m=1, j=1, cases=cases, seed=0),
+    lambda cases: gcc_check(lp(1.5, 3), subset=(0, 1), cases=cases, seed=0),
+    lambda cases: duality_check(lp(3, 2), cases=cases, seed=0, index_budget=4),
+], ids=["lcc", "gcc", "duality"])
+@pytest.mark.parametrize("cases", [0, -3])
+def test_case_suites_reject_no_cases(suite, cases):
+    """A suite of no cases would pass with nothing checked."""
+    with pytest.raises(DegenerateInput, match=f"cases must be >= 1, got {cases}"):
+        suite(cases)
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
