@@ -307,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, budget=64):
-        sp.add_argument("--seed", type=int, default=_default_seed(),
-                        help="root seed (env NUMINDEX_SEED overrides the default)")
+        sp.add_argument("--seed", type=int,
+                        help="root seed (default: env NUMINDEX_SEED, else "
+                             f"{DEFAULT_SEED})")
         sp.add_argument("--budget", type=int, default=budget,
                         help="restart / evaluation budget")
         sp.add_argument("--out", help="output file (JSON) or directory (verify)")
@@ -363,6 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if vars(args).get("seed", 0) is None:   # a command that takes --seed, run without it
+            args.seed = _default_seed()
         return args.fn(args)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags already

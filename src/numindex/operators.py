@@ -197,7 +197,14 @@ def operator_stack(T) -> tuple[SpaceDescriptor, np.ndarray]:
     """Descriptor and (K, d, ..., d) coefficient stack of one map, or of a
     list or tuple of maps sharing a descriptor and degree."""
     Ts = T if isinstance(T, (list, tuple)) else [T]
-    return Ts[0].descriptor, np.stack([t.matrix for t in Ts])
+    desc, degree = Ts[0].descriptor, Ts[0].degree
+    for t in Ts:
+        if t.descriptor != desc or t.degree != degree:
+            raise DescriptorMismatch(
+                f"the maps of a stack share one space and degree, got degree "
+                f"{degree} on {descriptor_to_text(desc)} and degree {t.degree} "
+                f"on {descriptor_to_text(t.descriptor)}")
+    return desc, np.stack([t.matrix for t in Ts])
 
 
 def _apply_rows(m: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ before it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,15 +65,7 @@ class SuiteReport:
             self.max_violation = max(self.max_violation, float(v))
 
     def to_dict(self) -> dict:
-        return {"suite": self.suite,
-                "descriptors": self.descriptors,
-                "tolerance": self.tolerance,
-                "seed": self.seed,
-                "cases_run": len(self.cases),
-                "max_violation": self.max_violation,
-                "passed": self.passed,
-                "cases": self.cases,
-                "extra": self.extra}
+        return {**asdict(self), "cases_run": len(self.cases), "passed": self.passed}
 
 
 def _suite_tolerance(desc: SpaceDescriptor) -> float:
@@ -80,10 +73,30 @@ def _suite_tolerance(desc: SpaceDescriptor) -> float:
     return TOL_ENUMERATION if u in (1.0, math.inf) else TOL_ASCENT
 
 
-def _check_cases(cases: int):
-    """A suite of no cases would pass with nothing checked."""
+def _report(suite: str, descs, seed: int) -> SuiteReport:
+    """An empty report on ``descs`` at the coarsest of their tolerances."""
+    return SuiteReport(suite, [descriptor_to_text(d) for d in descs],
+                       max(map(_suite_tolerance, descs)), seed)
+
+
+def _invariance_cases(report: SuiteReport, space: SpaceDescriptor, views,
+                      cases: int, seed: int, budget: int, record) -> SuiteReport:
+    """nu(L) against nu(V(L)) for every view V of ``views``, case by case.
+    Case i draws L on ``space`` from ``case_rng(seed, i)``, scores L from
+    ``case_rng(seed, i, 1)`` and the k-th view from ``case_rng(seed, i, k + 1)``;
+    ``record`` names the values in the case record, and the violation is
+    max_k |nu_k - nu(L)|."""
     if cases < 1:
+        # a suite of no cases would pass with nothing checked
         raise DegenerateInput(f"cases must be >= 1, got {cases}")
+    for i in range(cases):
+        L = _random_operator(space, case_rng(seed, i))
+        maps = [L] + [view(L) for view in views]
+        vals = [numerical_radius(T, budget=budget, rng=case_rng(seed, i, k)).value
+                for k, T in enumerate(maps, 1)]
+        report.add({"case": i, **record(vals),
+                    "violation": max(abs(v - vals[0]) for v in vals)})
+    return report
 
 
 def _random_operator(desc: SpaceDescriptor, rng) -> Operator:
@@ -95,34 +108,17 @@ def _random_operator(desc: SpaceDescriptor, rng) -> Operator:
 
 def lcc_check(tower: SpaceDescriptor, m: int, j: int, cases: int = 50,
               seed: int = 0, budget: int = 32) -> SuiteReport:
-    """Projection invariance along a tower: nu(L) on level m versus
-    nu(L o Q_{m,j}) on level m+j, plus the one-sided level monotonicity."""
-    _check_cases(cases)
+    """Projection invariance along a tower: nu(L) on level m equals
+    nu(L o Q_{m,k}) on each level m+k, k = 1..j."""
     levels = tower_levels(tower)
-    if not (1 <= m <= len(levels)) or m + j > len(levels):
-        raise DegenerateInput(
-            f"tower has {len(levels)} levels; asked for m={m}, j={j}")
+    if m < 1 or j < 1 or m + j > len(levels):
+        raise DegenerateInput(f"tower has {len(levels)} levels; asked for m={m}, "
+                              f"j={j} (both >= 1)")
     x_m = levels[m - 1]
-    tol = max(_suite_tolerance(tower), _suite_tolerance(x_m))
-    report = SuiteReport("lcc", [descriptor_to_text(tower),
-                                 descriptor_to_text(x_m)], tol, seed)
-
-    for i in range(cases):
-        L = _random_operator(x_m, case_rng(seed, i))
-        v_small = numerical_radius(L, budget=budget, rng=case_rng(seed, i, 1)).value
-        vals = [v_small]
-        for jj in range(1, j + 1):
-            big = levels[m + jj - 1]
-            embedded = _embed_top_left(L, big)
-            vals.append(numerical_radius(embedded, budget=budget,
-                                         rng=case_rng(seed, i, 1 + jj)).value)
-        # equality across all levels, and the increasing-sequence direction
-        violation = max(abs(v - v_small) for v in vals)
-        monotone_defect = max(max(vals[k] - vals[k + 1] - tol, 0.0)
-                              for k in range(len(vals) - 1)) if len(vals) > 1 else 0.0
-        report.add({"case": i, "values": vals,
-                    "violation": max(violation, monotone_defect)})
-    return report
+    return _invariance_cases(
+        _report("lcc", [tower, x_m], seed), x_m,
+        [partial(_embed_top_left, big=big) for big in levels[m:m + j]],
+        cases, seed, budget, lambda vals: {"values": vals})
 
 
 def _embed_top_left(L: Operator, big: SpaceDescriptor) -> Operator:
@@ -140,21 +136,11 @@ def gcc_check(sum_space: SpaceDescriptor, subset, cases: int = 50,
               seed: int = 0, budget: int = 32) -> SuiteReport:
     """Block-projection invariance on a p-sum: nu(L o P_W) on the full
     space equals nu(L) on the block Z_W."""
-    _check_cases(cases)
     Q = coordinate_projection(sum_space, subset)
-    z_w = Q.sub_descriptor
-    tol = max(_suite_tolerance(sum_space), _suite_tolerance(z_w))
-    report = SuiteReport("gcc", [descriptor_to_text(sum_space),
-                                 descriptor_to_text(z_w)], tol, seed)
-
-    for i in range(cases):
-        L = _random_operator(z_w, case_rng(seed, i))
-        v_block = numerical_radius(L, budget=budget, rng=case_rng(seed, i, 1)).value
-        LQ = compose_with_projection(L, Q)
-        v_full = numerical_radius(LQ, budget=budget, rng=case_rng(seed, i, 2)).value
-        report.add({"case": i, "block": v_block, "full": v_full,
-                    "violation": abs(v_block - v_full)})
-    return report
+    return _invariance_cases(
+        _report("gcc", [sum_space, Q.sub_descriptor], seed), Q.sub_descriptor,
+        [partial(compose_with_projection, Q=Q)], cases, seed, budget,
+        lambda vals: {"block": vals[0], "full": vals[1]})
 
 
 def sum_index_check(summands, mode: str = "linf", budget: int = 120,
@@ -229,19 +215,9 @@ def duality_check(desc: SpaceDescriptor, cases: int = 50, budget: int = 32,
                   seed: int = 0, index_budget: int = 80) -> SuiteReport:
     """nu(T*) = nu(T) case by case, plus the coarse index comparison
     n(X*) <= n(X) (equality at finite dimension) on best-found bounds."""
-    _check_cases(cases)
-    tol = max(_suite_tolerance(desc), _suite_tolerance(dual_descriptor(desc)))
-    report = SuiteReport("duality", [descriptor_to_text(desc),
-                                     descriptor_to_text(dual_descriptor(desc))],
-                         tol, seed)
-
-    for i in range(cases):
-        T = _random_operator(desc, case_rng(seed, i))
-        v = numerical_radius(T, budget=budget, rng=case_rng(seed, i, 1)).value
-        v_star = numerical_radius(adjoint(T), budget=budget,
-                                  rng=case_rng(seed, i, 2)).value
-        report.add({"case": i, "radius": v, "radius_adjoint": v_star,
-                    "violation": abs(v - v_star)})
+    report = _invariance_cases(
+        _report("duality", [desc, dual_descriptor(desc)], seed), desc, [adjoint],
+        cases, seed, budget, lambda vals: {"radius": vals[0], "radius_adjoint": vals[1]})
     n_primal = numerical_index_estimate(desc, budget=index_budget,
                                         rng=case_rng(seed, 10_001)).upper_bound
     n_dual = numerical_index_estimate(dual_descriptor(desc), budget=index_budget,
@@ -250,7 +226,7 @@ def duality_check(desc: SpaceDescriptor, cases: int = 50, budget: int = 32,
     report.extra["index_dual"] = n_dual
     report.extra["index_gap_ok"] = bool(n_dual <= n_primal + TOL_INDEX)
     if not report.extra["index_gap_ok"]:
-        report.max_violation = max(report.max_violation, tol * 2)
+        report.max_violation = max(report.max_violation, report.tolerance * 2)
     return report
 
 
@@ -259,7 +235,11 @@ def bounds_check(p_list, m_list, budget: int = 150, seed: int = 0) -> SuiteRepor
     m >= 2 and [1, 1] on the scalar line: the lower side is a hard check on
     estimator sanity; closeness to the upper side from above is soft
     (optimizer quality, logged only)."""
-    report = SuiteReport("bounds", [f"lp(p={p});m={list(m_list)}" for p in p_list],
+    p_list, m_list = list(p_list), list(m_list)
+    if not p_list or not m_list:
+        raise DegenerateInput(f"bounds_check needs some p and some m, got "
+                              f"p={p_list}, m={m_list}")
+    report = SuiteReport("bounds", [f"lp(p={p});m={m_list}" for p in p_list],
                          HARD_SLACK, seed)
     k = 0
     curve = []

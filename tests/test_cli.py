@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from numindex import __version__
-from numindex.cli import EXIT_INPUT, EXIT_OK, build_parser, main
+from numindex.cli import EXIT_INPUT, EXIT_OK, _default_seed, build_parser, main
 from numindex.index import (absolute_index_estimate, numerical_index_estimate,
                             poly_index_estimate, rank_r_index_estimate)
 from numindex.operators import Operator, operator_to_json
@@ -304,6 +304,8 @@ def test_manifest_config_is_the_parsed_command(argv, manifest, id2, tmp_path, ca
     assert main(argv) == EXIT_OK
     config = json.loads((tmp_path / f"{manifest}.manifest.json").read_text())["config"]
     parsed = vars(build_parser().parse_args(argv))
+    if "seed" in parsed:      # resolved once the command runs without --seed
+        parsed["seed"] = _default_seed()
     assert config == {k: v for k, v in parsed.items() if k != "fn"}
 
 
@@ -570,7 +572,8 @@ INPUT_ERRORS = [
       "--out", "{tmp}/missing/x.json"], {}, "{tmp}/missing/x.json"),
     (["mp", "--p", "1", "--emit-curve", "{tmp}/missing/x.csv"], {}, "{tmp}/missing/x.csv"),
     (["verify", "--suite", "bounds", "--out", "{tmp}/id2.json"], {}, "{tmp}/id2.json"),
-    (["mp", "--p", "3"], {"NUMINDEX_SEED": "abc"}, "NUMINDEX_SEED"),
+    (["index", "--space", "lp(p=2,dim=2)", "--budget", "2"], {"NUMINDEX_SEED": "abc"},
+     "NUMINDEX_SEED"),
     (["radius", "--space", "lp(p=2,dim=2)", "--matrix", "{tmp}/list.json"], {},
      'a JSON object with a "matrix" field'),
     (["index", "--out", "{tmp}", "--space", "lp(p=1.5,dim=3)", "--budget", "40"], {},
@@ -608,7 +611,18 @@ def test_input_errors_exit_2_without_traceback(argv, env, named, tmp_path):
 
 def test_seed_env_override(monkeypatch):
     monkeypatch.setenv("NUMINDEX_SEED", "123")
-    from numindex.cli import _default_seed
     assert _default_seed() == 123
     monkeypatch.delenv("NUMINDEX_SEED")
     assert _default_seed() == 20240801
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["mp", "--p", "3"],
+    ["index", "--space", "lp(p=2,dim=2)", "--seed", "5", "--budget", "2"],
+], ids=["version", "mp", "index --seed"])
+def test_seed_env_read_only_without_seed(argv, monkeypatch, capsys):
+    """A bad NUMINDEX_SEED fails only a command that would read it."""
+    monkeypatch.setenv("NUMINDEX_SEED", "abc")
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""

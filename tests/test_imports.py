@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and the package
-reads every private name its modules define."""
+"""Every module of the package uses every name it imports, every function
+reads every parameter it declares, and the package reads every private name
+its modules define."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,25 @@ def unused_private_names(sources: dict) -> list[str]:
     return [f"{module}:{name}" for module, name in defined if name not in read]
 
 
+def unread_parameters(source: str) -> list[str]:
+    """``function:parameter`` of every parameter of every ``def`` and
+    ``lambda`` of ``source`` that its body never reads; ``self``, ``cls`` and
+    ``_``-prefixed names are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+                  if p is not None and p.arg not in ("self", "cls") and p.arg[0] != "_"]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"{name}:{p}" for p in params if p not in read]
+    return unread
+
+
 def test_unused_imports_are_found():
     assert unused_imports("import math\nfrom numpy import pi, e\nprint(e)\n") == \
         ["math", "pi"]
@@ -56,6 +76,19 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b=1, *args, c, _d, **kw):\n    return a + kw['x']\n"
+              "class K:\n    def m(self, x, y):\n        return lambda z, w: x + z\n"
+              "    @classmethod\n    def n(cls, v):\n        def g(u):\n            return v\n"
+              "        return g\n")
+    assert unread_parameters(source) == ["f:b", "f:args", "f:c", "m:y", "g:u", "lambda:w"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_unused_private_names_are_found():

@@ -18,7 +18,8 @@ from numindex.index import (
 from numindex.operators import HomogeneousPolynomial, Operator, op_norm, op_norm_stack
 from numindex.radius import (absolute_radius, absolute_radius_stack,
                              numerical_radius, poly_norm, radius_stack)
-from numindex.spaces import COMPLEX, DegenerateInput, lp, psum, scalar, tower
+from numindex.spaces import (COMPLEX, DegenerateInput, DescriptorMismatch, lp, psum,
+                             scalar, tower)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +384,18 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
                 continue
             nu = numerical_radius(P, budget=index.RADIUS_BUDGET_IN_SEARCH, rng=erng)
             assert r == (nu.value / ref_n, nu.method)
+
+
+def test_stack_of_maps_on_other_spaces_is_rejected():
+    """A start on another space is not scored on the first member's space,
+    and one of another dimension raises no raw numpy error."""
+    assert numerical_index_estimate(lp(1.5, 2), budget=9, rng=0).upper_bound > 0.2
+    for start in (Operator([[0, 1], [-1, 0]], lp(2, 2)), Operator(np.eye(3), lp(1.5, 3))):
+        with pytest.raises(DescriptorMismatch, match="share one space and degree"):
+            numerical_index_estimate(lp(1.5, 2), budget=9, rng=0, extra_starts=[start])
+    T, P = _random_operators(lp(1.5, 2), 1)[0], _random_polynomials(lp(1.5, 2), 2, 1)[0]
+    with pytest.raises(DescriptorMismatch, match="degree 1 on .* and degree 2 on"):
+        radius_stack([T, P], 4, [np.random.default_rng(k) for k in range(2)])
 
 
 @pytest.mark.parametrize("desc", STACK_SPACES, ids=str)

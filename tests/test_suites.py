@@ -148,6 +148,18 @@ def test_case_suites_reject_no_cases(suite, cases):
         suite(cases)
 
 
+@pytest.mark.parametrize("suite,message", [
+    (lambda: bounds_check([], [2]), "some p and some m"),
+    (lambda: bounds_check([1.5], []), "some p and some m"),
+    (lambda: lcc_check(tower([3.0, 3.0]), m=1, j=0, cases=3), "j=0"),
+    (lambda: lcc_check(tower([3.0, 3.0]), m=1, j=-1, cases=3), "j=-1"),
+], ids=["bounds-no-p", "bounds-no-m", "lcc-j0", "lcc-j-1"])
+def test_suites_reject_nothing_to_check(suite, message):
+    """No p, no m, or no level above m leaves nothing to compare."""
+    with pytest.raises(DegenerateInput, match=message):
+        suite()
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
