@@ -6,12 +6,10 @@ __version__ = "0.1.0"
 from .spaces import (COMPLEX, REAL, NormingPair, SpaceDescriptor,
                      descriptor_to_text, dual_descriptor, dual_norm,
                      eval_pair, lp, norm, norming_functional,
-                     parse_descriptor, psum, scalar, tower,
+                     parse_descriptor, psum, scalar, summand, tower,
                      unit_sphere_sample)
-from .operators import (CoordinateProjection, HomogeneousPolynomial, Operator,
-                        adjoint, apply, compose_with_projection,
-                        coordinate_projection, identity, op_norm, rank_one,
-                        rank_r_sample)
+from .operators import (HomogeneousPolynomial, Operator, adjoint, apply,
+                        compose_with_projection, identity, op_norm, rank_one)
 from .radius import (RadiusEstimate, absolute_radius, numerical_radius,
                      poly_radius, radius_enumerate, radius_grid_oracle)
 from .index import (BoundsInterval, IndexEstimate, MpResult,

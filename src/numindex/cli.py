@@ -233,8 +233,8 @@ def cmd_sweep(args) -> int:
     ps = _parse_range(args.p)
     # lp2-curve is the lpm sweep at m = 2
     ms = _parse_range(args.m or "2..4") if args.family == "lpm" else [2.0]
-    if not all(m.is_integer() for m in ms):
-        raise InputError(f"--m must be a range of integers, got {args.m!r}")
+    if not all(m.is_integer() and m >= 1 for m in ms):
+        raise InputError(f"--m must be a range of integers >= 1, got {args.m!r}")
     rows = []
     for p in ps:
         report = monotone_sweep(p, map(int, ms), budget=args.budget, seed=args.seed)

@@ -21,7 +21,7 @@ from . import operators as ops
 from .operators import HomogeneousPolynomial, Operator, op_norm_stack, poly_shape, rank_one
 from .radius import absolute_radius_stack, radius_stack
 from .spaces import (COMPLEX, DegenerateInput, SpaceDescriptor,
-                     dual_descriptor, unit_sphere_sample)
+                     dual_descriptor, gaussian, unit_sphere_sample)
 
 INV_E = 1.0 / math.e
 
@@ -125,7 +125,8 @@ def _eval_rng(T):
     its ratio is a pure function of it: re-encountering a witness (warm
     starts, embedded summand witnesses, a witness re-scored at the search's
     budgets) reproduces its ratio exactly instead of re-rolling the
-    evaluation noise."""
+    evaluation noise.  The key is the raw bytes, so entries of +0.0 and -0.0
+    draw different noise."""
     digest = hashlib.blake2b(T.matrix.tobytes(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
@@ -148,21 +149,12 @@ def _ratios(Ts, norm_budget: int, radii) -> list:
     return out
 
 
-def _gaussian(desc: SpaceDescriptor, rng, shape=None) -> np.ndarray:
-    """Gaussian entries of the field of ``desc``, d x d by default."""
-    shape = shape or (desc.total_dim,) * 2
-    g = rng.standard_normal(shape)
-    if desc.field == COMPLEX:
-        g = g + 1j * rng.standard_normal(shape)
-    return g
-
-
 def _start_portfolio(desc: SpaceDescriptor, rng):
     """Structured candidate operators: antisymmetric, shifts, rank-one, four
     dense Gaussian.  Order is deterministic."""
     d = desc.total_dim
     out = []
-    g = _gaussian(desc, rng)
+    g = gaussian(desc, rng)
     out.append(Operator((g - g.T) / 2.0, desc))           # antisymmetric
     if d >= 2:
         shift = np.zeros((d, d))
@@ -176,7 +168,7 @@ def _start_portfolio(desc: SpaceDescriptor, rng):
     out.append(rank_one(desc, unit_sphere_sample(ddual, rng),
                         unit_sphere_sample(desc, rng)))
     for _ in range(4):
-        out.append(Operator(_gaussian(desc, rng), desc))
+        out.append(Operator(gaussian(desc, rng), desc))
     return out
 
 
@@ -250,7 +242,7 @@ def numerical_index_estimate(desc: SpaceDescriptor, budget: int = 200,
         return IndexEstimate(1.0, ops.identity(desc), 0, "exact", bounds)
     candidates = list(extra_starts) + _start_portfolio(desc, rng)
     best, evals = _minimize_ratio(
-        candidates, partial(_gaussian, desc), _perturb_dense,
+        candidates, partial(gaussian, desc), _perturb_dense,
         lambda Ts: _ratios(Ts, 4, radius_stack),
         budget, rng)
     return IndexEstimate(float(best[0]), best[1], evals, best[2], bounds)
@@ -274,7 +266,7 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
                                       unit_sphere_sample(desc, rng)) for _ in range(r)]))
                   for _ in range(8)]
     best, evals = _minimize_ratio(
-        candidates, lambda _rng: np.array([_gaussian(desc, _rng, (2, d)) for _ in range(r)]),
+        candidates, lambda _rng: np.array([gaussian(desc, _rng, (2, d)) for _ in range(r)]),
         lambda TF, scale, noise: factored(TF[1] + scale * noise),
         lambda TFs: _ratios([T for T, _ in TFs], 4, radius_stack),
         budget, rng)
@@ -299,7 +291,7 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     p = desc.p
     q = p / (p - 1.0)
     best, evals = _minimize_ratio(
-        _start_portfolio(desc, rng), partial(_gaussian, desc), _perturb_dense,
+        _start_portfolio(desc, rng), partial(gaussian, desc), _perturb_dense,
         lambda Ts: _ratios(Ts, 8, absolute_radius_stack),
         budget, rng)
     n = theoretical_bounds(desc)
@@ -320,10 +312,10 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     if k == 1:
         return numerical_index_estimate(desc, budget, rng)
     rng = np.random.default_rng(rng)
-    candidates = [HomogeneousPolynomial(k, _gaussian(desc, rng, shape), desc)
+    candidates = [HomogeneousPolynomial(k, gaussian(desc, rng, shape), desc)
                   for _ in range(POLY_STARTS)]
     best, evals = _minimize_ratio(
-        candidates, partial(_gaussian, desc, shape=shape),
+        candidates, partial(gaussian, desc, shape=shape),
         lambda P, scale, noise: HomogeneousPolynomial(k, P.tensor + scale * noise, desc),
         lambda Ps: _ratios(Ps, RADIUS_BUDGET_IN_SEARCH, radius_stack),
         budget, rng)

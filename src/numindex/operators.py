@@ -21,8 +21,7 @@ from . import spaces
 from .optimize import best_rows, maximize_stack
 from .spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch,
                      SpaceDescriptor, descriptor_to_text, dual_descriptor,
-                     SpaceError, parse_descriptor, phase, projection_matrix,
-                     sphere_starts, unit_sphere_sample)
+                     SpaceError, parse_descriptor, phase, sphere_starts, summand)
 
 OP_NORM_MAX_ITERS = 500
 OP_NORM_VALUE_TOL = 1e-10
@@ -239,56 +238,19 @@ def rank_one(desc: SpaceDescriptor, f: np.ndarray, y: np.ndarray) -> Operator:
     return Operator(np.outer(y, f), desc)
 
 
-def rank_r_sample(desc: SpaceDescriptor, r: int,
-                  rng: np.random.Generator | int | None = None) -> Operator:
-    """Random operator of rank <= r, rescaled to op-norm estimate 1."""
-    if not (1 <= r <= desc.total_dim):
-        raise DegenerateInput(f"rank {r} out of range 1..{desc.total_dim}")
-    rng = np.random.default_rng(rng)
-    ddual = dual_descriptor(desc)
-    m = np.zeros((desc.total_dim, desc.total_dim), dtype=desc.dtype)
-    for _ in range(r):
-        f = unit_sphere_sample(ddual, rng)
-        y = unit_sphere_sample(desc, rng)
-        m += np.outer(y, f)
-    T = Operator(m, desc)
-    est = op_norm(T, budget=8, rng=rng)
-    if est.value == 0.0:
-        raise DegenerateInput("degenerate rank-r sample")
-    return Operator(m / est.value, desc)
-
-
-@dataclass(frozen=True)
-class CoordinateProjection:
-    """Norm-one projection onto a subset of top-level blocks."""
-
-    operator: Operator
-    kept: tuple[int, ...]
-    sub_descriptor: SpaceDescriptor
-    embed: np.ndarray        # full_dim x sub_dim, 0/1 leaf selector
-
-
-def coordinate_projection(desc: SpaceDescriptor, keep) -> CoordinateProjection:
-    mat = projection_matrix(desc, keep)
-    kept = tuple(sorted(set(keep)))
-    if len(kept) == len(desc.children):
-        sub = desc
-    elif len(kept) == 1:
-        sub = desc.children[kept[0]]
-    else:
-        sub = spaces.psum(desc.p, [desc.children[i] for i in kept], desc.field)
-    embed = np.eye(desc.total_dim, dtype=desc.dtype)[:, np.diag(mat) != 0]
-    return CoordinateProjection(Operator(mat, desc), kept, sub, embed)
-
-
-def compose_with_projection(L: Operator, Q: CoordinateProjection) -> Operator:
-    """L on the kept block composed with Q, as an operator on the full space."""
+def compose_with_projection(L: Operator, desc: SpaceDescriptor, keep) -> Operator:
+    """L on the summand of ``desc`` kept by ``keep`` (see
+    :func:`~numindex.spaces.summand`) composed with the projection onto it,
+    as an operator on ``desc``.  The product E L E^T with the 0/1 leaf
+    selector E, not a placement of L, fixes the bytes that key the index
+    search's evaluation noise (an entry of -0.0 comes out +0.0)."""
     if L.degree != 1:
         raise DegenerateInput(f"composition needs a degree-1 map, got degree {L.degree}")
-    if L.descriptor != Q.sub_descriptor:
+    sub, leaves = summand(desc, keep)
+    if L.descriptor != sub:
         raise DescriptorMismatch("operator does not act on the projected block")
-    E = Q.embed
-    return Operator(E @ L.matrix @ E.T, Q.operator.descriptor)
+    E = np.eye(desc.total_dim, dtype=desc.dtype)[:, leaves]
+    return Operator(E @ L.matrix @ E.T, desc)
 
 
 def poly_shape(desc: SpaceDescriptor, k: int) -> tuple[int, ...]:

@@ -23,9 +23,6 @@ import numpy as np
 REAL = "real"
 COMPLEX = "complex"
 
-#: default tolerance for exact algebraic identities
-DEFAULT_TOL = 1e-9
-
 #: largest total dimension of a descriptor; operators are dense d x d
 #: matrices, so the cap keeps every space at desk scale
 MAX_TOTAL_DIM = 1024
@@ -399,29 +396,43 @@ class NormingPair:
         return NormingPair(x, xstar, float(slack))
 
 
-def projection_matrix(desc: SpaceDescriptor, keep) -> np.ndarray:
-    """0/1 diagonal matrix preserving the kept top-level blocks."""
+def summand(desc: SpaceDescriptor, keep) -> tuple[SpaceDescriptor, np.ndarray]:
+    """The summand of ``desc`` spanned by the kept top-level blocks, and the
+    leaf coordinates of ``desc`` it occupies, in leaf order: a kept block
+    alone is itself, all blocks are ``desc``, and others are their p-sum."""
     keep = sorted(set(keep))
     if desc.is_leaf:
-        raise SpaceError("coordinate projection needs a PSum root")
+        raise SpaceError("a summand needs a PSum root")
     if not keep:
         raise DegenerateInput("empty keep-set")
     if keep[0] < 0 or keep[-1] >= len(desc.children):
         raise SpaceError(f"block index out of range 0..{len(desc.children) - 1}")
-    diag = np.zeros(desc.total_dim, dtype=desc.dtype)
-    for i in keep:
-        o, d = desc.child_spans[i]
-        diag[o:o + d] = 1.0
-    return np.diag(diag)
+    if len(keep) == len(desc.children):
+        sub = desc
+    elif len(keep) == 1:
+        sub = desc.children[keep[0]]
+    else:
+        sub = psum(desc.p, [desc.children[i] for i in keep], desc.field)
+    leaves = np.concatenate([np.arange(o, o + d)
+                             for o, d in (desc.child_spans[i] for i in keep)])
+    return sub, leaves
+
+
+def gaussian(desc: SpaceDescriptor, rng: np.random.Generator, shape=None) -> np.ndarray:
+    """Gaussian entries of the field of ``desc``, d x d by default: the real
+    parts first, then the imaginary parts on a complex space."""
+    shape = shape or (desc.total_dim,) * 2
+    g = rng.standard_normal(shape)
+    if desc.field == COMPLEX:
+        g = g + 1j * rng.standard_normal(shape)
+    return g
 
 
 def unit_sphere_sample(desc: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
     """Gaussian direction normalized to ||x|| = 1; almost surely all
     coordinates are nonzero, so samples lie in the dense smooth-point set."""
     while True:
-        g = rng.standard_normal(desc.total_dim)
-        if desc.field == COMPLEX:
-            g = g + 1j * rng.standard_normal(desc.total_dim)
+        g = gaussian(desc, rng, (desc.total_dim,))
         if np.all(g != 0):
             break
     return g / norm(desc, g)

@@ -17,12 +17,11 @@ from functools import partial
 
 import numpy as np
 
-from .index import _gaussian, mp_constant, numerical_index_estimate
-from .operators import (Operator, adjoint, compose_with_projection,
-                        coordinate_projection, op_norm)
+from .index import mp_constant, numerical_index_estimate
+from .operators import Operator, adjoint, compose_with_projection, op_norm
 from .radius import numerical_radius
 from .spaces import (SpaceDescriptor, DegenerateInput, descriptor_to_text,
-                     dual_descriptor, lp, psum, tower_levels)
+                     dual_descriptor, gaussian, lp, psum, summand, tower_levels)
 
 #: violation tolerances by backend mix
 TOL_ENUMERATION = 1e-9
@@ -100,7 +99,7 @@ def _invariance_cases(report: SuiteReport, space: SpaceDescriptor, views,
 
 
 def _random_operator(desc: SpaceDescriptor, rng) -> Operator:
-    g = _gaussian(desc, rng)
+    g = gaussian(desc, rng)
     T = Operator(g, desc)
     nrm = op_norm(T, budget=8, rng=rng)
     return Operator(g / nrm.value, desc)
@@ -117,29 +116,28 @@ def lcc_check(tower: SpaceDescriptor, m: int, j: int, cases: int = 50,
     x_m = levels[m - 1]
     return _invariance_cases(
         _report("lcc", [tower, x_m], seed), x_m,
-        [partial(_embed_top_left, big=big) for big in levels[m:m + j]],
+        [partial(_embed_first, levels=levels[m:m + k]) for k in range(1, j + 1)],
         cases, seed, budget, lambda vals: {"values": vals})
 
 
-def _embed_top_left(L: Operator, big: SpaceDescriptor) -> Operator:
-    """L on the first-child block of ``big`` composed with the projection
-    onto that block (tower levels share the leading leaf coordinates)."""
-    Q = coordinate_projection(big, keep=(0,))
-    if Q.sub_descriptor != L.descriptor:
-        # level descriptor nests deeper than one projection step
-        inner = _embed_top_left(L, Q.sub_descriptor)
-        return compose_with_projection(inner, Q)
-    return compose_with_projection(L, Q)
+def _embed_first(L: Operator, levels) -> Operator:
+    """L composed with the first-block projection of each tower level of
+    ``levels`` in turn, innermost first: L on level m lands on the level
+    m + len(levels), whose leading leaf coordinates it occupies."""
+    for big in levels:
+        L = compose_with_projection(L, big, (0,))
+    return L
 
 
 def gcc_check(sum_space: SpaceDescriptor, subset, cases: int = 50,
               seed: int = 0, budget: int = 32) -> SuiteReport:
     """Block-projection invariance on a p-sum: nu(L o P_W) on the full
     space equals nu(L) on the block Z_W."""
-    Q = coordinate_projection(sum_space, subset)
+    block, _ = summand(sum_space, subset)
     return _invariance_cases(
-        _report("gcc", [sum_space, Q.sub_descriptor], seed), Q.sub_descriptor,
-        [partial(compose_with_projection, Q=Q)], cases, seed, budget,
+        _report("gcc", [sum_space, block], seed), block,
+        [partial(compose_with_projection, desc=sum_space, keep=subset)],
+        cases, seed, budget,
         lambda vals: {"block": vals[0], "full": vals[1]})
 
 
@@ -167,8 +165,7 @@ def sum_index_check(summands, mode: str = "linf", budget: int = 120,
         if len(summands) > 1:
             # the sum attains inf_i n(X_i) on block operators: seed the sum
             # search with each summand witness composed with its projection
-            Q = coordinate_projection(sum_desc, (i,))
-            embedded.append(compose_with_projection(est.witness_operator, Q))
+            embedded.append(compose_with_projection(est.witness_operator, sum_desc, (i,)))
     est_sum = numerical_index_estimate(sum_desc, budget=budget,
                                        rng=case_rng(seed, len(summands)),
                                        extra_starts=embedded)
@@ -189,15 +186,17 @@ def monotone_sweep(p: float, m_values, budget: int = 120,
         raise DegenerateInput("empty m range")
     if max(m_values) > DIM_CAP:
         raise DegenerateInput(f"m={max(m_values)} exceeds dimension cap {DIM_CAP}")
+    if any(b <= a for a, b in zip(m_values, m_values[1:])):
+        # the check runs from each m to the next, so it needs them rising
+        raise DegenerateInput(f"m values must be strictly increasing, got {m_values}")
     report = SuiteReport("monotone", [f"lp(p={p},m={m_values})"], MONOTONE_SLACK, seed)
     prev_val, prev_witness, prev_m = None, None, None
     trajectory = []
     for k, m in enumerate(m_values):
         desc = lp(p, m)
         extra = []
-        if prev_witness is not None and m > prev_m:
-            Q = coordinate_projection(desc, keep=tuple(range(prev_m)))
-            extra.append(compose_with_projection(prev_witness, Q))
+        if prev_witness is not None:
+            extra.append(compose_with_projection(prev_witness, desc, range(prev_m)))
         est = numerical_index_estimate(desc, budget=budget,
                                        rng=case_rng(seed, k),
                                        extra_starts=extra)

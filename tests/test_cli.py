@@ -482,7 +482,7 @@ def test_sweep_range_non_finite_or_too_long_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("m", ["inf", "nan", "2..3:0.5"])
+@pytest.mark.parametrize("m", ["inf", "nan", "2..3:0.5", "0..2"])
 def test_sweep_m_must_be_integers(m, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--family", "lpm", "--p", "3", "--m", m, "--out", str(out)]

@@ -1,14 +1,19 @@
 """Every module of the package uses every name it imports, every function
-reads every parameter it declares, and the package reads every private name
-its modules define."""
+reads every parameter it declares, the package reads every private name its
+modules define, and something besides the tests names every public one."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "numindex"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parents[1]
+#: what reads the package besides its own modules and the tests
+READERS = [*sorted((ROOT / "perfbench").glob("*.py")),
+           *sorted((ROOT / "demos").glob("*.py")), ROOT / "README.md"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,6 +29,18 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def _module_level_names(tree: ast.Module):
+    """(name, statement) of every function, class and assigned name at the
+    module level of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                yield from ((n.id, node) for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
 def unused_private_names(sources: dict) -> list[str]:
     """``module:name`` of every private (``_``-prefixed) function, class or
     assignment at module level of ``sources`` (module name -> source) that
@@ -31,21 +48,33 @@ def unused_private_names(sources: dict) -> list[str]:
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                names = []
-            defined += [(module, name) for name in names if name.startswith("_")]
+        defined += [(module, name) for name, _ in _module_level_names(tree)
+                    if name.startswith("_")]
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
     return [f"{module}:{name}" for module, name in defined if name not in read]
+
+
+def unreferenced_public_names(sources: dict, readers: list) -> list[str]:
+    """``module:name`` of every public function, class or assignment at
+    module level of ``sources`` (module name -> source) whose name, as a
+    whole word, appears nowhere but in its own definition: not in the rest
+    of its module, another module of ``sources`` or a text of ``readers``."""
+    unread = []
+    for module, source in sources.items():
+        lines = source.splitlines()
+        for name, node in _module_level_names(ast.parse(source)):
+            if name.startswith("_"):
+                continue
+            rest = lines[:node.lineno - 1] + lines[node.end_lineno:]
+            texts = ["\n".join(rest), *(v for m, v in sources.items() if m != module), *readers]
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(t) for t in texts):
+                unread.append(f"{module}:{name}")
+    return unread
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -101,3 +130,16 @@ def test_unused_private_names_are_found():
 def test_package_reads_every_private_name():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def test_unreferenced_public_names_are_found():
+    sources = {"a": "X = 1\nY = X\nZ: int = 2\ndef f():\n    return f()\n"
+                    "class K:\n    pass\ndef _g():\n    pass\ndef h():\n    pass\n",
+               "b": "from a import K\n"}
+    assert unreferenced_public_names(sources, ["print(Y)", "see `h`; Zeta"]) == \
+        ["a:Z", "a:f"]
+
+
+def test_package_names_every_public_name_outside_the_tests():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unreferenced_public_names(sources, [p.read_text() for p in READERS]) == []

@@ -18,8 +18,8 @@ from numindex.index import (
 from numindex.operators import HomogeneousPolynomial, Operator, op_norm, op_norm_stack
 from numindex.radius import (absolute_radius, absolute_radius_stack,
                              numerical_radius, poly_norm, radius_stack)
-from numindex.spaces import (COMPLEX, DegenerateInput, DescriptorMismatch, lp, psum,
-                             scalar, tower)
+from numindex.spaces import (COMPLEX, DegenerateInput, DescriptorMismatch, gaussian, lp,
+                             psum, scalar, tower)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +340,14 @@ STACK_SPACES = [lp(3, 2), lp(1.5, 3), lp(4, 2, COMPLEX),
 def _random_operators(desc, n, seed=0):
     rng = np.random.default_rng(seed)
     d = desc.total_dim
-    out = [Operator(index._gaussian(desc, rng, (d, d)), desc) for _ in range(n)]
+    out = [Operator(gaussian(desc, rng, (d, d)), desc) for _ in range(n)]
     return out + [Operator(np.zeros((d, d)), desc)]
 
 
 def _random_polynomials(desc, k, n, seed=0):
     rng = np.random.default_rng(seed)
     shape = (desc.total_dim,) * (k + 1)
-    out = [HomogeneousPolynomial(k, index._gaussian(desc, rng, shape), desc)
+    out = [HomogeneousPolynomial(k, gaussian(desc, rng, shape), desc)
            for _ in range(n)]
     return out + [HomogeneousPolynomial(k, np.zeros(shape), desc)]
 

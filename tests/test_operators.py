@@ -17,19 +17,18 @@ from numindex.operators import (
     adjoint,
     apply,
     compose_with_projection,
-    coordinate_projection,
     identity,
     op_norm,
     operator_from_json,
     operator_to_json,
     rank_one,
-    rank_r_sample,
 )
 from numindex.cli import EXIT_OK, main
-from numindex.index import poly_index_estimate, rank_r_index_estimate
+from numindex.index import _start_portfolio, poly_index_estimate, rank_r_index_estimate
 from numindex.radius import numerical_radius, poly_norm
 from numindex.spaces import (
     COMPLEX,
+    REAL,
     DegenerateInput,
     DescriptorMismatch,
     SpaceError,
@@ -38,6 +37,7 @@ from numindex.spaces import (
     norm,
     psum,
     scalar,
+    summand,
     unit_sphere_sample,
 )
 
@@ -217,59 +217,61 @@ def test_rank_one_unit_norm():
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
 
-def test_rank_r_sample():
-    desc = lp(3, 4)
-    T = rank_r_sample(desc, 2, rng=5)
-    assert np.linalg.matrix_rank(T.matrix, tol=1e-10) <= 2
-    again = rank_r_sample(desc, 2, rng=5)
-    np.testing.assert_array_equal(T.matrix, again.matrix)
-    assert op_norm(T, budget=8, rng=0).value == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(DegenerateInput):
-        rank_r_sample(desc, 5, rng=0)
-
-
 # ---------------------------------------------------------------------------
 # projections and composition
 # ---------------------------------------------------------------------------
 
 def test_compose_with_projection_examples():
     desc = lp(2, 3)
-    Q = coordinate_projection(desc, (0, 1))
-    L_id = identity(Q.sub_descriptor)
-    np.testing.assert_allclose(compose_with_projection(L_id, Q).matrix,
-                               Q.operator.matrix)
-    L0 = Operator(np.zeros((2, 2)), Q.sub_descriptor)
-    assert np.allclose(compose_with_projection(L0, Q).matrix, 0.0)
-    L = Operator([[1.0, 2.0], [3.0, 4.0]], Q.sub_descriptor)
-    full = compose_with_projection(L, Q).matrix
+    sub, _ = summand(desc, (0, 1))
+    np.testing.assert_allclose(compose_with_projection(identity(sub), desc, (0, 1)).matrix,
+                               np.diag([1.0, 1.0, 0.0]))
+    L0 = Operator(np.zeros((2, 2)), sub)
+    assert np.allclose(compose_with_projection(L0, desc, (0, 1)).matrix, 0.0)
+    L = Operator([[1.0, 2.0], [3.0, 4.0]], sub)
+    full = compose_with_projection(L, desc, (0, 1)).matrix
     np.testing.assert_allclose(full[:2, :2], L.matrix)
     assert np.allclose(full[2, :], 0.0) and np.allclose(full[:, 2], 0.0)
 
 
 def test_compose_descriptor_mismatch():
-    Q = coordinate_projection(lp(2, 3), (0, 1))
     with pytest.raises(DescriptorMismatch):
-        compose_with_projection(Operator(np.eye(3), lp(2, 3)), Q)
+        compose_with_projection(Operator(np.eye(3), lp(2, 3)), lp(2, 3), (0, 1))
 
 
 def test_projection_embed_selects_the_kept_leaves():
     desc = psum(1.5, [lp(2, 2), scalar(), lp(3, 2)])
-    Q = coordinate_projection(desc, (2, 0))
+    sub, leaves = summand(desc, (2, 0))
+    assert sub == psum(1.5, [lp(2, 2), lp(3, 2)])
+    np.testing.assert_array_equal(leaves, [0, 1, 3, 4])
     want = np.zeros((5, 4))
     want[[0, 1, 3, 4], [0, 1, 2, 3]] = 1.0
-    np.testing.assert_array_equal(Q.embed, want)
-    L = Operator(np.arange(16.0).reshape(4, 4), Q.sub_descriptor)
-    np.testing.assert_array_equal(compose_with_projection(L, Q).matrix,
+    L = Operator(np.arange(16.0).reshape(4, 4), sub)
+    np.testing.assert_array_equal(compose_with_projection(L, desc, (2, 0)).matrix,
                                   want @ L.matrix @ want.T)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_compose_with_projection_bytes_are_the_selector_product(field):
+    # the index search keys its evaluation noise on these bytes, and the
+    # product turns the -0.0 entries of the signed permutation into +0.0
+    desc = lp(3, 4, field)
+    sub, leaves = summand(desc, range(3))
+    L = _start_portfolio(sub, np.random.default_rng(0))[2]
+    assert np.count_nonzero((L.matrix == 0) & np.signbit(L.matrix.real)) == 2
+    E = np.eye(4, dtype=desc.dtype)[:, leaves]
+    assert (compose_with_projection(L, desc, range(3)).matrix.tobytes()
+            == (E @ L.matrix @ E.T).tobytes())
 
 
 def test_projection_never_increases_norm():
     desc = psum(1.5, [lp(2, 2), lp(3, 2)])
-    Q = coordinate_projection(desc, (0,))
+    sub, _ = summand(desc, (0,))
     rng = np.random.default_rng(17)
     for _ in range(20):
-        L = Operator(rng.standard_normal((2, 2)), Q.sub_descriptor)
-        a = op_norm(compose_with_projection(L, Q), budget=8, rng=np.random.default_rng(0)).value
+        L = Operator(rng.standard_normal((2, 2)), sub)
+        a = op_norm(compose_with_projection(L, desc, (0,)), budget=8,
+                    rng=np.random.default_rng(0)).value
         b = op_norm(L, budget=8, rng=np.random.default_rng(0)).value
         assert a <= b + 1e-6
 
@@ -485,6 +487,5 @@ def test_adjoint_and_composition_need_degree_one():
     P = HomogeneousPolynomial(2, np.ones((2, 2, 2)), d)
     with pytest.raises(DegenerateInput, match="degree 2"):
         adjoint(P)
-    Q = coordinate_projection(psum(2, [d, scalar()]), (0,))
     with pytest.raises(DegenerateInput, match="degree 2"):
-        compose_with_projection(P, Q)
+        compose_with_projection(P, psum(2, [d, scalar()]), (0,))

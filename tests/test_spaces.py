@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numindex.operators import compose_with_projection, identity
 from numindex.spaces import (
     COMPLEX,
-    DEFAULT_TOL,
     MAX_DEPTH,
     MAX_TOTAL_DIM,
     DegenerateInput,
@@ -25,13 +25,16 @@ from numindex.spaces import (
     norm,
     norming_functional,
     parse_descriptor,
-    projection_matrix,
     psum,
     scalar,
+    summand,
     tower,
     tower_levels,
     unit_sphere_sample,
 )
+
+#: tolerance for exact algebraic identities
+DEFAULT_TOL = 1e-9
 
 DESCRIPTORS = [
     lp(1, 2),
@@ -185,19 +188,32 @@ def test_norming_pair_slack():
 # projections
 # ---------------------------------------------------------------------------
 
+def _projection(desc, keep):
+    """Matrix of the projection onto the summand kept by ``keep``: its
+    identity composed with the projection."""
+    sub, _ = summand(desc, keep)
+    return compose_with_projection(identity(sub), desc, keep).matrix
+
+
 def test_projection_examples():
-    P = projection_matrix(lp(2, 3), {0, 1})
+    assert summand(lp(2, 3), {0, 1})[0] == lp(2, 2)
+    P = _projection(lp(2, 3), {0, 1})
     out = P @ np.array([3.0, 4.0, 12.0])
     np.testing.assert_allclose(out, [3.0, 4.0, 0.0])
     assert norm(lp(2, 3), out) == pytest.approx(5.0)
-    np.testing.assert_allclose(projection_matrix(lp(2, 3), {0, 1, 2}), np.eye(3))
-    np.testing.assert_allclose(projection_matrix(lp(1, 2), {0}),
-                               [[1.0, 0.0], [0.0, 0.0]])
+    sub, leaves = summand(lp(2, 3), {0, 1, 2})
+    assert sub == lp(2, 3)
+    np.testing.assert_array_equal(leaves, [0, 1, 2])
+    np.testing.assert_allclose(_projection(lp(2, 3), {0, 1, 2}), np.eye(3))
+    sub, leaves = summand(lp(1, 2), {0})
+    assert sub == scalar()
+    np.testing.assert_array_equal(leaves, [0])
+    np.testing.assert_allclose(_projection(lp(1, 2), {0}), [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_projection_idempotent_and_contractive():
     desc = psum(1.5, [lp(2, 2), lp(3, 2), scalar()])
-    P = projection_matrix(desc, {0, 2})
+    P = _projection(desc, {0, 2})
     np.testing.assert_allclose(P @ P, P)
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -207,9 +223,13 @@ def test_projection_idempotent_and_contractive():
 
 def test_projection_errors():
     with pytest.raises(DegenerateInput):
-        projection_matrix(lp(2, 3), set())
+        summand(lp(2, 3), set())
     with pytest.raises(SpaceError):
-        projection_matrix(lp(2, 3), {5})
+        summand(lp(2, 3), {5})
+    with pytest.raises(SpaceError):
+        summand(lp(2, 3), {-1})
+    with pytest.raises(SpaceError, match="PSum root"):
+        summand(scalar(), {0})
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,10 @@ def test_monotone_sweep_errors():
         monotone_sweep(3.0, [], seed=0)
     with pytest.raises(DegenerateInput):
         monotone_sweep(3.0, [2, 99], seed=0)
+    with pytest.raises(DegenerateInput, match="strictly increasing"):
+        monotone_sweep(1.5, [3, 2], budget=30, seed=0)
+    with pytest.raises(DegenerateInput, match="strictly increasing"):
+        monotone_sweep(1.5, [2, 2], budget=30, seed=0)
 
 
 # ---------------------------------------------------------------------------
