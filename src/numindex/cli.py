@@ -228,11 +228,8 @@ def cmd_sweep(args) -> int:
     out = args.out or "sweep.csv"
     _check_outputs(out)
     _check_counts(args)
-    if args.m and args.family != "lpm":
-        raise InputError("--m applies only to --family lpm")
     ps = _parse_range(args.p)
-    # lp2-curve is the lpm sweep at m = 2
-    ms = _parse_range(args.m or "2..4") if args.family == "lpm" else [2.0]
+    ms = _parse_range(args.m)
     if not all(m.is_integer() and m >= 1 for m in ms):
         raise InputError(f"--m must be a range of integers >= 1, got {args.m!r}")
     rows = []
@@ -346,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_mp)
 
     sp = sub.add_parser("sweep", help="index sweeps over (p, m) grids")
-    sp.add_argument("--family", required=True, choices=["lpm", "lp2-curve"])
     sp.add_argument("--p", required=True, help="value or range a..b[:step]")
-    sp.add_argument("--m", help="integer range a..b for family lpm")
+    sp.add_argument("--m", default="2..4", help="integer range a..b")
     common(sp, budget=120)
     sp.set_defaults(fn=cmd_sweep)
 

@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from . import operators as ops
 from .operators import HomogeneousPolynomial, Operator, op_norm_stack, poly_shape, rank_one
-from .radius import absolute_radius_stack, radius_stack
+from .radius import radius_stack
 from .spaces import (COMPLEX, DegenerateInput, SpaceDescriptor,
                      dual_descriptor, gaussian, unit_sphere_sample)
 
@@ -292,7 +292,7 @@ def absolute_index_estimate(desc: SpaceDescriptor, budget: int = 200,
     q = p / (p - 1.0)
     best, evals = _minimize_ratio(
         _start_portfolio(desc, rng), partial(gaussian, desc), _perturb_dense,
-        lambda Ts: _ratios(Ts, 8, absolute_radius_stack),
+        lambda Ts: _ratios(Ts, 8, partial(radius_stack, absolute=True)),
         budget, rng)
     n = theoretical_bounds(desc)
     shift = 1.0 / (p ** (1.0 / p) * q ** (1.0 / q))

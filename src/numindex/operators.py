@@ -60,10 +60,6 @@ class Operator:
     def field(self) -> str:
         return self.descriptor.field
 
-    @property
-    def dim(self) -> int:
-        return self.descriptor.total_dim
-
 
 class HomogeneousPolynomial(Operator):
     """k-homogeneous polynomial P(x) = A(x, ..., x): the :class:`Operator`

@@ -1,13 +1,13 @@
 """Numerical radius, absolute numerical radius and polynomial radius.
 
-Three backends behind one entry point, :func:`numerical_radius`, for an
-operator or a homogeneous polynomial alike; the degree of the map, not its
-class, decides which apply:
+One engine, :func:`radius_stack`, for a stack of operators or homogeneous
+polynomials, both pairings and three backends; :func:`numerical_radius`,
+:func:`absolute_radius` and the grid oracle are its one-member calls.  The
+degree of the map, not its class, decides which backends apply:
 
-* ``ascent``    -- multi-start sphere maximization of |x*(Tx)| over the
-                   unit sphere;
+* ``ascent``    -- multi-start sphere maximization over the unit sphere;
 * ``enumerate`` -- exact finite enumeration on flat l1 / linf spaces, for
-                   every degree-1 map;
+                   the numerical radius of every degree-1 map;
 * ``grid``      -- dense sweep of a nested mesh of at most two angles
                    (real dimension <= 3, complex <= 2), the independent
                    oracle; its value never falls when the resolution doubles.
@@ -38,6 +38,8 @@ from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
 
 #: default restart budget for the ascent backend
 DEFAULT_RESTARTS = 64
+#: most points the grid oracle sweeps (about 2.1M at resolution 10^6)
+GRID_POINT_CAP = 1 << 22
 
 
 class BudgetExceeded(SpaceError):
@@ -104,28 +106,23 @@ def radius_objective(T):
 def numerical_radius(T, method: str = "auto", budget: int = DEFAULT_RESTARTS,
                      rng=None, resolution: int = 2000) -> RadiusEstimate:
     """Supremum estimate of |x*(T x)| over norming pairs, for an operator or
-    a polynomial ``T``, by the backend :func:`_backend` picks for ``method``."""
-    backend = _backend(T, method)
-    if backend == "enumerate":
-        return radius_enumerate(T)
-    if backend == "grid":
-        return radius_grid_oracle(T, resolution)
-    return _ascent_stack([T], budget, [np.random.default_rng(rng)])[0]
+    a polynomial ``T``: the one-member call of :func:`radius_stack`."""
+    return radius_stack([T], budget, [np.random.default_rng(rng)], method, resolution)[0]
 
 
-def _backend(T, method: str, quantity: str | None = None) -> str:
-    """The backend ``method`` names for the numerical radius of ``T`` or, given
-    ``quantity``, for that radius of an operator: ``ascent`` and ``grid``
-    always, ``enumerate`` for the numerical radius of a degree-1 map only,
-    operator or polynomial, which ``auto`` picks on spaces isometric to flat
-    l1/linf, where the ascent can stall (at 0 for the linf shift); ``auto``
-    is the ascent everywhere else."""
-    linear = quantity is None and T.degree == 1
-    quantity = quantity or ("numerical radius" if linear else "polynomial radius")
+def _backend(T, method: str, absolute: bool = False) -> str:
+    """The backend ``method`` names for the numerical radius of ``T`` or, if
+    ``absolute``, its absolute radius: ``ascent`` and ``grid`` always,
+    ``enumerate`` for the numerical radius of a degree-1 map only, operator
+    or polynomial, which ``auto`` picks on spaces isometric to flat l1/linf,
+    where the ascent can stall (at 0 for the linf shift); ``auto`` is the
+    ascent everywhere else."""
+    linear = not absolute and T.degree == 1
+    quantity = "absolute" if absolute else "numerical" if linear else "polynomial"
     backends = (("auto", "ascent", "enumerate", "grid") if linear
                 else ("auto", "ascent", "grid"))
     if method not in backends:
-        raise DegenerateInput(f"the {quantity} has no {method!r} backend; "
+        raise DegenerateInput(f"the {quantity} radius has no {method!r} backend; "
                               f"choose {', '.join(backends[:-1])} or {backends[-1]}")
     if method != "auto":
         return method
@@ -133,21 +130,24 @@ def _backend(T, method: str, quantity: str | None = None) -> str:
     return "enumerate" if exact else "ascent"
 
 
-def radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
-    """``numerical_radius`` (``auto``) of every operator, or every polynomial
-    of one degree, of a stack sharing one descriptor, member k drawing from
-    ``rngs[k]``; the ascents run as one batch and equal the one-member calls
-    bit for bit."""
-    if _backend(Ts[0], "auto") == "enumerate":
+def radius_stack(Ts, budget: int, rngs, method: str = "auto", resolution: int = 2000,
+                 absolute: bool = False) -> list[RadiusEstimate]:
+    """The radius engine: the numerical radius or, if ``absolute``, the
+    absolute radius of every operator, or every polynomial of one degree, of
+    a stack sharing one descriptor, by the backend :func:`_backend` picks for
+    ``method``.  The ascents run as one batch, member k drawing from
+    ``rngs[k]``; the grid sweeps each member on its own.  Every estimate
+    equals the one-member call bit for bit."""
+    backend = _backend(Ts[0], method, absolute)
+    if backend == "enumerate":
         return [radius_enumerate(T) for T in Ts]
-    return _ascent_stack(Ts, budget, rngs)
-
-
-def _ascent_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
-    """Multi-start local maximization of |x*(T_k x)| over the unit sphere."""
-    found = maximize_stack(Ts[0].descriptor, radius_objective(Ts), rngs, restarts=budget)
-    return [_estimate_at(T, x, "ascent", evals)
-            for T, (x, _, evals) in zip(Ts, found)]
+    desc = Ts[0].descriptor
+    objective = (absolute_radius_objective if absolute else radius_objective)(Ts)
+    if backend == "grid":
+        found = [_grid_sweep(desc, resolution, objective, k) for k in range(len(Ts))]
+    else:
+        found = [(x, n) for x, _, n in maximize_stack(desc, objective, rngs, budget)]
+    return [_estimate_at(T, x, backend, n, absolute) for T, (x, n) in zip(Ts, found)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +186,16 @@ def radius_grid_oracle(T, resolution: int = 2000) -> RadiusEstimate:
     l1 / linf every grid point scores the best functional of its dual face,
     as :func:`radius_objective` does everywhere.
     """
-    x, n = _grid_sweep(T.descriptor, resolution, radius_objective(T))
-    return _estimate_at(T, x, "grid", n)
+    return radius_stack([T], DEFAULT_RESTARTS, [None], "grid", resolution)[0]
 
 
-def _grid_sweep(desc: SpaceDescriptor, resolution: int, objective):
-    """(point, grid size) of the best row of a batched objective over the
-    direction grid normalized onto the unit sphere; the first maximal row
-    wins.  The point is a copy, so a stored witness does not keep the grid."""
+def _grid_sweep(desc: SpaceDescriptor, resolution: int, objective, k: int):
+    """(point, grid size) of the first best row of problem ``k`` of a batched
+    objective over the direction grid normalized onto the unit sphere; the
+    point is a copy, so a stored witness does not keep the grid."""
     xs = _grid_points(desc, resolution).astype(desc.dtype)
     xs = xs / desc.plan.norm(xs)[:, None]
-    vals = objective(xs, np.zeros(len(xs), dtype=int))
+    vals = objective(xs, np.full(len(xs), k))
     return xs[int(np.argmax(vals))].copy(), len(xs)
 
 
@@ -224,28 +223,16 @@ def absolute_radius(T, budget: int = DEFAULT_RESTARTS, rng=None,
     if T.degree != 1 or not desc.is_flat or desc.p == math.inf:
         raise DegenerateInput("absolute radius needs a degree-1 map on a flat "
                               "lp^m with finite p")
-    if _backend(T, method, "absolute radius") == "grid":
-        x, n = _grid_sweep(desc, resolution, absolute_radius_objective(T))
-        return _estimate_at(T, x, "grid", n, absolute=True)
-    return absolute_radius_stack([T], budget, [np.random.default_rng(rng)])[0]
-
-
-def absolute_radius_stack(Ts, budget: int, rngs) -> list[RadiusEstimate]:
-    """Ascent :func:`absolute_radius` of every operator of a stack sharing one
-    flat lp^m descriptor, 1 <= p < inf."""
-    found = maximize_stack(Ts[0].descriptor, absolute_radius_objective(Ts), rngs,
-                           restarts=budget)
-    return [_estimate_at(T, x, "ascent", evals, absolute=True)
-            for T, (x, _, evals) in zip(Ts, found)]
+    return radius_stack([T], budget, [np.random.default_rng(rng)], method, resolution,
+                        absolute=True)[0]
 
 
 # ---------------------------------------------------------------------------
 # polynomial numerical radius
 # ---------------------------------------------------------------------------
 
-def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
-                rng=None, method: str = "ascent",
-                resolution: int = 2000) -> RadiusEstimate:
+def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS, rng=None,
+                method: str = "ascent", resolution: int = 2000) -> RadiusEstimate:
     """nu(P) = sup |J(x) . P(x)| over the unit sphere: :func:`numerical_radius`
     of a polynomial."""
     return numerical_radius(P, method, budget, rng, resolution)
@@ -279,11 +266,16 @@ def _grid_points(desc: SpaceDescriptor, resolution: int) -> np.ndarray:
             f"grid oracle capped at dimension {1 + 2 // angles} for {desc.field} spaces")
     if d == 1:
         return np.ones((1, 1), dtype=complex) if angles == 2 else np.array([[1.0], [-1.0]])
-    if angles == 1 and d == 2:
+    circle = angles == 1 and d == 2
+    n = max(16, 1 << math.isqrt(resolution).bit_length())
+    rows = (resolution if circle else 2 * n * (n + 1)) + (3 ** d - 1) * (angles == 1)
+    if rows > GRID_POINT_CAP:
+        raise DegenerateInput(f"grid resolution {resolution} needs {rows} points, "
+                              f"more than the cap of {GRID_POINT_CAP}")
+    if circle:
         th = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
         xs = np.column_stack([np.cos(th), np.sin(th)])
     else:
-        n = max(16, 1 << math.isqrt(resolution).bit_length())
         th, ph = (a.ravel() for a in np.meshgrid(
             np.linspace(0.0, np.pi / angles, n + 1),
             np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False), indexing="ij"))

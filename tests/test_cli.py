@@ -269,7 +269,6 @@ DROPPED_FLAGS = [
     (["index", "--poly-k", "2", "--absolute"], ["--poly-k", "--absolute"]),
     (["index", "--rank", "1", "--poly-k", "2"], ["--rank", "--poly-k"]),
     (["verify", "--suite", "lcc", "--space", "lp(p=3,dim=2)"], ["--space"]),
-    (["sweep", "--family", "lp2-curve", "--p", "3", "--m", "2..3"], ["--m"]),
 ]
 
 
@@ -293,7 +292,7 @@ def test_flag_reaches_the_library_or_exits_2(argv, names, tmp_path, capsys):
     (["radius", "--space", "lp(p=2,dim=2)", "--budget", "4"], "out"),
     (["index", "--space", "lp(p=2,dim=2)", "--rank", "1", "--budget", "4"], "out"),
     (["mp", "--p", "3"], "out"),
-    (["sweep", "--family", "lp2-curve", "--p", "2", "--budget", "4"], "out"),
+    (["sweep", "--p", "2", "--m", "2", "--budget", "4"], "out"),
     (["verify", "--suite", "duality", "--space", "lp(p=2,dim=2)", "--cases", "1",
       "--budget", "4"], "out/duality.json"),
 ], ids=["radius", "index", "mp", "sweep", "verify"])
@@ -310,7 +309,7 @@ def test_manifest_config_is_the_parsed_command(argv, manifest, id2, tmp_path, ca
 
 
 def test_sweep_rejects_budget_below_one(capsys):
-    assert main(["sweep", "--family", "lp2-curve", "--p", "3", "--budget", "0"]) == EXIT_INPUT
+    assert main(["sweep", "--p", "3", "--m", "2", "--budget", "0"]) == EXIT_INPUT
     assert "--budget must be >= 1" in capsys.readouterr().err
 
 
@@ -333,6 +332,20 @@ def test_grid_resolution_below_one_exits_2(tmp_path, capsys, space, field, poly_
     assert "--resolution must be >= 1" in capsys.readouterr().err
 
 
+def test_radius_grid_over_the_point_cap_exits_2(tmp_path, monkeypatch, capsys):
+    """A resolution whose grid would exceed ``GRID_POINT_CAP`` points exits 2
+    naming it, before any grid array exists, and prints nothing on stdout."""
+    path = tmp_path / "id3.json"
+    path.write_text(operator_to_json(Operator(np.eye(3), lp(3, 3))))
+    argv = ["radius", "--space", "lp(p=3,dim=3)", "--matrix", str(path), "--method",
+            "grid", "--resolution", "100000000"]
+    monkeypatch.setattr(np, "meshgrid", lambda *a, **k: pytest.fail("grid allocated"))
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "error: grid resolution 100000000 needs" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_grid_points_reject_resolution_below_one():
     for desc in (lp(3, 2), lp(2, 2, "complex"), lp(3, 3)):
         with pytest.raises(DegenerateInput, match="resolution"):
@@ -349,12 +362,13 @@ def test_budget_ignored_where_unused(argv, id2):
 
 
 #: flags no command reads any more: the field is set in the descriptor text
-#: only, and mp draws nothing
+#: only, mp draws nothing, and sweep has one family
 REMOVED_FLAGS = [
     ["radius", "--space", "lp(p=2,dim=2,field=real)", "--field", "complex"],
     ["index", "--space", "lp(p=2,dim=2)", "--field", "real"],
     ["mp", "--p", "3", "--seed", "5"],
     ["mp", "--p", "2", "--budget", "0"],
+    ["sweep", "--p", "3", "--family", "lp2-curve"],
 ]
 
 
@@ -374,7 +388,7 @@ CHEAP_RUNS = [
     ["radius", "--space", "lp(p=2,dim=2)", "--matrix", "{id2}", "--budget", "2"],
     ["index", "--space", "lp(p=2,dim=2)", "--budget", "2"],
     ["mp", "--p", "3", "--emit-curve", "{tmp}/curve.csv"],
-    ["sweep", "--family", "lpm", "--p", "3", "--m", "2..2", "--budget", "2"],
+    ["sweep", "--p", "3", "--m", "2..2", "--budget", "2"],
     ["verify", "--suite", "duality", "--space", "lp(p=2,dim=2)", "--cases", "1",
      "--budget", "2"],
 ]
@@ -439,7 +453,7 @@ def test_mp_rejects_bad_p(capsys):
 
 def test_sweep_lpm(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code = main(["sweep", "--family", "lpm", "--p", "3", "--m", "1..3",
+    code = main(["sweep", "--p", "3", "--m", "1..3",
                  "--budget", "40", "--out", str(out)])
     assert code == EXIT_OK
     rows = list(csv.DictReader(out.open()))
@@ -449,30 +463,29 @@ def test_sweep_lpm(tmp_path, capsys):
     assert all(vals[i] >= vals[i + 1] - 0.02 for i in range(2))
 
 
-@pytest.mark.parametrize("family", ["lpm", "lp2-curve"])
-def test_sweep_leaves_mp_empty_at_p_inf(family, tmp_path, capsys):
-    """Both families write an empty mp cell at p = inf, where linf^m has
-    index 1."""
+@pytest.mark.parametrize("m", ["2", "2..3"])
+def test_sweep_leaves_mp_empty_at_p_inf(m, tmp_path, capsys):
+    """Every m writes an empty mp cell at p = inf, where linf^m has index 1."""
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--family", family, "--p", "inf", "--budget", "4", "--out", str(out)]
-    assert main(argv + (["--m", "2..3"] if family == "lpm" else [])) == EXIT_OK
+    argv = ["sweep", "--p", "inf", "--m", m, "--budget", "4", "--out", str(out)]
+    assert main(argv) == EXIT_OK
     rows = list(csv.DictReader(out.open()))
     assert rows and all(r["mp"] == "" for r in rows)
     assert all(float(r["index_upper_bound"]) == 1.0 for r in rows)
 
 
 def test_sweep_empty_range(capsys):
-    assert main(["sweep", "--family", "lpm", "--p", "5..4", "--m", "2..3"]) == EXIT_INPUT
+    assert main(["sweep", "--p", "5..4", "--m", "2..3"]) == EXIT_INPUT
 
 
 @pytest.mark.parametrize("argv", [
-    ["--family", "lpm", "--p", "3", "--m", "1..1e400"],
-    ["--family", "lp2-curve", "--p", "1..inf"],
-    ["--family", "lp2-curve", "--p", "1..3:1e-300"],
-    ["--family", "lp2-curve", "--p", "1..3:nan"],
-    ["--family", "lpm", "--p", "3", "--m", "1e17..100000000000000100"],
+    ["--p", "3", "--m", "1..1e400"],
+    ["--m", "2", "--p", "1..inf"],
+    ["--m", "2", "--p", "1..3:1e-300"],
+    ["--m", "2", "--p", "1..3:nan"],
+    ["--p", "3", "--m", "1e17..100000000000000100"],
     # a step below the 1e-12 rounding grain of the points would repeat them
-    ["--family", "lp2-curve", "--p", "1..1.0000000000004:0.0000000000001"],
+    ["--m", "2", "--p", "1..1.0000000000004:0.0000000000001"],
 ], ids=lambda argv: argv[-1])
 def test_sweep_range_non_finite_or_too_long_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
@@ -485,16 +498,11 @@ def test_sweep_range_non_finite_or_too_long_exits_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize("m", ["inf", "nan", "2..3:0.5", "0..2"])
 def test_sweep_m_must_be_integers(m, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--family", "lpm", "--p", "3", "--m", m, "--out", str(out)]
+    argv = ["sweep", "--p", "3", "--m", m, "--out", str(out)]
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "--m" in err and repr(m) in err and "Traceback" not in err
     assert not out.exists()
-
-
-def test_sweep_unknown_family(capsys):
-    # argparse rejects the choice with its own exit code 2
-    assert main(["sweep", "--family", "bogus", "--p", "3"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +587,9 @@ INPUT_ERRORS = [
     (["index", "--out", "{tmp}", "--space", "lp(p=1.5,dim=3)", "--budget", "40"], {},
      "cannot write {tmp}:"),
     (["mp", "--out", "{tmp}/missing/x.json", "--p", "3"], {}, "{tmp}/missing/x.json"),
-    (["sweep", "--out", "{tmp}/missing/x.csv", "--family", "lpm", "--p", "3"], {},
+    (["sweep", "--out", "{tmp}/missing/x.csv", "--p", "3"], {},
      "{tmp}/missing/x.csv"),
-    (["sweep", "--family", "lp2-curve", "--p", "3"], {}, "cannot write sweep.csv:"),
+    (["sweep", "--p", "3", "--m", "2"], {}, "cannot write sweep.csv:"),
 ]
 
 

@@ -60,20 +60,27 @@ def unused_private_names(sources: dict) -> list[str]:
 
 def unreferenced_public_names(sources: dict, readers: list) -> list[str]:
     """``module:name`` of every public function, class or assignment at
-    module level of ``sources`` (module name -> source) whose name, as a
-    whole word, appears nowhere but in its own definition: not in the rest
-    of its module, another module of ``sources`` or a text of ``readers``."""
+    module level of ``sources`` (module name -> source), and
+    ``module:Class.name`` of every public method or property of its classes,
+    that appears nowhere but in its own definition: not in the rest of its
+    module, another module of ``sources`` or a text of ``readers``.  A name
+    must appear as a whole word, a member's as an attribute (``.name``);
+    dataclass fields are exempt, since they leave through ``asdict``."""
     unread = []
     for module, source in sources.items():
-        lines = source.splitlines()
-        for name, node in _module_level_names(ast.parse(source)):
+        lines, tree = source.splitlines(), ast.parse(source)
+        names = [(name, name, node, r"\b") for name, node in _module_level_names(tree)]
+        names += [(f"{c.name}.{f.name}", f.name, f, r"\.") for c in tree.body
+                  if isinstance(c, ast.ClassDef) for f in c.body
+                  if isinstance(f, ast.FunctionDef)]
+        for label, name, node, lead in names:
             if name.startswith("_"):
                 continue
             rest = lines[:node.lineno - 1] + lines[node.end_lineno:]
             texts = ["\n".join(rest), *(v for m, v in sources.items() if m != module), *readers]
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            word = re.compile(rf"{lead}{re.escape(name)}\b")
             if not any(word.search(t) for t in texts):
-                unread.append(f"{module}:{name}")
+                unread.append(f"{module}:{label}")
     return unread
 
 
@@ -138,6 +145,22 @@ def test_unreferenced_public_names_are_found():
                "b": "from a import K\n"}
     assert unreferenced_public_names(sources, ["print(Y)", "see `h`; Zeta"]) == \
         ["a:Z", "a:f"]
+
+
+def test_unreferenced_public_members_are_found():
+    """Methods and properties count only when read as attributes; fields,
+    private and dunder members are exempt."""
+    sources = {"a": "class K:\n    field: int = 0\n    _noun = 'k'\n"
+                    "    def __init__(self):\n        self.used()\n"
+                    "    def used(self):\n        return self._hidden()\n"
+                    "    def _hidden(self):\n        return 1\n"
+                    "    @property\n    def size(self):\n        return 2\n"
+                    "    def unused(self):\n        return self.unused()\n"
+                    "    @property\n    def dim(self):\n        return 3\n"
+                    "    def read(self):\n        return 4\n",
+               "b": "from a import K\nprint(K().read())\n"}
+    assert unreferenced_public_names(sources, ["x.size", "dim=2, field"]) == \
+        ["a:K.unused", "a:K.dim"]
 
 
 def test_package_names_every_public_name_outside_the_tests():

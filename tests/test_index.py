@@ -16,8 +16,7 @@ from numindex.index import (
     theoretical_bounds,
 )
 from numindex.operators import HomogeneousPolynomial, Operator, op_norm, op_norm_stack
-from numindex.radius import (absolute_radius, absolute_radius_stack,
-                             numerical_radius, poly_norm, radius_stack)
+from numindex.radius import absolute_radius, numerical_radius, poly_norm, radius_stack
 from numindex.spaces import (COMPLEX, DegenerateInput, DescriptorMismatch, gaussian, lp,
                              psum, scalar, tower)
 
@@ -438,7 +437,8 @@ def test_degree_one_polynomial_is_its_operator(desc):
 @pytest.mark.parametrize("desc", [lp(3, 2), lp(1.5, 3), lp(4, 2, COMPLEX)], ids=str)
 def test_stacked_absolute_radius_matches_one_operator_calls(desc):
     Ts = _random_operators(desc, 4, seed=1)
-    stacked = absolute_radius_stack(Ts, 6, [np.random.default_rng(k) for k in range(5)])
+    stacked = radius_stack(Ts, 6, [np.random.default_rng(k) for k in range(5)],
+                           absolute=True)
     for k, (T, est) in enumerate(zip(Ts, stacked)):
         ref = absolute_radius(T, budget=6, rng=k)
         assert (est.value, est.evals) == (ref.value, ref.evals)

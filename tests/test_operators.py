@@ -453,7 +453,7 @@ def test_search_witnesses_expose_the_map_attributes():
     P = poly_index_estimate(d, 2, budget=4, rng=0).witness_operator
     assert isinstance(P, Operator)
     assert P.tensor is P.matrix and P.matrix.shape == (2, 2, 2)
-    assert (P.degree, P.field, P.dim, P.descriptor) == (2, "real", 2, d)
+    assert (P.degree, P.field, P.descriptor) == (2, "real", d)
     W = rank_r_index_estimate(d, 1, budget=4, rng=0).witness_operator
     assert W.degree == 1 and np.linalg.matrix_rank(W.matrix) <= 1
 

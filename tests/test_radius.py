@@ -18,6 +18,7 @@ from numindex.radius import (
     poly_radius,
     radius_enumerate,
     radius_grid_oracle,
+    radius_stack,
 )
 from numindex.spaces import (DegenerateInput, eval_pair, lp, psum, scalar,
                              sphere_starts)
@@ -185,6 +186,40 @@ def test_grid_oracle_dimension_cap():
         radius_grid_oracle(identity(lp(2, 3, "complex")), 100)
     with pytest.raises(BudgetExceeded):
         numerical_radius(identity(lp(2, 4)), method="grid")
+
+
+@pytest.mark.parametrize("desc", [lp(3, 2), lp(3, 3), lp(3, 2, "complex")], ids=str)
+def test_grid_points_cap_rejects_before_allocating(desc, monkeypatch):
+    """A resolution whose grid would exceed ``GRID_POINT_CAP`` rows is
+    rejected, naming the resolution, before any grid array exists; the cap
+    counts exactly the rows the grid has."""
+    for r, rows in [(r, len(_grid_points(desc, r))) for r in (1, 300, 4000)]:
+        monkeypatch.setattr("numindex.radius.GRID_POINT_CAP", rows)
+        assert len(_grid_points(desc, r)) == rows
+        monkeypatch.setattr("numindex.radius.GRID_POINT_CAP", rows - 1)
+        with pytest.raises(DegenerateInput, match=f"grid resolution {r} needs {rows} points"):
+            _grid_points(desc, r)
+    monkeypatch.undo()
+    for allocator in ("linspace", "meshgrid"):
+        monkeypatch.setattr(np, allocator, lambda *a, **k: pytest.fail("grid allocated"))
+    with pytest.raises(DegenerateInput, match="grid resolution 100000000 needs"):
+        radius_grid_oracle(identity(desc), 10 ** 8)
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["numerical", "absolute"])
+@pytest.mark.parametrize("desc", [lp(3, 2), lp(1.5, 3), lp(4, 2, "complex")], ids=str)
+def test_grid_stack_matches_one_member_calls(desc, absolute):
+    """A 3-member stack on the grid backend sweeps each member on its own:
+    value, witness pair and evals equal the one-member calls bit for bit."""
+    rng = np.random.default_rng(21)
+    Ts = [_rand_op(desc, rng) for _ in range(3)]
+    one = absolute_radius if absolute else numerical_radius
+    stacked = radius_stack(Ts, 4, [None] * 3, "grid", 300, absolute=absolute)
+    for T, est in zip(Ts, stacked):
+        ref = one(T, method="grid", resolution=300)
+        assert (est.value, est.method, est.evals) == (ref.value, "grid", ref.evals)
+        np.testing.assert_array_equal(est.witness.x, ref.witness.x)
+        np.testing.assert_array_equal(est.witness.xstar, ref.witness.xstar)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
