@@ -74,11 +74,12 @@ def _write_json(path: str, payload: dict):
 
 
 def _check_outputs(*paths):
-    """Reject, before any work, an output path that names a directory or
-    lies in a missing one, so a failed run prints and writes nothing."""
+    """Reject, before any work, an output path or its manifest that names a
+    directory or lies in a missing one, so a failed run prints and writes nothing."""
     for path in filter(None, paths):
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            raise InputError(f"cannot write {path}: a directory, or in a missing one")
+        for target in (path, path + ".manifest.json"):
+            if os.path.isdir(target) or not os.path.isdir(os.path.dirname(target) or "."):
+                raise InputError(f"cannot write {target}: a directory, or in a missing one")
 
 
 def _emit(args, payload: dict, started: float, counters: dict | None = None):
@@ -279,6 +280,7 @@ def cmd_verify(args) -> int:
     duality_space = _load_space(args) if args.space else lp(3, 2)
     outdir = args.out or "reports"
     os.makedirs(outdir, exist_ok=True)
+    _check_outputs(*(os.path.join(outdir, f"{name}.json") for name in names))
     all_passed = True
     for name in names:
         report = _run_suite(name, args, duality_space)

@@ -144,7 +144,7 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
         found = maximize_stack(desc, lambda x, k: desc.plan.norm(_apply_rows(m, x, k)),
                                rngs, budget)
         return [OperatorNormEstimate(val, x, "ascent") for x, val, _ in found]
-    if desc.uniform_exponent in (1.0, math.inf):
+    if desc.is_l1_linf:
         # the largest column sum, attained at e_j (l1), or row sum (linf)
         return [_exact_norm(T) for T in Ts]
 

@@ -77,12 +77,11 @@ def _functional(desc: SpaceDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarr
     of y turned to the phase of the support's sum; at p = inf the extreme
     functional at the max-modulus coordinate of x with the largest |y_i|,
     the first one on ties.  Everywhere else the canonical J(x)."""
-    p = desc.uniform_exponent
-    if p not in (1.0, math.inf):
+    if not desc.is_l1_linf:
         return desc.plan.norming(x)[0]
     a = np.abs(x)
     f = conj_sign(x, a)
-    if p == 1:
+    if desc.uniform_exponent == 1:
         s = phase((f * y).sum(axis=1, keepdims=True))
         return np.where(a > 0, f, np.conj(phase(y)) * s)
     top = a >= a.max(axis=1, keepdims=True) - 1e-15
@@ -126,7 +125,7 @@ def _backend(T, method: str, absolute: bool = False) -> str:
                               f"choose {', '.join(backends[:-1])} or {backends[-1]}")
     if method != "auto":
         return method
-    exact = linear and T.descriptor.uniform_exponent in (1.0, math.inf)
+    exact = linear and T.descriptor.is_l1_linf
     return "enumerate" if exact else "ascent"
 
 
@@ -163,7 +162,7 @@ def radius_enumerate(T) -> RadiusEstimate:
     one :func:`_functional` picks at x, which attains it.
     """
     desc = T.descriptor
-    if T.degree != 1 or desc.uniform_exponent not in (1.0, math.inf):
+    if T.degree != 1 or not desc.is_l1_linf:
         raise DegenerateInput("enumeration needs a degree-1 map on a flat (or "
                               "uniformly nested) l1/linf descriptor")
     exact = _exact_norm(T)

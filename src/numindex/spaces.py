@@ -146,6 +146,11 @@ class SpaceDescriptor:
         ps = set(self.exponents)
         return ps.pop() if len(ps) == 1 else None
 
+    @cached_property
+    def is_l1_linf(self) -> bool:
+        """Isometric to flat l1 or linf: all PSum exponents are 1, or all inf."""
+        return self.uniform_exponent in (1.0, math.inf)
+
     @property
     def dtype(self):
         return np.complex128 if self.field == COMPLEX else np.float64

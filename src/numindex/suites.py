@@ -68,8 +68,7 @@ class SuiteReport:
 
 
 def _suite_tolerance(desc: SpaceDescriptor) -> float:
-    u = desc.uniform_exponent
-    return TOL_ENUMERATION if u in (1.0, math.inf) else TOL_ASCENT
+    return TOL_ENUMERATION if desc.is_l1_linf else TOL_ASCENT
 
 
 def _report(suite: str, descs, seed: int) -> SuiteReport:

@@ -545,7 +545,8 @@ def test_verify_deterministic_reports(tmp_path, capsys):
 def test_console_script_installed():
     # Start the [project.scripts] entry point the way pip's generated wrapper
     # does, so the contract is checked with or without an install; an
-    # installed `numindex` on PATH is run as well.
+    # installed `numindex` on PATH is run as well.  numpy is the one runtime
+    # dependency: neither command leaves a scipy module loaded.
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
@@ -566,13 +567,23 @@ def test_console_script_installed():
                              text=True, timeout=120)
         assert res.returncode == 0, f"{cmd}: {res.stderr}"
         assert res.stdout.strip() == __version__, f"{cmd}: {res.stderr}"
+    probe = (f"import sys; from {module} import {attr}; "
+             f"sys.argv[0] = 'numindex'; code = {attr}(); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+             "file=sys.stderr); sys.exit(code)")
+    for argv in (["--version"], ["mp", "--p", "3"]):
+        res = subprocess.run([sys.executable, "-c", probe, *argv], cwd=ROOT, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, f"{argv}: {res.stderr}"
+        assert res.stderr.splitlines() == ["[]"], f"{argv}: {res.stderr}"
 
 
 #: inputs that once ended in a traceback with exit code 1, the code of a
 #: suite violation, or printed a result before failing on the output path:
 #: (argv, environment, what stderr must name); "{tmp}" is the working
-#: directory, holding id2.json (an operator), list.json (a JSON list) and a
-#: directory sweep.csv (where sweep writes by default)
+#: directory, holding id2.json (an operator), list.json (a JSON list), a
+#: directory sweep.csv (where sweep writes by default), and directories where
+#: the manifests of x.json and s.csv and the bounds report of reports/ go
 INPUT_ERRORS = [
     (["radius", "--space", "lp(p=2,dim=2)", "--matrix", "{tmp}/id2.json",
       "--out", "{tmp}/missing/x.json"], {}, "{tmp}/missing/x.json"),
@@ -590,6 +601,11 @@ INPUT_ERRORS = [
     (["sweep", "--out", "{tmp}/missing/x.csv", "--p", "3"], {},
      "{tmp}/missing/x.csv"),
     (["sweep", "--p", "3", "--m", "2"], {}, "cannot write sweep.csv:"),
+    (["mp", "--p=3", "--out", "x.json"], {}, "cannot write x.json.manifest.json:"),
+    (["sweep", "--m", "2", "--p", "3", "--out", "s.csv"], {},
+     "cannot write s.csv.manifest.json:"),
+    (["verify", "--out", "reports", "--suite", "bounds"], {},
+     f"cannot write {os.path.join('reports', 'bounds.json')}:"),
 ]
 
 
@@ -600,7 +616,14 @@ def test_input_errors_exit_2_without_traceback(argv, env, named, tmp_path):
     (tmp_path / "id2.json").write_text(operator_to_json(Operator(np.eye(2), lp(2, 2))))
     (tmp_path / "list.json").write_text("[1.0, 0.0, 0.0, 1.0]")
     (tmp_path / "sweep.csv").mkdir()
-    before = sorted(os.listdir(tmp_path))
+    (tmp_path / "x.json.manifest.json").mkdir()
+    (tmp_path / "s.csv.manifest.json").mkdir()
+    (tmp_path / "reports" / "bounds.json").mkdir(parents=True)
+
+    def listing():
+        return sorted(map(str, tmp_path.rglob("*")))
+
+    before = listing()
 
     def fill(text):
         return text.replace("{tmp}", str(tmp_path))
@@ -614,7 +637,7 @@ def test_input_errors_exit_2_without_traceback(argv, env, named, tmp_path):
     assert fill(named) in res.stderr
     # nothing printed and no file written before the error
     assert res.stdout == ""
-    assert sorted(os.listdir(tmp_path)) == before
+    assert listing() == before
 
 
 def test_seed_env_override(monkeypatch):

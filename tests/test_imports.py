@@ -1,9 +1,12 @@
-"""Every module of the package uses every name it imports, every function
-reads every parameter it declares, the package reads every private name its
-modules define, and something besides the tests names every public one."""
+"""Every module of the package uses every name it imports and imports
+nothing beyond the standard library, numpy and the package itself, every
+function reads every parameter it declares, the package reads every private
+name its modules define, and something besides the tests names every public
+one."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,23 @@ def unused_imports(source: str) -> list[str]:
             bound += [a.asname or a.name for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in bound if name not in used]
+
+
+#: top-level packages a module of the package may import: numpy is the one
+#: runtime dependency
+ALLOWED_IMPORTS = frozenset(sys.stdlib_module_names) | {"numpy", "numindex"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level packages that ``source`` imports from outside
+    ``ALLOWED_IMPORTS``; a relative import stays inside the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+    return [name for name in found if name not in ALLOWED_IMPORTS]
 
 
 def _module_level_names(tree: ast.Module):
@@ -112,6 +132,19 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_foreign_imports_are_found():
+    source = ("from __future__ import annotations\nimport os.path, scipy.optimize\n"
+              "import numpy as np\nfrom numindex.spaces import lp\nfrom . import radius\n"
+              "from .index import mp_constant\nfrom scipy.optimize import minimize_scalar\n"
+              "def f():\n    import pandas\n")
+    assert foreign_imports(source) == ["scipy", "scipy", "pandas"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_stdlib_numpy_and_the_package(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 def test_unread_parameters_are_found():

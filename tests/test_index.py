@@ -39,6 +39,18 @@ def test_mp_against_dense_grid():
     assert mp_constant(p).value == pytest.approx(ref, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.25, 1.5, 1.75, 2.5, 3.0, 4.0, 5.0, 10.0])
+def test_mp_equals_mp_of_conjugate_to_1e15(p):
+    """M_p = M_q for 1/p + 1/q = 1, to the last digits a scan can give."""
+    assert abs(mp_constant(p).value - mp_constant(p / (p - 1.0)).value) <= 1e-15
+
+
+@pytest.mark.parametrize("p,closed_form", [(4.0, 2.0 ** -1.5), (4.0 / 3.0, 2.0 ** -1.5),
+                                           (6.0, 0.5), (6.0 / 5.0, 0.5)])
+def test_mp_closed_forms_to_1e15(p, closed_form):
+    assert abs(mp_constant(p).value - closed_form) <= 1e-15
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
 def test_mp_positive_off_two(p):
     assert mp_constant(p).value > 1e-3
