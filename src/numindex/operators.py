@@ -3,8 +3,9 @@
 One class, :class:`Operator`, holds the coefficient array of a map of any
 degree k >= 1 on the depth-first leaf coordinates of a descriptor; where the
 math differs, the degree decides.  A degree-1 map has exact column/row-sum
-norms on spaces isometric to flat l1/linf and a duality-map fixed point (the
-power-method generalization) elsewhere; degree k >= 2 runs a sphere ascent.
+norms on spaces isometric to flat l1/linf and elsewhere the duality-map fixed
+point of the p-norm power method, extrapolated along its own step with the
+plain step as fallback; degree k >= 2 runs a sphere ascent.
 Adjoints and compositions need degree 1.  Every value is a certified lower
 bound attained by the stored witness.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .optimize import best_rows, maximize_stack
+from .optimize import LINE_SEARCH_WIDTH, best_rows, maximize_stack
 from .spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch,
                      SpaceDescriptor, descriptor_to_text, dual_descriptor,
                      SpaceError, parse_descriptor, phase, sphere_starts, summand)
@@ -122,10 +123,10 @@ def op_norm(T, budget: int = 16,
     operator or a homogeneous polynomial ``T`` (||P|| = sup ||P(x)||).
 
     A degree-1 map, operator or polynomial, is exact on flat (or uniformly
-    nested) l1/linf descriptors and runs the fixed point
-    x <- J*(T^adj J(Tx)) elsewhere; degree k >= 2 runs the sphere ascent of
-    ||P(x)||.  Searches start from ``budget`` starts.  The one-member case
-    of :func:`op_norm_stack`.
+    nested) l1/linf descriptors and elsewhere runs the fixed point
+    F(x) = J*(T^adj J(Tx)), extrapolated along its own step; degree k >= 2
+    runs the sphere ascent of ||P(x)||.  Searches start from ``budget``
+    starts.  The one-member case of :func:`op_norm_stack`.
     """
     return op_norm_stack([T], budget, [np.random.default_rng(rng)])[0]
 
@@ -136,7 +137,14 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     engine follows the degree, so a degree-1 polynomial gets its operator's
     estimate.  The searches of all starts of all members advance together as
     rows of one array, each row's rounding independent of the others, so
-    every estimate equals its one-member call bit for bit."""
+    every estimate equals its one-member call bit for bit.
+
+    A fixed-point step scores ``LINE_SEARCH_WIDTH`` normalized candidates
+    x + s (F(x) - x) of a row at once: the plain step s = 1, then the row's
+    multiplier times 1/2, 1, ..., 32.  The row takes the best, the earliest
+    on a tie, its multiplier becomes that s, and it stops as the plain
+    iteration does: when its value falls or rises by less than
+    ``OP_NORM_VALUE_TOL``."""
     if not Ts:
         return []
     desc, m = operator_stack(Ts)
@@ -153,26 +161,33 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     g = np.repeat(np.arange(len(Ts)), len(x) // len(Ts))
     mt = m.transpose(0, 2, 1)
     f, val = plan.norming(_apply_rows(m, x, g))
-    # every start runs its own fixed point; the running rows and their
-    # f = J(Tx) sit in compact arrays
-    a, xa, ga, va, fa = np.arange(len(x)), x, g, val, f
+    # every start runs its own fixed point; the running rows, their f = J(Tx)
+    # and multiplier sit in compact arrays
+    a, xa, ga, va, fa, sa = np.arange(len(x)), x, g, val, f, np.ones(len(x))
+    w, powers = LINE_SEARCH_WIDTH, 2.0 ** np.arange(-1, LINE_SEARCH_WIDTH - 2)
     for _ in range(OP_NORM_MAX_ITERS):
         if a.size == 0:
             break
         # bilinear adjoint of the pairing; J is 0-homogeneous, so no rescaling
-        x_new, ng = dplan.norming(_apply_rows(mt, fa, ga))
-        f_new, new_val = plan.norming(_apply_rows(m, x_new, ga))
-        rise = new_val - va
+        fx, ng = dplan.norming(_apply_rows(mt, fa, ga))
+        sizes = np.concatenate([np.ones((a.size, 1)), sa[:, None] * powers], axis=1)
+        c = (xa[:, None] + sizes[..., None] * (fx - xa)[:, None]).reshape(-1, xa.shape[1])
+        n = plan.norm(c)
+        c /= np.where(n == 0.0, np.inf, n)[:, None]     # a zero candidate stays 0
+        cf, cv = plan.norming(_apply_rows(m, c, ga.repeat(w)))
+        best = np.arange(a.size) * w + cv.reshape(-1, w).argmax(axis=1)
+        rise = cv[best] - va
         live = ng != 0.0                  # else Tx = 0, or T^adj J(Tx) = 0
-        # a row steps unless the value fell (a nonsmooth kink: keep the best
-        # seen) and stops once it rises by less than the tolerance
+        # a row takes its best candidate unless the value fell (a nonsmooth
+        # kink: keep the best seen) and stops once it rises less than the tolerance
         step = live & (rise >= 0)
-        xa, va = np.where(step[:, None], x_new, xa), np.where(step, new_val, va)
+        xa, va = np.where(step[:, None], c[best], xa), np.where(step, cv[best], va)
         stop = ~live | (rise < OP_NORM_VALUE_TOL)
         going = ~stop
         x[a[stop]], val[a[stop]] = xa[stop], va[stop]
-        # a running row has stepped: its f is that of x_new
-        a, xa, ga, va, fa = a[going], xa[going], ga[going], va[going], f_new[going]
+        # a running row has stepped: its f is that of its candidate
+        a, xa, ga, va = a[going], xa[going], ga[going], va[going]
+        fa, sa = cf[best][going], sizes.ravel()[best][going]
     x[a], val[a] = xa, va
     return [OperatorNormEstimate(float(val[i]), x[i], "fixed-point")
             for i in best_rows(val, g, len(Ts))]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from numindex import index
+from numindex import index, operators
 from numindex.index import (
     INV_E,
     absolute_index_estimate,
@@ -19,6 +19,7 @@ from numindex.operators import HomogeneousPolynomial, Operator, op_norm, op_norm
 from numindex.radius import absolute_radius, numerical_radius, poly_norm, radius_stack
 from numindex.spaces import (COMPLEX, DegenerateInput, DescriptorMismatch, gaussian, lp,
                              psum, scalar, tower)
+from numindex.suites import case_rng
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +346,8 @@ def test_search_rejects_budget_below_one():
 
 STACK_SPACES = [lp(3, 2), lp(1.5, 3), lp(4, 2, COMPLEX),
                 psum(1.5, [lp(3, 2), scalar()]), tower([3, 1.5], [2, 1, 2]),
-                lp(1, 3), lp(math.inf, 2, COMPLEX), psum(1, [lp(1, 2), scalar()])]
+                lp(1, 3), lp(math.inf, 2, COMPLEX), psum(1, [lp(1, 2), scalar()]),
+                psum(3, [lp(1.5, 2, COMPLEX), scalar(COMPLEX)])]
 
 
 def _random_operators(desc, n, seed=0):
@@ -395,6 +397,26 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
                 continue
             nu = numerical_radius(P, budget=index.RADIUS_BUDGET_IN_SEARCH, rng=erng)
             assert r == (nu.value / ref_n, nu.method)
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_bounds_search_norms_converge_well_inside_the_step_cap(monkeypatch, p):
+    """The bounds suite's search near the minimizer norms near-isometries;
+    every op_norm stack it runs ends the same with the step cap cut from
+    500 to 25, so none comes near the cap."""
+    runs = []
+
+    def recorded(Ts, budget, rngs):
+        out = op_norm_stack(Ts, budget, rngs)
+        runs[-1].extend((n.value, n.witness.tobytes()) for n in out)
+        return out
+
+    monkeypatch.setattr(index, "op_norm_stack", recorded)
+    for cap in (operators.OP_NORM_MAX_ITERS, 25):
+        monkeypatch.setattr(operators, "OP_NORM_MAX_ITERS", cap)
+        runs.append([])
+        numerical_index_estimate(lp(p, 2), budget=100, rng=case_rng(7, 0))
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_stack_of_maps_on_other_spaces_is_rejected():

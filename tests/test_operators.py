@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from numindex.operators import (
     compose_with_projection,
     identity,
     op_norm,
+    op_norm_stack,
     operator_from_json,
     operator_to_json,
     rank_one,
@@ -33,11 +35,14 @@ from numindex.spaces import (
     DescriptorMismatch,
     SpaceError,
     dual_descriptor,
+    dual_norm,
+    gaussian,
     lp,
     norm,
     psum,
     scalar,
     summand,
+    tower,
     unit_sphere_sample,
 )
 
@@ -168,6 +173,66 @@ def test_op_norm_witness_certificate():
         w = est.witness
         assert norm(desc, w) == pytest.approx(1.0, abs=1e-9)
         assert norm(desc, T.matrix @ w) == pytest.approx(est.value, abs=1e-9)
+
+
+def _assert_witness(T, est):
+    assert norm(T.descriptor, est.witness) == pytest.approx(1.0, abs=1e-12)
+    assert norm(T.descriptor, T.matrix @ est.witness) == pytest.approx(est.value, abs=1e-12)
+
+
+def test_op_norm_zero_rows_warn_nothing():
+    """Starts with Tx = 0 (F(x) = 0, so the plain candidate is the zero
+    vector) keep their point and stop without a 0/0."""
+    shift = Operator(np.diag(np.ones(2), 1), lp(1.5, 3))          # T e_1 = 0
+    desc = psum(1.5, [lp(3, 2), scalar()])
+    f, y = np.array([0.0, 0.0, 2.0]), np.array([0.5, -1.0, 0.25])
+    one = rank_one(desc, f, y)                  # T e_1 = T e_2 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T, want in ((shift, 1.0), (one, dual_norm(desc, f) * norm(desc, y))):
+            for budget in (1, 3, 8):
+                est = op_norm(T, budget=budget, rng=0)
+                _assert_witness(T, est)
+                assert est.value == pytest.approx(want if budget > 1 else 0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_op_norm_of_a_near_rotation(p, eps):
+    """Near an isometry the plain fixed point creeps across a nearly flat
+    sphere; the extrapolated one reaches the maximum of ||Mx|| / ||x|| over
+    a 2,000,001-angle circle to 1e-8."""
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]]) + eps * np.array([[0.3, -0.2], [0.5, 0.1]])
+    sweep = 0.0
+    for th in np.array_split(np.linspace(0.0, 2 * np.pi, 2_000_001), 8):
+        u, v = np.cos(th), np.sin(th)
+        tx = np.abs(m[0, 0] * u + m[0, 1] * v) ** p + np.abs(m[1, 0] * u + m[1, 1] * v) ** p
+        sweep = max(sweep, float(((tx / (np.abs(u) ** p + np.abs(v) ** p)) ** (1 / p)).max()))
+    T = Operator(m, lp(p, 2))
+    est = op_norm(T, budget=4, rng=0)
+    _assert_witness(T, est)
+    assert est.value == pytest.approx(sweep, abs=1e-8)
+
+
+@pytest.mark.parametrize("desc", [lp(3, 3), psum(1.5, [lp(3, 2), scalar()]),
+                                  tower([3, 1.5], [2, 1, 2]),
+                                  psum(3, [lp(1.5, 2, COMPLEX), scalar(COMPLEX)])], ids=str)
+def test_op_norm_budget_prefix_and_row_independence(desc):
+    """Under one seed the starts of budget B are a prefix of those of 2B,
+    and every start runs alone, so doubling the budget never lowers the
+    value; a stack in another order gives each member its one-member call."""
+    rng = np.random.default_rng(5)
+    Ts = [Operator(gaussian(desc, rng), desc) for _ in range(3)]
+    for T in Ts:
+        for b in (2, 4, 8):
+            assert op_norm(T, budget=2 * b, rng=9).value >= op_norm(T, budget=b, rng=9).value
+    order = [2, 0, 1]
+    stacked = op_norm_stack([Ts[k] for k in order], 4,
+                            [np.random.default_rng(k) for k in order])
+    for k, est in zip(order, stacked):
+        ref = op_norm(Ts[k], budget=4, rng=k)
+        assert est.value == ref.value
+        np.testing.assert_array_equal(est.witness, ref.witness)
 
 
 @pytest.mark.parametrize("k", [1, 2])
