@@ -8,8 +8,8 @@ from .spaces import (COMPLEX, REAL, NormingPair, SpaceDescriptor,
                      eval_pair, lp, norm, norming_functional,
                      parse_descriptor, psum, scalar, summand, tower,
                      unit_sphere_sample)
-from .operators import (HomogeneousPolynomial, Operator, adjoint, apply,
-                        compose_with_projection, identity, op_norm, rank_one)
+from .operators import (Operator, adjoint, apply, compose_with_projection,
+                        identity, op_norm, rank_one)
 from .radius import (RadiusEstimate, absolute_radius, numerical_radius,
                      poly_radius, radius_enumerate, radius_grid_oracle)
 from .index import (BoundsInterval, IndexEstimate, MpResult,

@@ -98,13 +98,13 @@ def _load_space(args) -> "SpaceDescriptor":
 
 
 def _check_counts(args, budget_used: bool = True):
-    """Reject a negative polynomial degree, a suite case count below 1, a
+    """Reject a polynomial degree below 1, a suite case count below 1, a
     budget below 1 where the budget steers the result, and a grid resolution
     below 1 where the grid runs."""
     if budget_used and args.budget < 1:
         raise InputError(f"--budget must be >= 1, got {args.budget}")
-    if getattr(args, "poly_k", 0) < 0:
-        raise InputError(f"--poly-k must be >= 0, got {args.poly_k}")
+    if getattr(args, "poly_k", 1) < 1:
+        raise InputError(f"--poly-k must be >= 1, got {args.poly_k}")
     if getattr(args, "cases", 1) < 1:
         raise InputError(f"--cases must be >= 1, got {args.cases}")
     if getattr(args, "method", None) == "grid" and args.resolution < 1:
@@ -118,7 +118,7 @@ def cmd_radius(args) -> int:
     _check_counts(args, args.method in ("auto", "ascent"))
     try:
         with open(args.matrix) as fh:
-            T = operator_from_json(fh.read(), desc, max(args.poly_k, 1))
+            T = operator_from_json(fh.read(), desc)
     except FileNotFoundError as exc:
         raise InputError(f"matrix file not found: {args.matrix}") from exc
     except (ValueError, KeyError, TypeError) as exc:
@@ -158,8 +158,7 @@ def cmd_index(args) -> int:
                                     rng=args.seed)
     else:
         # order 1 is the numerical index itself
-        est = poly_index_estimate(desc, max(args.poly_k, 1), budget=args.budget,
-                                  rng=args.seed)
+        est = poly_index_estimate(desc, args.poly_k, budget=args.budget, rng=args.seed)
     payload = {"command": "index",
                "space": args.space,
                "upper_bound_best_found": est.upper_bound,
@@ -315,16 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("radius", help="numerical radius of one operator")
     sp.add_argument("--space", required=True, help="descriptor text, e.g. lp(p=2,dim=2)")
-    sp.add_argument("--matrix", required=True, help="operator JSON file")
+    sp.add_argument("--matrix", required=True,
+                    help="JSON file of a map; its entry count d^(k+1) gives the degree k")
     sp.add_argument("--method", default="auto",
                     choices=["auto", "ascent", "enumerate", "grid"])
     sp.add_argument("--resolution", type=int, default=2000)
-    estimator = sp.add_mutually_exclusive_group()
-    estimator.add_argument("--absolute", action="store_true",
-                           help="absolute numerical radius instead of nu")
-    estimator.add_argument("--poly-k", type=int, default=0,
-                           help="treat the matrix file as a degree-k tensor "
-                                "(k <= 1: the operator)")
+    sp.add_argument("--absolute", action="store_true",
+                    help="absolute numerical radius instead of nu")
     common(sp)
     sp.set_defaults(fn=cmd_radius)
 
@@ -333,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     estimator = sp.add_mutually_exclusive_group()
     estimator.add_argument("--rank", type=int, help="rank-r index")
     estimator.add_argument("--absolute", action="store_true", help="absolute index")
-    estimator.add_argument("--poly-k", type=int, default=0,
-                           help="polynomial index of order k (k <= 1: the index)")
+    estimator.add_argument("--poly-k", type=int, default=1,
+                           help="polynomial index of order k (1: the index)")
     common(sp, budget=200)
     sp.set_defaults(fn=cmd_index)
 

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import operators as ops
-from .operators import HomogeneousPolynomial, Operator, op_norm_stack, poly_shape, rank_one
+from .operators import Operator, op_norm_stack, poly_shape, rank_one
 from .radius import radius_stack
 from .spaces import (COMPLEX, DegenerateInput, SpaceDescriptor,
                      dual_descriptor, gaussian, unit_sphere_sample)
@@ -122,9 +122,10 @@ def _eval_rng(T):
     its ratio is a pure function of it: re-encountering a witness (warm
     starts, embedded summand witnesses, a witness re-scored at the search's
     budgets) reproduces its ratio exactly instead of re-rolling the
-    evaluation noise.  The key is the raw bytes, so entries of +0.0 and -0.0
-    draw different noise."""
-    digest = hashlib.blake2b(T.matrix.tobytes(), digest_size=8).digest()
+    evaluation noise.  The key is the bytes of the coefficients plus 0.0,
+    which turns an entry of -0.0 into +0.0, so maps equal as numbers draw
+    the same noise."""
+    digest = hashlib.blake2b((T.matrix + 0.0).tobytes(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
@@ -306,11 +307,10 @@ def poly_index_estimate(desc: SpaceDescriptor, k: int, budget: int = 60,
     if k == 1:
         return numerical_index_estimate(desc, budget, rng)
     rng = np.random.default_rng(rng)
-    candidates = [HomogeneousPolynomial(k, gaussian(desc, rng, shape), desc)
-                  for _ in range(POLY_STARTS)]
+    candidates = [Operator(gaussian(desc, rng, shape), desc) for _ in range(POLY_STARTS)]
     best, evals = _minimize_ratio(
         candidates, partial(gaussian, desc, shape=shape),
-        lambda P, scale, noise: HomogeneousPolynomial(k, P.tensor + scale * noise, desc),
+        lambda P, scale, noise: Operator(P.matrix + scale * noise, desc),
         lambda Ps: _ratios(Ps, RADIUS_BUDGET_IN_SEARCH, radius_stack),
         budget, rng)
     return IndexEstimate(float(best[0]), best[1], evals, best[2],

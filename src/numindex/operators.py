@@ -13,7 +13,6 @@ bound attained by the stored witness.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,16 +35,15 @@ GATHER_CAP = 1 << 20
 @dataclass(frozen=True)
 class Operator:
     """The d x d matrix of an operator at degree 1, the (d,) * (k+1) tensor of
-    P(x) = A(x, ..., x) at degree k: output index first, the k input indices
-    symmetrized at construction."""
+    P(x) = A(x, ..., x) at degree k = ``ndim - 1``: output index first, the k
+    input indices symmetrized at construction."""
 
     matrix: np.ndarray
     descriptor: SpaceDescriptor
-    _noun = "matrix"            # in error messages; not a field
 
     def __post_init__(self):
         k = max(np.ndim(self.matrix) - 1, 1)
-        a = _coefficient_array(self._noun, self.matrix,
+        a = _coefficient_array("matrix" if k == 1 else "tensor", self.matrix,
                                poly_shape(self.descriptor, k), self.descriptor)
         object.__setattr__(self, "matrix", _symmetrize(a, k))
 
@@ -60,19 +58,6 @@ class Operator:
     @property
     def field(self) -> str:
         return self.descriptor.field
-
-
-class HomogeneousPolynomial(Operator):
-    """k-homogeneous polynomial P(x) = A(x, ..., x): the :class:`Operator`
-    of degree k whose array ``tensor`` must have shape (dim,) * (k+1)."""
-
-    _noun = "tensor"
-
-    def __init__(self, degree: int, tensor, descriptor: SpaceDescriptor):
-        shape = poly_shape(descriptor, degree)
-        if np.shape(tensor) != shape:
-            raise DescriptorMismatch(f"tensor shape {np.shape(tensor)}, expected {shape}")
-        super().__init__(tensor, descriptor)
 
 
 def _coefficient_array(what: str, a, shape: tuple, desc: SpaceDescriptor) -> np.ndarray:
@@ -252,9 +237,8 @@ def rank_one(desc: SpaceDescriptor, f: np.ndarray, y: np.ndarray) -> Operator:
 def compose_with_projection(L: Operator, desc: SpaceDescriptor, keep) -> Operator:
     """L on the summand of ``desc`` kept by ``keep`` (see
     :func:`~numindex.spaces.summand`) composed with the projection onto it,
-    as an operator on ``desc``.  The product E L E^T with the 0/1 leaf
-    selector E, not a placement of L, fixes the bytes that key the index
-    search's evaluation noise (an entry of -0.0 comes out +0.0)."""
+    as an operator on ``desc``: the product E L E^T with the 0/1 leaf
+    selector E."""
     if L.degree != 1:
         raise DegenerateInput(f"composition needs a degree-1 map, got degree {L.degree}")
     sub, leaves = summand(desc, keep)
@@ -280,12 +264,17 @@ def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:
     """Average of ``t`` over the k! orders of its input indices 1..k, by
     cosets: once indices 1..j-1 are symmetric, the transpositions (i j),
     i < j, and the identity complete the average over 1..j in O(k^2)
-    transposes."""
+    transposes.  Rounding makes those sums depend on the order of their
+    terms from degree 3 on, so each entry then takes the value at its
+    sorted input indices; a step whose transposes all equal ``t`` keeps it,
+    since the mean of j equal entries can round.  The result is exactly
+    symmetric, and a symmetric tensor comes back bit for bit."""
     for j in range(2, k + 1):
-        acc = np.zeros_like(t)
-        for i in (j, *range(1, j)):       # i == j adds t itself
-            acc += np.swapaxes(t, i, j)
-        t = acc / j
+        swaps = [np.swapaxes(t, i, j) for i in range(1, j)]
+        if not all(np.array_equal(s, t) for s in swaps):
+            t = sum(swaps, t + 0.0) / j        # t + 0.0 is a new array
+    if k > 2:
+        t = t[(slice(None), *np.sort(np.indices(t.shape[1:]), axis=0))]
     return t
 
 
@@ -304,24 +293,24 @@ def operator_to_json(T: Operator) -> str:
                        "matrix": entries}, sort_keys=True)
 
 
-def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None,
-                       degree: int = 1) -> Operator:
-    """The degree-k map whose "matrix" field holds its d^(k+1) coefficients
-    in row-major order, as :func:`operator_to_json` writes them;
-    ``descriptor`` replaces the file's own."""
+def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None) -> Operator:
+    """The map whose "matrix" field holds its d^(k+1) coefficients in
+    row-major order, numbers or [re, im] pairs when "field" is complex, as
+    :func:`operator_to_json` writes them.  The entry count gives the degree
+    k; a count that is no such power is checked against the least one above
+    it.  A one-dimensional space reads as degree 1: there every degree has
+    one coefficient and the same radius and norm.  ``descriptor`` replaces
+    the file's own."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise DescriptorMismatch('expected a JSON object with a "matrix" field')
     desc = descriptor or parse_descriptor(obj["descriptor"], field=obj.get("field", REAL))
-    shape = poly_shape(desc, degree)
-    return Operator(_json_entries(obj, math.prod(shape)).reshape(shape), desc)
-
-
-def _json_entries(obj: dict, size: int) -> np.ndarray:
-    """The "matrix" entries: numbers, or [re, im] pairs when "field" is complex."""
-    raw = obj["matrix"]
-    if len(raw) != size:
-        raise DescriptorMismatch(f"matrix field has {len(raw)} entries, expected {size}")
+    raw, d, k = obj["matrix"], desc.total_dim, 1
+    while d > 1 and d ** (k + 1) < len(raw):
+        k += 1
+    shape = poly_shape(desc, k)
+    if len(raw) != d ** (k + 1):
+        raise DescriptorMismatch(f"matrix field has {len(raw)} entries, expected {d ** (k + 1)}")
     if obj.get("field", REAL) == COMPLEX:
-        return np.array([complex(re, im) for re, im in raw])
-    return np.array(raw, dtype=float)
+        return Operator(np.array([complex(re, im) for re, im in raw]).reshape(shape), desc)
+    return Operator(np.array(raw, dtype=float).reshape(shape), desc)

@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (HomogeneousPolynomial, _apply_rows, _exact_norm,
-                        apply, op_norm, operator_stack)
+from .operators import _apply_rows, _exact_norm, apply, op_norm, operator_stack
 from .optimize import maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
                      SpaceError, conj_sign, eval_pair, phase)
@@ -230,15 +229,14 @@ def absolute_radius(T, budget: int = DEFAULT_RESTARTS, rng=None,
 # polynomial numerical radius
 # ---------------------------------------------------------------------------
 
-def poly_radius(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS, rng=None,
+def poly_radius(P, budget: int = DEFAULT_RESTARTS, rng=None,
                 method: str = "ascent", resolution: int = 2000) -> RadiusEstimate:
     """nu(P) = sup |J(x) . P(x)| over the unit sphere: :func:`numerical_radius`
     of a polynomial."""
     return numerical_radius(P, method, budget, rng, resolution)
 
 
-def poly_norm(P: HomogeneousPolynomial, budget: int = DEFAULT_RESTARTS,
-              rng=None):
+def poly_norm(P, budget: int = DEFAULT_RESTARTS, rng=None):
     """(sup ||P(x)|| over the unit sphere, attaining x): a certified lower
     bound, the value and witness of :func:`~numindex.operators.op_norm`."""
     est = op_norm(P, budget, rng)

@@ -232,18 +232,22 @@ def bounds_check(p_list, m_list, budget: int = 150, seed: int = 0) -> SuiteRepor
     """Real lp^m index estimates against their interval, [M_p/2, M_p] for
     m >= 2 and [1, 1] on the scalar line: the lower side is a hard check on
     estimator sanity; closeness to the upper side from above is soft
-    (optimizer quality, logged only)."""
+    (optimizer quality, logged only).  Every p and m is checked before the
+    first search."""
     p_list, m_list = list(p_list), list(m_list)
     if not p_list or not m_list:
         raise DegenerateInput(f"bounds_check needs some p and some m, got "
                               f"p={p_list}, m={m_list}")
+    bad = [f"p={p!r}" for p in p_list if not 1.0 <= p < math.inf]
+    bad += [f"m={m!r}" for m in m_list if not (isinstance(m, (int, np.integer)) and m >= 1)]
+    if bad:
+        raise DegenerateInput(f"bounds_check needs finite p >= 1 and integer m >= 1, "
+                              f"got {', '.join(bad)}")
     report = SuiteReport("bounds", [f"lp(p={p});m={m_list}" for p in p_list],
                          HARD_SLACK, seed)
     k = 0
     curve = []
     for p in p_list:
-        if p == math.inf:
-            raise DegenerateInput("bounds_check needs finite p")
         mp = mp_constant(p)
         for m in m_list:
             desc = lp(p, m)

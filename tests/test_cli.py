@@ -83,6 +83,16 @@ def test_radius_grid_dimension_cap(tmp_path, capsys):
 def test_radius_missing_matrix_file(capsys):
     code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", "/no/such.json"])
     assert code == EXIT_INPUT
+    assert "matrix file not found" in capsys.readouterr().err
+
+
+def test_radius_poly_missing_matrix_file(capsys):
+    """The degree is read from the file, so no degree check runs before it:
+    a missing file with flags a polynomial refuses still names the file."""
+    code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", "/no/such.json",
+                 "--method", "enumerate", "--absolute"])
+    assert code == EXIT_INPUT
+    assert "matrix file not found" in capsys.readouterr().err
 
 
 def test_radius_bad_descriptor(id2, capsys):
@@ -97,29 +107,20 @@ def test_radius_rejects_non_finite_entries(tmp_path, capsys):
     code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", str(path)])
     assert code == EXIT_INPUT
     assert "non-finite" in capsys.readouterr().err
-    code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", str(path),
-                 "--poly-k", "1"])
-    assert code == EXIT_INPUT
-    assert "non-finite" in capsys.readouterr().err
-
-
-def test_radius_poly_missing_matrix_file(capsys):
-    code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", "/no/such.json",
-                 "--poly-k", "1"])
-    assert code == EXIT_INPUT
-    assert "matrix file not found" in capsys.readouterr().err
 
 
 def test_radius_poly_complex_tensor(tmp_path, capsys):
     space = "lp(p=2,dim=2,field=complex)"
     path = tmp_path / "cid2.json"
     path.write_text(operator_to_json(Operator(np.eye(2), lp(2, 2, "complex"))))
-    code = main(["radius", "--space", space, "--matrix", str(path), "--poly-k", "1"])
+    code = main(["radius", "--space", space, "--matrix", str(path)])
     assert code == EXIT_OK
     assert _json_out(capsys)["value"] == pytest.approx(1.0, abs=1e-9)
-    code = main(["radius", "--space", space, "--matrix", str(path), "--poly-k", "2"])
+    # 5 entries is no power 2^(k+1): the count is checked against the next one, 8
+    path.write_text(json.dumps({"field": "complex", "matrix": [[1.0, 0.0]] * 5}))
+    code = main(["radius", "--space", space, "--matrix", str(path)])
     assert code == EXIT_INPUT
-    assert "matrix field has 4 entries, expected 8" in capsys.readouterr().err
+    assert "matrix field has 5 entries, expected 8" in capsys.readouterr().err
 
 
 def test_radius_poly_complex_tensor_on_a_real_space(tmp_path, capsys):
@@ -127,20 +128,18 @@ def test_radius_poly_complex_tensor_on_a_real_space(tmp_path, capsys):
     path = tmp_path / "c.json"
     for k in (1, 2):
         path.write_text(json.dumps({"field": "complex", "matrix": [[1.0, 1.0]] * 2 ** (k + 1)}))
-        code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", str(path),
-                     "--poly-k", str(k)])
+        code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", str(path)])
         assert code == EXIT_INPUT
         assert "on a real descriptor" in capsys.readouterr().err
 
 
 def test_radius_poly_k_one_is_the_operator(tmp_path, capsys):
-    """Degree 1 is the operator in ``radius`` as in ``index``: on l1^3 the
-    exact enumeration, nu(T) = ||T|| = 4 (n(l1) = 1)."""
+    """A file of d^2 entries is the operator: on l1^3 the exact
+    enumeration, nu(T) = ||T|| = 4 (n(l1) = 1)."""
     path = tmp_path / "t.json"
     path.write_text(operator_to_json(Operator(
         [[1.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 1.0, 1.0]], lp(1, 3))))
-    code = main(["radius", "--space", "lp(p=1,dim=3)", "--matrix", str(path),
-                 "--poly-k", "1"])
+    code = main(["radius", "--space", "lp(p=1,dim=3)", "--matrix", str(path)])
     assert code == EXIT_OK
     payload = _json_out(capsys)
     assert payload["guarantee"] == "exact-enumeration"
@@ -241,8 +240,8 @@ BAD_COUNTS = [
     (["index", "--budget", "-1"], "--budget must be >= 1"),
     (["index", "--budget", "0"], "--budget must be >= 1"),
     (["index", "--poly-k", "2", "--budget", "0"], "--budget must be >= 1"),
-    (["index", "--poly-k", "-1"], "--poly-k must be >= 0"),
-    (["radius", "--matrix", "/no/such.json", "--poly-k", "-1"], "--poly-k must be >= 0"),
+    (["index", "--poly-k", "-1"], "--poly-k must be >= 1, got -1"),
+    (["index", "--poly-k", "0"], "--poly-k must be >= 1, got 0"),
     (["radius", "--matrix", "/no/such.json", "--budget", "0"], "--budget must be >= 1"),
     (["verify", "--suite", "sums", "--budget", "0"], "--budget must be >= 1"),
     (["index", "--poly-k", "17"], "exceeds cap 100000"),
@@ -263,8 +262,6 @@ def test_bad_budget_and_degree_exit_2(argv, message, capsys):
 #: words the error must name
 DROPPED_FLAGS = [
     (["radius", "--absolute", "--method", "enumerate"], ["'enumerate' backend"]),
-    (["radius", "--poly-k", "2", "--method", "enumerate"], ["'enumerate' backend"]),
-    (["radius", "--poly-k", "2", "--absolute"], ["--poly-k", "--absolute"]),
     (["index", "--rank", "1", "--absolute"], ["--rank", "--absolute"]),
     (["index", "--poly-k", "2", "--absolute"], ["--poly-k", "--absolute"]),
     (["index", "--rank", "1", "--poly-k", "2"], ["--rank", "--poly-k"]),
@@ -279,12 +276,26 @@ def test_flag_reaches_the_library_or_exits_2(argv, names, tmp_path, capsys):
         argv = argv[:1] + ["--space", "lp(p=3,dim=2)"] + argv[1:]
     if argv[0] == "radius":
         path = tmp_path / "m.json"
-        k = int(argv[argv.index("--poly-k") + 1]) if "--poly-k" in argv else 1
-        path.write_text(json.dumps({"matrix": [0.5] * 2 ** (k + 1)}))
+        path.write_text(json.dumps({"matrix": [0.5] * 4}))
         argv += ["--matrix", str(path)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert all(name in err for name in names), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--method", "enumerate"], "polynomial radius has no 'enumerate' backend"),
+    (["--absolute"], "absolute radius needs a degree-1 map"),
+], ids=["--method enumerate", "--absolute"])
+def test_radius_degree_two_file_rejects_operator_flags(flags, message, tmp_path, capsys):
+    """The backends and the quantity that only degree-1 maps have are
+    refused for a file of d^3 entries by the library, naming them."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"matrix": [0.5] * 8}))
+    argv = ["radius", "--space", "lp(p=3,dim=2)", "--matrix", str(path), *flags]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -313,21 +324,21 @@ def test_sweep_rejects_budget_below_one(capsys):
     assert "--budget must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("space,field,poly_k", [
-    ("lp(p=3,dim=2,field=real)", "real", 0),
-    ("lp(p=2,dim=2,field=complex)", "complex", 0),
+@pytest.mark.parametrize("space,field,degree", [
+    ("lp(p=3,dim=2,field=real)", "real", 1),
+    ("lp(p=2,dim=2,field=complex)", "complex", 1),
     ("lp(p=3,dim=2,field=real)", "real", 2),
-], ids=["real", "complex", "poly-k"])
+], ids=["real", "complex", "degree-2"])
 @pytest.mark.parametrize("resolution", ["0", "-5"])
-def test_grid_resolution_below_one_exits_2(tmp_path, capsys, space, field, poly_k,
+def test_grid_resolution_below_one_exits_2(tmp_path, capsys, space, field, degree,
                                            resolution):
     path = tmp_path / "m.json"
-    if poly_k:
+    if degree == 2:
         path.write_text(json.dumps({"matrix": [1.0] * 8}))
     else:
         path.write_text(operator_to_json(Operator(np.eye(2), lp(2, 2, field))))
     argv = ["radius", "--space", space, "--matrix", str(path), "--method", "grid",
-            "--resolution", resolution, "--poly-k", str(poly_k)]
+            "--resolution", resolution]
     assert main(argv) == EXIT_INPUT
     assert "--resolution must be >= 1" in capsys.readouterr().err
 
@@ -362,9 +373,11 @@ def test_budget_ignored_where_unused(argv, id2):
 
 
 #: flags no command reads any more: the field is set in the descriptor text
-#: only, mp draws nothing, and sweep has one family
+#: only, a matrix file's entry count gives its degree, mp draws nothing, and
+#: sweep has one family
 REMOVED_FLAGS = [
     ["radius", "--space", "lp(p=2,dim=2,field=real)", "--field", "complex"],
+    ["radius", "--space", "lp(p=3,dim=2)", "--poly-k", "2"],
     ["index", "--space", "lp(p=2,dim=2)", "--field", "real"],
     ["mp", "--p", "3", "--seed", "5"],
     ["mp", "--p", "2", "--budget", "0"],

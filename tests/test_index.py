@@ -15,10 +15,11 @@ from numindex.index import (
     rank_r_index_estimate,
     theoretical_bounds,
 )
-from numindex.operators import HomogeneousPolynomial, Operator, op_norm, op_norm_stack
+from numindex.operators import (Operator, compose_with_projection, op_norm, op_norm_stack,
+                                operator_from_json, operator_to_json)
 from numindex.radius import absolute_radius, numerical_radius, poly_norm, radius_stack
-from numindex.spaces import (COMPLEX, DegenerateInput, DescriptorMismatch, gaussian, lp,
-                             psum, scalar, tower)
+from numindex.spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch, gaussian,
+                             lp, psum, scalar, summand, tower)
 from numindex.suites import case_rng
 
 
@@ -360,9 +361,9 @@ def _random_operators(desc, n, seed=0):
 def _random_polynomials(desc, k, n, seed=0):
     rng = np.random.default_rng(seed)
     shape = (desc.total_dim,) * (k + 1)
-    out = [HomogeneousPolynomial(k, gaussian(desc, rng, shape), desc)
+    out = [Operator(gaussian(desc, rng, shape), desc)
            for _ in range(n)]
-    return out + [HomogeneousPolynomial(k, np.zeros(shape), desc)]
+    return out + [Operator(np.zeros(shape), desc)]
 
 
 @pytest.mark.parametrize("desc", STACK_SPACES, ids=str)
@@ -399,6 +400,26 @@ def test_stacked_ratio_matches_one_operator_calls(desc):
             assert r == (nu.value / ref_n, nu.method)
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_maps_equal_as_numbers_score_the_same_ratio(field):
+    """The evaluation noise is keyed on coefficient values, not bytes: the
+    signed permutation of lp(1.5,3) placed into lp(1.5,4) with its -0.0
+    entries kept scores as its selector-product embedding, whose zeros
+    are +0.0."""
+    desc = lp(1.5, 4, field)
+    sub, leaves = summand(desc, range(3))
+    L = index._start_portfolio(sub, np.random.default_rng(0))[2]
+    m = np.zeros((4, 4), dtype=desc.dtype)
+    m[np.ix_(leaves, leaves)] = L.matrix
+    placed, embedded = Operator(m, desc), compose_with_projection(L, desc, range(3))
+    assert np.array_equal(placed.matrix, embedded.matrix)
+    assert placed.matrix.tobytes() != embedded.matrix.tobytes()
+    a, b = index._ratios([placed, embedded], 4, radius_stack)
+    assert a == b
+    if field == REAL:
+        assert a[0] == pytest.approx(1.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("p", [1.5, 3])
 def test_bounds_search_norms_converge_well_inside_the_step_cap(monkeypatch, p):
     """The bounds suite's search near the minimizer norms near-isometries;
@@ -433,11 +454,11 @@ def test_stack_of_maps_on_other_spaces_is_rejected():
 
 @pytest.mark.parametrize("desc", STACK_SPACES, ids=str)
 def test_degree_one_polynomial_is_its_operator(desc):
-    """A degree-1 polynomial runs its operator's engines: every radius
-    backend that applies, the radius and norm stacks and the norm agree bit
-    for bit in value, method and witness."""
+    """A map read back from a file of d^2 entries is the operator, degree 1:
+    every radius backend that applies, the radius and norm stacks and the
+    norm agree bit for bit in value, method and witness."""
     Ts = _random_operators(desc, 3, seed=2)
-    Ps = [HomogeneousPolynomial(1, T.matrix, desc) for T in Ts]
+    Ps = [operator_from_json(operator_to_json(T), desc) for T in Ts]
     methods = ["auto", "ascent"]
     if desc.total_dim <= (2 if desc.field == COMPLEX else 3):
         methods.append("grid")

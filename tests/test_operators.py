@@ -11,7 +11,6 @@ import pytest
 
 from numindex.operators import (
     GATHER_CAP,
-    HomogeneousPolynomial,
     Operator,
     _apply_rows,
     _symmetrize,
@@ -244,7 +243,7 @@ def test_op_norm_of_polynomial_is_the_ascent(desc, k):
     t = rng.standard_normal(shape)
     if desc.field == COMPLEX:
         t = t + 1j * rng.standard_normal(shape)
-    P = HomogeneousPolynomial(k, t, desc)
+    P = Operator(t, desc)
     est = op_norm(P, budget=8, rng=5)
     assert abs(norm(desc, apply(P, est.witness)) - est.value) <= 1e-12
     value, witness = poly_norm(P, budget=8, rng=5)
@@ -318,8 +317,7 @@ def test_projection_embed_selects_the_kept_leaves():
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_compose_with_projection_bytes_are_the_selector_product(field):
-    # the index search keys its evaluation noise on these bytes, and the
-    # product turns the -0.0 entries of the signed permutation into +0.0
+    # the product turns the -0.0 entries of the signed permutation into +0.0
     desc = lp(3, 4, field)
     sub, leaves = summand(desc, range(3))
     L = _start_portfolio(sub, np.random.default_rng(0))[2]
@@ -358,16 +356,12 @@ def test_op_norm_submultiplicative_exact_backends():
 
 def test_poly_apply_examples():
     d = lp(2, 2)
-    T = Operator([[1.0, 2.0], [3.0, 4.0]], d)
-    P1 = HomogeneousPolynomial(1, T.matrix, d)
-    v = np.array([0.5, -1.5])
-    np.testing.assert_array_equal(apply(P1, v), apply(T, v))
     # P(x) = (x1^2, 0)
     t = np.zeros((2, 2, 2))
     t[0, 0, 0] = 1.0
-    P2 = HomogeneousPolynomial(2, t, d)
-    np.testing.assert_allclose(apply(P2, [2.0, 5.0]), [4.0, 0.0])
-    np.testing.assert_allclose(apply(P2, [0.0, 0.0]), [0.0, 0.0])
+    P = Operator(t, d)
+    np.testing.assert_allclose(apply(P, [2.0, 5.0]), [4.0, 0.0])
+    np.testing.assert_allclose(apply(P, [0.0, 0.0]), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -381,11 +375,11 @@ def test_apply_rows_polynomial_stacks(field):
 
     x, g = gauss((40, 3)), rng.integers(0, 4, 40)
     # degree 1: the operator product, rounded as the matrix form rounds it
-    m = np.stack([HomogeneousPolynomial(1, gauss((3, 3)), d).tensor for _ in range(4)])
+    m = np.stack([Operator(gauss((3, 3)), d).tensor for _ in range(4)])
     np.testing.assert_array_equal(_apply_rows(m, x, g), np.einsum("bij,bj->bi", m[g], x))
     np.testing.assert_array_equal(_apply_rows(m[:1], x, g), np.einsum("ij,bj->bi", m[0], x))
     # degree 2: every row as the one-polynomial apply computes it alone
-    Ps = [HomogeneousPolynomial(2, gauss((3, 3, 3)), d) for _ in range(4)]
+    Ps = [Operator(gauss((3, 3, 3)), d) for _ in range(4)]
     rows = _apply_rows(np.stack([P.tensor for P in Ps]), x, g)
     for b in range(len(x)):
         np.testing.assert_array_equal(rows[b], apply(Ps[g[b]], x[b]))
@@ -397,7 +391,7 @@ def test_apply_rows_tensor_stack_applies_member_by_member():
     member's rows are applied as that member alone applies them."""
     rng = np.random.default_rng(3)
     d, k, B = lp(3, 4), 5, 600
-    m = np.stack([HomogeneousPolynomial(k, rng.standard_normal((4,) * (k + 1)), d).tensor
+    m = np.stack([Operator(rng.standard_normal((4,) * (k + 1)), d).tensor
                   for _ in range(3)])
     x, g = rng.standard_normal((B, 4)), rng.integers(0, 3, B)
     assert B * m[0].size > GATHER_CAP
@@ -415,7 +409,7 @@ def test_apply_rows_tensor_stack_applies_member_by_member():
 def test_poly_homogeneity():
     d = lp(3, 2)
     rng = np.random.default_rng(4)
-    P = HomogeneousPolynomial(3, rng.standard_normal((2, 2, 2, 2)), d)
+    P = Operator(rng.standard_normal((2, 2, 2, 2)), d)
     v = rng.standard_normal(2)
     for a in (0.5, -2.0, 3.0):
         np.testing.assert_allclose(apply(P, a * v),
@@ -426,7 +420,7 @@ def test_poly_tensor_symmetrized():
     d = lp(2, 2)
     t = np.zeros((2, 2, 2))
     t[0, 0, 1] = 2.0
-    P = HomogeneousPolynomial(2, t, d)
+    P = Operator(t, d)
     np.testing.assert_allclose(P.tensor[0, 0, 1], 1.0)
     np.testing.assert_allclose(P.tensor[0, 1, 0], 1.0)
 
@@ -444,9 +438,25 @@ def test_symmetrize_matches_permutation_average(field):
         np.testing.assert_allclose(_symmetrize(t, k), want, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_symmetrized_tensor_is_exactly_symmetric_and_kept(field):
+    """From degree 3 on, the coset sums round by term order; the built
+    tensor is still exactly symmetric, and building it again returns it bit
+    for bit, which the JSON round trip relies on."""
+    rng = np.random.default_rng(13)
+    for k in range(2, 6):
+        t = rng.standard_normal((3,) * (k + 1))
+        if field == "complex":
+            t = t + 1j * rng.standard_normal(t.shape)
+        P = Operator(t, lp(3, 3, field))
+        for i in range(1, k):
+            assert np.array_equal(np.swapaxes(P.matrix, i, i + 1), P.matrix)
+        assert Operator(P.matrix, P.descriptor).matrix.tobytes() == P.matrix.tobytes()
+
+
 def test_degree_12_polynomial_builds_symmetric():
     t = np.random.default_rng(12).standard_normal((2,) * 13)
-    P = HomogeneousPolynomial(12, t, lp(3, 2))
+    P = Operator(t, lp(3, 2))
     for i in range(1, 12):
         np.testing.assert_allclose(np.swapaxes(P.tensor, i, i + 1), P.tensor,
                                    rtol=0, atol=1e-13)
@@ -456,32 +466,36 @@ def test_degree_12_polynomial_builds_symmetric():
 def test_non_finite_entries_rejected(bad):
     m = np.eye(2, dtype=complex)
     m[0, 1] = bad
-    with pytest.raises(SpaceError, match="non-finite"):
+    with pytest.raises(SpaceError, match="matrix has non-finite"):
         Operator(m, lp(2, 2, "complex"))
-    with pytest.raises(SpaceError, match="non-finite"):
-        HomogeneousPolynomial(1, m, lp(2, 2, "complex"))
+    t = np.zeros((2, 2, 2), dtype=complex)
+    t[0, 0, 1] = bad
+    with pytest.raises(SpaceError, match="tensor has non-finite"):
+        Operator(t, lp(2, 2, "complex"))
 
 
 def test_complex_coefficients_on_a_real_space_rejected():
-    """An operator and a polynomial share one entry check: complex entries
-    on a real space are an error, not silently dropped imaginary parts."""
+    """Maps of every degree share one entry check: complex entries on a
+    real space are an error, not silently dropped imaginary parts.  The
+    message calls the coefficients a matrix at degree 1, a tensor above."""
     m = np.array([[1.0, 1j], [0.0, 1.0]])
     with pytest.raises(DescriptorMismatch, match="complex matrix on a real"):
         Operator(m, lp(2, 2))
     with pytest.raises(DescriptorMismatch, match="complex tensor on a real"):
-        HomogeneousPolynomial(1, m, lp(2, 2))
-    with pytest.raises(DescriptorMismatch, match="complex tensor on a real"):
-        HomogeneousPolynomial(2, np.full((2, 2, 2), 1 + 1j), lp(2, 2))
+        Operator(np.full((2, 2, 2), 1 + 1j), lp(2, 2))
     # vanishing imaginary parts are the real entries
-    P = HomogeneousPolynomial(2, np.full((2, 2, 2), 1 + 0j), lp(2, 2))
+    P = Operator(np.full((2, 2, 2), 1 + 0j), lp(2, 2))
     assert P.tensor.dtype == np.float64 and np.all(P.tensor == 1.0)
 
 
 def test_poly_cap_and_shape_errors():
-    with pytest.raises(DegenerateInput):
-        HomogeneousPolynomial(10, np.zeros((4,) * 11), lp(2, 4))
-    with pytest.raises(DescriptorMismatch):
-        HomogeneousPolynomial(2, np.zeros((2, 2)), lp(2, 2))
+    with pytest.raises(DegenerateInput, match=r"tensor size 4\^10 exceeds cap"):
+        Operator(np.zeros((4,) * 11), lp(2, 4))
+    with pytest.raises(DescriptorMismatch, match=r"matrix shape \(2, 3\), expected \(2, 2\)"):
+        Operator(np.zeros((2, 3)), lp(2, 2))
+    with pytest.raises(DescriptorMismatch,
+                       match=r"tensor shape \(2, 2, 3\), expected \(2, 2, 2\)"):
+        Operator(np.zeros((2, 2, 3)), lp(2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +518,32 @@ def test_json_round_trip_complex():
 
 def test_json_entry_count_mismatch():
     T = Operator(np.eye(2), lp(2, 2))
-    with pytest.raises(DescriptorMismatch):
+    with pytest.raises(DescriptorMismatch, match="4 entries, expected 9"):
         operator_from_json(operator_to_json(T), descriptor=lp(2, 3))
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_json_round_trip_reads_the_degree_from_the_entry_count(k, field):
+    d = lp(3, 2, field)
+    t = np.random.default_rng(k).standard_normal((2,) * (k + 1))
+    if field == COMPLEX:
+        t = t + 1j * np.random.default_rng(k + 10).standard_normal(t.shape)
+    P = Operator(t, d)
+    back = operator_from_json(operator_to_json(P))
+    assert back.degree == k and back.descriptor == d
+    assert back.matrix.tobytes() == P.matrix.tobytes()
+
+
+def test_json_one_dimensional_file_is_degree_one():
+    """On a line every degree has one coefficient and the same radius and
+    norm, so one entry reads as degree 1 and any other count fails."""
+    text = json.dumps({"descriptor": "lp(p=3,dim=1)", "matrix": [-2.0]})
+    T = operator_from_json(text)
+    assert T.degree == 1 and T.matrix.tolist() == [[-2.0]]
+    assert numerical_radius(T, budget=2, rng=0).value == 2.0
+    with pytest.raises(DescriptorMismatch, match="2 entries, expected 1"):
+        operator_from_json(json.dumps({"descriptor": "lp(p=3,dim=1)", "matrix": [1.0, 1.0]}))
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +568,16 @@ def test_degree_two_json_round_trip_and_cli_radius(field, tmp_path, capsys):
     t = rng.standard_normal((2, 2, 2))
     if field == COMPLEX:
         t = t + 1j * rng.standard_normal((2, 2, 2))
-    P = HomogeneousPolynomial(2, t, d)
+    P = Operator(t, d)
     text = operator_to_json(P)
-    back = operator_from_json(text, degree=2)
+    back = operator_from_json(text)
     assert back.degree == 2 and back.descriptor == d
     np.testing.assert_array_equal(back.matrix, P.matrix)
-    np.testing.assert_array_equal(operator_from_json(text, d, 2).matrix, P.matrix)
-    with pytest.raises(DescriptorMismatch, match="8 entries, expected 4"):
-        operator_from_json(text)
+    np.testing.assert_array_equal(operator_from_json(text, d).matrix, P.matrix)
     path = tmp_path / "p.json"
     path.write_text(text)
     code = main(["radius", "--space", f"lp(p=3,dim=2,field={field})", "--matrix",
-                 str(path), "--poly-k", "2", "--budget", "8", "--seed", "5"])
+                 str(path), "--budget", "8", "--seed", "5"])
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == numerical_radius(P, budget=8, rng=5).value
@@ -549,7 +585,7 @@ def test_degree_two_json_round_trip_and_cli_radius(field, tmp_path, capsys):
 
 def test_adjoint_and_composition_need_degree_one():
     d = lp(3, 2)
-    P = HomogeneousPolynomial(2, np.ones((2, 2, 2)), d)
+    P = Operator(np.ones((2, 2, 2)), d)
     with pytest.raises(DegenerateInput, match="degree 2"):
         adjoint(P)
     with pytest.raises(DegenerateInput, match="degree 2"):

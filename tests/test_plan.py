@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numindex import optimize
 from numindex.index import (absolute_index_estimate, numerical_index_estimate,
                             poly_index_estimate, rank_r_index_estimate)
-from numindex.operators import HomogeneousPolynomial, Operator, op_norm
+from numindex.operators import Operator, op_norm
 from numindex.optimize import FD_STEP, STALL_ITERS, VALUE_TOL, maximize_on_sphere
 from numindex.radius import (absolute_radius, absolute_radius_objective,
                              numerical_radius, poly_norm, poly_radius,
@@ -366,7 +366,7 @@ def _ascent_objectives(desc):
     if desc.field == COMPLEX:
         t = t + 1j * rng.standard_normal(shape)
     return {"radius": radius_objective(T), "absolute": absolute_radius_objective(T),
-            "poly2": radius_objective(HomogeneousPolynomial(2, t, desc))}
+            "poly2": radius_objective(Operator(t, desc))}
 
 
 @pytest.mark.parametrize("desc", ASCENT_SPACES, ids=str)
@@ -420,8 +420,7 @@ def _estimates():
     (value, witness) pairs."""
     T = _operator(lp(3, 2), 9)
     C = _operator(lp(2, 2, COMPLEX), 9)
-    P = HomogeneousPolynomial(2, np.random.default_rng(9).standard_normal((2, 2, 2)),
-                              lp(3, 2))
+    P = Operator(np.random.default_rng(9).standard_normal((2, 2, 2)), lp(3, 2))
     out = {}
     for name, est in [("numerical_radius", numerical_radius(T, budget=16, rng=1)),
                       ("numerical_radius complex", numerical_radius(C, budget=16, rng=1)),

@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from numindex.operators import (HomogeneousPolynomial, Operator, identity,
-                                apply, op_norm)
+from numindex.operators import Operator, identity, apply, op_norm
 from numindex.radius import (
     BudgetExceeded,
     RadiusEstimate,
@@ -268,8 +267,7 @@ def test_poly_grid_maximizes_over_the_l1_face():
     maximum of |f . P(x)| over every vertex f of the dual face at every
     grid point, and it re-derives from its witness."""
     desc = lp(1, 3)
-    P = HomogeneousPolynomial(
-        2, np.random.default_rng(8).standard_normal((3, 3, 3)), desc)
+    P = Operator(np.random.default_rng(8).standard_normal((3, 3, 3)), desc)
     est = poly_radius(P, method="grid", resolution=400)
     w = est.witness
     assert est.value == abs(eval_pair(w.xstar, apply(P, w.x)))
@@ -382,16 +380,16 @@ def test_absolute_radius_shape_errors():
         absolute_radius(identity(psum(2, [lp(2, 2), lp(2, 2)])))
     # the absolute radius is defined for degree-1 maps only
     with pytest.raises(DegenerateInput, match="degree-1"):
-        absolute_radius(HomogeneousPolynomial(2, np.ones((2, 2, 2)), lp(3, 2)))
+        absolute_radius(Operator(np.ones((2, 2, 2)), lp(3, 2)))
 
 
 @pytest.mark.parametrize("T", [identity(lp(2, 2)),
-                               HomogeneousPolynomial(2, np.zeros((2, 2, 2)), lp(2, 2))],
+                               Operator(np.zeros((2, 2, 2)), lp(2, 2))],
                          ids=["absolute", "poly"])
 def test_ascent_or_grid_backends(T):
     """The absolute and polynomial radii run ``auto`` as the ascent and
     reject a backend they lack by name."""
-    radius = poly_radius if isinstance(T, HomogeneousPolynomial) else absolute_radius
+    radius = poly_radius if T.degree > 1 else absolute_radius
     auto = radius(T, method="auto", budget=4, rng=0)
     ascent = radius(T, method="ascent", budget=4, rng=0)
     assert (auto.method, auto.value) == ("ascent", ascent.value)
@@ -402,14 +400,11 @@ def test_ascent_or_grid_backends(T):
 
 
 def test_numerical_radius_backends():
-    """``auto`` enumerates the radius of a degree-1 map, operator or
-    polynomial, on l1/linf and runs the ascent elsewhere; a missing backend
-    is named."""
+    """``auto`` enumerates the radius of a degree-1 map on l1/linf and runs
+    the ascent elsewhere; a missing backend is named."""
     T = Operator(np.array([[1.0, 2.0], [0.0, 1.0]]), lp(1, 2))
     assert numerical_radius(T).method == "enumerate"
     assert numerical_radius(T, method="ascent", budget=4, rng=0).method == "ascent"
-    P = HomogeneousPolynomial(1, T.matrix, T.descriptor)
-    assert numerical_radius(P, budget=4, rng=0).method == "enumerate"
     with pytest.raises(DegenerateInput, match="numerical radius has no 'bogus' "
                                               "backend; choose auto, ascent, enumerate or grid"):
         numerical_radius(T, method="bogus")
@@ -423,7 +418,7 @@ def test_numerical_radius_backends():
 def test_numerical_radius_takes_polynomials(method):
     """``poly_radius`` is ``numerical_radius`` of a polynomial, bit for bit."""
     t = np.random.default_rng(3).standard_normal((2, 2, 2))
-    P = HomogeneousPolynomial(2, t, lp(1, 2))
+    P = Operator(t, lp(1, 2))
     a = numerical_radius(P, method=method, budget=8, rng=1, resolution=300)
     b = poly_radius(P, method=method, budget=8, rng=1, resolution=300)
     assert (a.value, a.method, a.evals) == (b.value, b.method, b.evals)
@@ -438,7 +433,7 @@ def test_poly_radius_degree_one_reduction():
     for _ in range(10):
         T = _rand_op(d, rng)
         a = numerical_radius(T, method="ascent", budget=16, rng=0)
-        b = poly_radius(HomogeneousPolynomial(1, T.matrix, d), budget=16, rng=0)
+        b = poly_radius(T, budget=16, rng=0)
         assert (a.value, a.method, a.evals) == (b.value, b.method, b.evals)
         np.testing.assert_array_equal(a.witness.x, b.witness.x)
         np.testing.assert_array_equal(a.witness.xstar, b.witness.xstar)
@@ -448,19 +443,19 @@ def test_poly_radius_square_example():
     d = lp(2, 2)
     t = np.zeros((2, 2, 2))
     t[0, 0, 0] = 1.0
-    P = HomogeneousPolynomial(2, t, d)
+    P = Operator(t, d)
     assert poly_radius(P, method="grid", resolution=2000).value == pytest.approx(1.0, abs=1e-4)
     assert poly_radius(P, budget=16, rng=0).value == pytest.approx(1.0, abs=1e-4)
 
 
 def test_poly_radius_zero():
     d = lp(2, 2)
-    P = HomogeneousPolynomial(2, np.zeros((2, 2, 2)), d)
+    P = Operator(np.zeros((2, 2, 2)), d)
     assert poly_radius(P, budget=4, rng=0).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_poly_radius_grid_cap():
-    P = HomogeneousPolynomial(2, np.zeros((4, 4, 4)), lp(2, 4))
+    P = Operator(np.zeros((4, 4, 4)), lp(2, 4))
     with pytest.raises(BudgetExceeded):
         poly_radius(P, method="grid")
 
@@ -476,8 +471,8 @@ def test_guarantee_follows_the_method():
         ests = [numerical_radius(T, m, budget=4, rng=0) for m in ("auto", "ascent", "grid")]
         if desc.is_flat and desc.p < math.inf:
             ests.append(absolute_radius(T, budget=4, rng=0))
-        ests.append(poly_radius(HomogeneousPolynomial(
-            2, rng.standard_normal((desc.total_dim,) * 3), desc), budget=4, rng=0))
+        P = Operator(rng.standard_normal((desc.total_dim,) * 3), desc)
+        ests.append(poly_radius(P, budget=4, rng=0))
         for est in ests:
             exact = est.method == "enumerate"
             assert est.guarantee == ("exact-enumeration" if exact else "certified-lower-bound")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from numindex import suites
 from numindex.spaces import DegenerateInput, lp, scalar, tower
 from numindex.suites import (
     SuiteReport,
@@ -188,3 +189,20 @@ def test_bounds_check_scalar_line():
 def test_bounds_check_rejects_inf():
     with pytest.raises(DegenerateInput):
         bounds_check([math.inf], [2], seed=0)
+
+
+@pytest.mark.parametrize("p_list,m_list,bad", [
+    ([1.5, math.inf], [2], "p=inf"),
+    ([1.5, 0.5], [2], "p=0.5"),
+    ([math.nan], [2], "p=nan"),
+    ([1.5], [2, 0], "m=0"),
+    ([1.5], [2.5], "m=2.5"),
+], ids=["p-inf", "p-0.5", "p-nan", "m-0", "m-2.5"])
+def test_bounds_check_rejects_bad_p_or_m_before_any_search(p_list, m_list, bad,
+                                                           monkeypatch):
+    """A bad p or m anywhere in the lists is named before the first search
+    runs, by the suite, not by the internal function it would reach."""
+    monkeypatch.setattr(suites, "numerical_index_estimate",
+                        lambda *a, **k: pytest.fail("a search ran"))
+    with pytest.raises(DegenerateInput, match=f"bounds_check needs .*got {bad}"):
+        bounds_check(p_list, m_list, budget=4, seed=0)
