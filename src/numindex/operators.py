@@ -3,11 +3,11 @@
 One class, :class:`Operator`, holds the coefficient array of a map of any
 degree k >= 1 on the depth-first leaf coordinates of a descriptor; where the
 math differs, the degree decides.  A degree-1 map has exact column/row-sum
-norms on spaces isometric to flat l1/linf and elsewhere the duality-map fixed
-point of the p-norm power method, extrapolated along its own step with the
-plain step as fallback; degree k >= 2 runs a sphere ascent.
-Adjoints and compositions need degree 1.  Every value is a certified lower
-bound attained by the stored witness.
+norms on spaces isometric to flat l1/linf; every other norm is the
+duality-map fixed point of the p-norm power method (the higher-order power
+method from degree 2 on), extrapolated along its own step with the plain
+step as fallback.  Adjoints and compositions need degree 1.  Every value
+is a certified lower bound attained by the stored witness.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .optimize import LINE_SEARCH_WIDTH, best_rows, maximize_stack
+from .optimize import LINE_SEARCH_WIDTH, best_rows
 from .spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch,
                      SpaceDescriptor, descriptor_to_text, dual_descriptor,
                      SpaceError, parse_descriptor, phase, sphere_starts, summand)
@@ -79,7 +79,7 @@ def _coefficient_array(what: str, a, shape: tuple, desc: SpaceDescriptor) -> np.
 class OperatorNormEstimate:
     value: float
     witness: np.ndarray       # unit vector with ||T w|| = value
-    method: str               # fixed-point | ascent | exact
+    method: str               # fixed-point | exact
 
 
 def identity(desc: SpaceDescriptor) -> Operator:
@@ -108,9 +108,9 @@ def op_norm(T, budget: int = 16,
     operator or a homogeneous polynomial ``T`` (||P|| = sup ||P(x)||).
 
     A degree-1 map, operator or polynomial, is exact on flat (or uniformly
-    nested) l1/linf descriptors and elsewhere runs the fixed point
-    F(x) = J*(T^adj J(Tx)), extrapolated along its own step; degree k >= 2
-    runs the sphere ascent of ||P(x)||.  Searches start from ``budget``
+    nested) l1/linf descriptors.  Everything else runs the fixed point
+    F(x) = J*(A(J(Px); ., x, ..., x)) of P(x) = A(x, ..., x), at degree 1
+    F(x) = J*(T^adj J(Tx)), extrapolated along its own step from ``budget``
     starts.  The one-member case of :func:`op_norm_stack`.
     """
     return op_norm_stack([T], budget, [np.random.default_rng(rng)])[0]
@@ -118,43 +118,41 @@ def op_norm(T, budget: int = 16,
 
 def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     """:func:`op_norm` of every operator or polynomial of a stack sharing one
-    descriptor and degree, member k drawing its starts from ``rngs[k]``; the
-    engine follows the degree, so a degree-1 polynomial gets its operator's
-    estimate.  The searches of all starts of all members advance together as
-    rows of one array, each row's rounding independent of the others, so
-    every estimate equals its one-member call bit for bit.
+    descriptor and degree, member k drawing its starts from ``rngs[k]``, so a
+    degree-1 polynomial gets its operator's estimate.  The searches of all
+    starts of all members advance together as rows of one array, each row's
+    rounding independent of the others, so every estimate equals its
+    one-member call bit for bit.
 
     A fixed-point step scores ``LINE_SEARCH_WIDTH`` normalized candidates
     x + s (F(x) - x) of a row at once: the plain step s = 1, then the row's
     multiplier times 1/2, 1, ..., 32.  The row takes the best, the earliest
-    on a tie, its multiplier becomes that s, and it stops as the plain
-    iteration does: when its value falls or rises by less than
-    ``OP_NORM_VALUE_TOL``."""
+    on a tie, and its multiplier becomes that s.  It stops when its value
+    rises by less than ``OP_NORM_VALUE_TOL``; where it falls by at least
+    that (never at degree 1, where ||T.|| is convex), the row keeps its
+    point and divides its multiplier by 2^``LINE_SEARCH_WIDTH`` until the
+    multiplier drops below 1e-12."""
     if not Ts:
         return []
     desc, m = operator_stack(Ts)
-    if m.ndim > 3:                        # degree >= 2
-        found = maximize_stack(desc, lambda x, k: desc.plan.norm(_apply_rows(m, x, k)),
-                               rngs, budget)
-        return [OperatorNormEstimate(val, x, "ascent") for x, val, _ in found]
-    if desc.is_l1_linf:
+    if m.ndim == 3 and desc.is_l1_linf:
         # the largest column sum, attained at e_j (l1), or row sum (linf)
         return [_exact_norm(T) for T in Ts]
 
     plan, dplan = desc.plan, dual_descriptor(desc).plan
     x = np.concatenate([sphere_starts(desc, rng, budget) for rng in rngs])
     g = np.repeat(np.arange(len(Ts)), len(x) // len(Ts))
-    mt = m.transpose(0, 2, 1)
     f, val = plan.norming(_apply_rows(m, x, g))
-    # every start runs its own fixed point; the running rows, their f = J(Tx)
+    # every start runs its own fixed point; the running rows, their f = J(Px)
     # and multiplier sit in compact arrays
     a, xa, ga, va, fa, sa = np.arange(len(x)), x, g, val, f, np.ones(len(x))
     w, powers = LINE_SEARCH_WIDTH, 2.0 ** np.arange(-1, LINE_SEARCH_WIDTH - 2)
     for _ in range(OP_NORM_MAX_ITERS):
         if a.size == 0:
             break
-        # bilinear adjoint of the pairing; J is 0-homogeneous, so no rescaling
-        fx, ng = dplan.norming(_apply_rows(mt, fa, ga))
+        # A(f; ., x, ..., x), at degree 1 the bilinear adjoint of the pairing;
+        # J is 0-homogeneous, so no rescaling
+        fx, ng = dplan.norming(_apply_rows(m, xa, ga, fa))
         sizes = np.concatenate([np.ones((a.size, 1)), sa[:, None] * powers], axis=1)
         c = (xa[:, None] + sizes[..., None] * (fx - xa)[:, None]).reshape(-1, xa.shape[1])
         n = plan.norm(c)
@@ -162,17 +160,17 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
         cf, cv = plan.norming(_apply_rows(m, c, ga.repeat(w)))
         best = np.arange(a.size) * w + cv.reshape(-1, w).argmax(axis=1)
         rise = cv[best] - va
-        live = ng != 0.0                  # else Tx = 0, or T^adj J(Tx) = 0
-        # a row takes its best candidate unless the value fell (a nonsmooth
-        # kink: keep the best seen) and stops once it rises less than the tolerance
-        step = live & (rise >= 0)
+        live = ng != 0.0                  # else Px = 0, or A(f; ., x, ..., x) = 0
+        # a row takes its best candidate unless the value fell: a nonsmooth
+        # kink stops it, a fall of the tolerance or more shrinks its multiplier
+        step, fall = live & (rise >= 0), live & (rise <= -OP_NORM_VALUE_TOL)
         xa, va = np.where(step[:, None], c[best], xa), np.where(step, cv[best], va)
-        stop = ~live | (rise < OP_NORM_VALUE_TOL)
-        going = ~stop
+        fa = np.where(step[:, None], cf[best], fa)
+        sa = np.where(fall, sa * 2.0 ** -w, np.where(step, sizes.ravel()[best], sa))
+        going = np.where(fall, sa >= 1e-12, live & (rise >= OP_NORM_VALUE_TOL))
+        stop = ~going
         x[a[stop]], val[a[stop]] = xa[stop], va[stop]
-        # a running row has stepped: its f is that of its candidate
-        a, xa, ga, va = a[going], xa[going], ga[going], va[going]
-        fa, sa = cf[best][going], sizes.ravel()[best][going]
+        a, xa, ga, va, fa, sa = a[going], xa[going], ga[going], va[going], fa[going], sa[going]
     x[a], val[a] = xa, va
     return [OperatorNormEstimate(float(val[i]), x[i], "fixed-point")
             for i in best_rows(val, g, len(Ts))]
@@ -202,24 +200,28 @@ def operator_stack(T) -> tuple[SpaceDescriptor, np.ndarray]:
     return desc, np.stack([t.matrix for t in Ts])
 
 
-def _apply_rows(m: np.ndarray, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _apply_rows(m: np.ndarray, x: np.ndarray, g: np.ndarray, f=None) -> np.ndarray:
     """m[g_b] applied to x_b for every row of a (B, d) batch and a
     (K, d, ..., d) coefficient stack: the matrix product, or for a tensor of
-    degree k = m.ndim - 2 the contraction with k copies of x_b.  Unlike a
-    matmul, whose one-row case takes another BLAS path, a row's rounding
-    depends on neither B nor K, so batched restarts follow exactly the
-    trajectories they would follow alone (a one-member stack skips the
+    degree k = m.ndim - 2 the contraction with k copies of x_b.  With ``f``,
+    the duality step of :func:`op_norm`: A(f_b; ., x_b, ..., x_b), the output
+    index contracted with f_b and k - 1 inputs with x_b (m^T f_b at k = 1).
+    Unlike a matmul, whose one-row case takes another BLAS path, a row's
+    rounding depends on neither B nor K, so batched restarts follow exactly
+    the trajectories they would follow alone (a one-member stack skips the
     gather; both forms round identically).  Where the gather would copy more
     than ``GATHER_CAP`` coefficients, the stack applies member by member."""
     if len(m) > 1 and len(x) * m[0].size > GATHER_CAP:
         out = np.empty(x.shape, dtype=np.result_type(m, x))
         for j in np.unique(g):
-            out[g == j] = _apply_rows(m[j:j + 1], x[g == j], None)
+            on = g == j
+            out[on] = _apply_rows(m[j:j + 1], x[on], None, None if f is None else f[on])
         return out
+    v, m = (x, m) if f is None else (f, np.moveaxis(m, 1, -1))   # output index last
     if len(m) == 1:
-        out = np.einsum("...j,bj->b...", m[0], x)
+        out = np.einsum("...j,bj->b...", m[0], v)
     else:
-        out = np.einsum("b...j,bj->b...", m[g], x)
+        out = np.einsum("b...j,bj->b...", m[g], v)
     for _ in range(m.ndim - 3):
         out = np.einsum("b...j,bj->b...", out, x)
     return out

@@ -171,8 +171,8 @@ def scalar(field: str = REAL) -> SpaceDescriptor:
 def lp(p: float, dim: int, field: str = REAL) -> SpaceDescriptor:
     """The flat space lp^dim.  At dim = 1 every exponent gives the same
     (scalar) space, so the leaf is returned and text round-trips stay exact."""
-    if dim < 1:
-        raise SpaceError("dim must be >= 1")
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise SpaceError(f"dim must be an integer >= 1, got {dim!r}")
     _check_total_dim(dim)
     if not (1.0 <= float(p)):
         raise SpaceError(f"exponent must lie in [1, inf], got {p!r}")

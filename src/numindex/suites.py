@@ -188,11 +188,11 @@ def monotone_sweep(p: float, m_values, budget: int = 120,
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         # the check runs from each m to the next, so it needs them rising
         raise DegenerateInput(f"m values must be strictly increasing, got {m_values}")
+    descs = [lp(p, m) for m in m_values]          # every level checked before a search
     report = SuiteReport("monotone", [f"lp(p={p},m={m_values})"], MONOTONE_SLACK, seed)
     prev_val, prev_witness, prev_m = None, None, None
     trajectory = []
-    for k, m in enumerate(m_values):
-        desc = lp(p, m)
+    for k, (m, desc) in enumerate(zip(m_values, descs)):
         extra = []
         if prev_witness is not None:
             extra.append(compose_with_projection(prev_witness, desc, range(prev_m)))

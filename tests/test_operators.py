@@ -25,6 +25,7 @@ from numindex.operators import (
     rank_one,
 )
 from numindex.cli import EXIT_OK, main
+from numindex.optimize import LINE_SEARCH_WIDTH
 from numindex.index import _start_portfolio, poly_index_estimate, rank_r_index_estimate
 from numindex.radius import numerical_radius, poly_norm
 from numindex.spaces import (
@@ -219,25 +220,60 @@ def test_op_norm_of_a_near_rotation(p, eps):
 def test_op_norm_budget_prefix_and_row_independence(desc):
     """Under one seed the starts of budget B are a prefix of those of 2B,
     and every start runs alone, so doubling the budget never lowers the
-    value; a stack in another order gives each member its one-member call."""
+    value; a stack in another order gives each member its one-member call.
+    Both hold for operators and for polynomials of degree 2 and 3."""
     rng = np.random.default_rng(5)
-    Ts = [Operator(gaussian(desc, rng), desc) for _ in range(3)]
-    for T in Ts:
-        for b in (2, 4, 8):
-            assert op_norm(T, budget=2 * b, rng=9).value >= op_norm(T, budget=b, rng=9).value
-    order = [2, 0, 1]
-    stacked = op_norm_stack([Ts[k] for k in order], 4,
-                            [np.random.default_rng(k) for k in order])
-    for k, est in zip(order, stacked):
-        ref = op_norm(Ts[k], budget=4, rng=k)
-        assert est.value == ref.value
-        np.testing.assert_array_equal(est.witness, ref.witness)
+    for degree in (1, 2, 3):
+        Ts = [Operator(gaussian(desc, rng, (desc.total_dim,) * (degree + 1)), desc)
+              for _ in range(3)]
+        for T in Ts:
+            for b in (2, 4, 8):
+                assert op_norm(T, budget=2 * b, rng=9).value >= op_norm(T, budget=b, rng=9).value
+        order = [2, 0, 1]
+        stacked = op_norm_stack([Ts[k] for k in order], 4,
+                                [np.random.default_rng(k) for k in order])
+        for k, est in zip(order, stacked):
+            ref = op_norm(Ts[k], budget=4, rng=k)
+            assert est.value == ref.value
+            np.testing.assert_array_equal(est.witness, ref.witness)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("desc", [lp(3, 3), lp(1.5, 2, COMPLEX), tower([3, 1.5], [2, 1, 2])],
+                         ids=str)
+def test_duality_step_is_the_gradient_of_the_pairing(desc, k):
+    """The fixed point's contraction A(f; ., x, ..., x) of the output index
+    with f and k - 1 inputs with x is the gradient of x -> f . P(x) divided
+    by k: its central differences, which on a complex space are those of a
+    holomorphic function."""
+    rng = np.random.default_rng(4)
+    d = desc.total_dim
+    P = Operator(gaussian(desc, rng, (d,) * (k + 1)), desc)
+    x, f = gaussian(desc, rng, (d,)), gaussian(desc, rng, (d,))
+    step = _apply_rows(P.tensor[None], x[None], None, f[None])[0]
+    h = 1e-5
+    grad = np.array([(f @ apply(P, x + h * e) - f @ apply(P, x - h * e)) / (2 * h)
+                     for e in np.eye(d)])
+    np.testing.assert_allclose(grad / k, step, rtol=0, atol=2e-10 * np.abs(step).max())
+
+
+def test_op_norm_shrinks_the_multiplier_of_a_falling_row():
+    """Above degree 1 a step of the fixed point can lower ||P(x)||.  The row
+    then keeps its point and retries with its multiplier divided by
+    2^LINE_SEARCH_WIDTH; stopping at the first fall leaves this polynomial
+    at 2.631038."""
+    desc = lp(4, 3)
+    rng = np.random.default_rng(1002)
+    P = [Operator(gaussian(desc, rng, (3, 3, 3)), desc) for _ in range(3)][2]
+    est = op_norm(P, budget=6, rng=2)
+    assert norm(desc, apply(P, est.witness)) == pytest.approx(est.value, abs=1e-12)
+    assert est.value == pytest.approx(2.635047, abs=1e-6)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("desc", [lp(3, 2), lp(1, 3), lp(4, 2, COMPLEX),
                                   psum(1.5, [lp(3, 2), scalar()])], ids=str)
-def test_op_norm_of_polynomial_is_the_ascent(desc, k):
+def test_op_norm_of_polynomial_is_the_fixed_point(desc, k):
     rng = np.random.default_rng(11)
     shape = (desc.total_dim,) * (k + 1)
     t = rng.standard_normal(shape)
@@ -257,7 +293,7 @@ def test_op_norm_of_polynomial_is_the_ascent(desc, k):
         assert est.method == ("exact" if exact else "fixed-point")
         np.testing.assert_array_equal(est.witness, ref.witness)
     else:
-        assert est.method == "ascent"
+        assert est.method == "fixed-point"
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +421,47 @@ def test_apply_rows_polynomial_stacks(field):
         np.testing.assert_array_equal(rows[b], apply(Ps[g[b]], x[b]))
 
 
+def _traced_peak(fn):
+    """fn() and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_apply_rows_tensor_stack_applies_member_by_member():
     """A stack of several degree-k tensors whose gather would exceed the cap
-    never holds one (d, ..., d) tensor per row, (B, d^(k+1)) in all; each
-    member's rows are applied as that member alone applies them."""
+    never holds one (d, ..., d) tensor per row, (B, d^(k+1)) in all, and a
+    one-member stack never gathers; each member's rows are applied as that
+    member alone applies them.  The same holds for the duality step of
+    op_norm, which contracts f_b first, and for op_norm itself."""
     rng = np.random.default_rng(3)
     d, k, B = lp(3, 4), 5, 600
     m = np.stack([Operator(rng.standard_normal((4,) * (k + 1)), d).tensor
                   for _ in range(3)])
     x, g = rng.standard_normal((B, 4)), rng.integers(0, 3, B)
     assert B * m[0].size > GATHER_CAP
-    tracemalloc.start()
-    try:
-        rows = _apply_rows(m, x, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < B * m[0].nbytes / 4
-    for j in range(3):
-        np.testing.assert_array_equal(rows[g == j], _apply_rows(m[j:j + 1], x[g == j], None))
+    for f in (None, rng.standard_normal((B, 4))):
+        rows, peak = _traced_peak(lambda: _apply_rows(m, x, g, f))
+        assert peak < B * m[0].nbytes / 4
+        assert _traced_peak(lambda: _apply_rows(m[:1], x, g, f))[1] < B * m[0].nbytes / 2
+        for j in range(3):
+            np.testing.assert_array_equal(
+                rows[g == j], _apply_rows(m[j:j + 1], x[g == j], None,
+                                          None if f is None else f[g == j]))
+    # degree-6 polynomials: the peak of op_norm stays below half of one
+    # tensor per candidate row, and a stack gives each member its own call
+    Ps = [Operator(rng.standard_normal((4,) * 7), d) for _ in range(3)]
+    for members in (Ps[:1], Ps):
+        rngs = [np.random.default_rng(j) for j in range(len(members))]
+        found, peak = _traced_peak(lambda: op_norm_stack(members, 16, rngs))
+        assert peak < 16 * LINE_SEARCH_WIDTH * len(members) * Ps[0].tensor.nbytes / 2
+    for j, est in enumerate(found):
+        ref = op_norm(Ps[j], budget=16, rng=j)
+        assert est.value == ref.value
+        np.testing.assert_array_equal(est.witness, ref.witness)
 
 
 def test_poly_homogeneity():

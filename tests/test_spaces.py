@@ -369,5 +369,7 @@ def test_tower_shape_errors():
         tower([2], [1, 2, 3])
     with pytest.raises(SpaceError):
         lp(2, 0)
+    with pytest.raises(SpaceError, match="dim must be an integer >= 1, got 2.5"):
+        lp(2, 2.5)
     with pytest.raises(SpaceError):
         psum(2, [])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from numindex import suites
-from numindex.spaces import DegenerateInput, lp, scalar, tower
+from numindex.spaces import DegenerateInput, SpaceError, lp, scalar, tower
 from numindex.suites import (
     SuiteReport,
     bounds_check,
@@ -124,6 +124,17 @@ def test_monotone_sweep_errors():
         monotone_sweep(1.5, [3, 2], budget=30, seed=0)
     with pytest.raises(DegenerateInput, match="strictly increasing"):
         monotone_sweep(1.5, [2, 2], budget=30, seed=0)
+
+
+def test_monotone_sweep_builds_every_level_before_searching(monkeypatch):
+    """A level that is no space fails as a SpaceError naming it, before the
+    search of any level runs."""
+    calls = []
+    monkeypatch.setattr(suites, "numerical_index_estimate",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SpaceError, match="dim must be an integer >= 1, got 2.5"):
+        monotone_sweep(1.5, [2, 2.5], budget=30, seed=0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
