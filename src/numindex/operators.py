@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .optimize import LINE_SEARCH_WIDTH, best_rows
+from .optimize import LINE_SEARCH_WIDTH, VALUE_TOL, best_rows, check_stack
 from .spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch,
                      SpaceDescriptor, descriptor_to_text, dual_descriptor,
                      SpaceError, parse_descriptor, phase, sphere_starts, summand)
 
 OP_NORM_MAX_ITERS = 500
-OP_NORM_VALUE_TOL = 1e-10
 
 #: dense symmetric tensors only make sense at desk scale
 POLY_TENSOR_CAP = 100_000
@@ -128,10 +127,11 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     x + s (F(x) - x) of a row at once: the plain step s = 1, then the row's
     multiplier times 1/2, 1, ..., 32.  The row takes the best, the earliest
     on a tie, and its multiplier becomes that s.  It stops when its value
-    rises by less than ``OP_NORM_VALUE_TOL``; where it falls by at least
-    that (never at degree 1, where ||T.|| is convex), the row keeps its
-    point and divides its multiplier by 2^``LINE_SEARCH_WIDTH`` until the
-    multiplier drops below 1e-12."""
+    rises by less than ``VALUE_TOL``, as the ascent does; where it falls by
+    at least that (never at degree 1, where ||T.|| is convex), the row keeps
+    its point and divides its multiplier by 2^``LINE_SEARCH_WIDTH`` until
+    the multiplier drops below 1e-12."""
+    check_stack(Ts, rngs)
     if not Ts:
         return []
     desc, m = operator_stack(Ts)
@@ -163,17 +163,17 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
         live = ng != 0.0                  # else Px = 0, or A(f; ., x, ..., x) = 0
         # a row takes its best candidate unless the value fell: a nonsmooth
         # kink stops it, a fall of the tolerance or more shrinks its multiplier
-        step, fall = live & (rise >= 0), live & (rise <= -OP_NORM_VALUE_TOL)
+        step, fall = live & (rise >= 0), live & (rise <= -VALUE_TOL)
         xa, va = np.where(step[:, None], c[best], xa), np.where(step, cv[best], va)
         fa = np.where(step[:, None], cf[best], fa)
         sa = np.where(fall, sa * 2.0 ** -w, np.where(step, sizes.ravel()[best], sa))
-        going = np.where(fall, sa >= 1e-12, live & (rise >= OP_NORM_VALUE_TOL))
+        going = np.where(fall, sa >= 1e-12, live & (rise >= VALUE_TOL))
         stop = ~going
         x[a[stop]], val[a[stop]] = xa[stop], va[stop]
         a, xa, ga, va, fa, sa = a[going], xa[going], ga[going], va[going], fa[going], sa[going]
     x[a], val[a] = xa, va
-    return [OperatorNormEstimate(float(val[i]), x[i], "fixed-point")
-            for i in best_rows(val, g, len(Ts))]
+    return [OperatorNormEstimate(float(val[i]), x[i].copy(), "fixed-point")
+            for i in best_rows(val, g, len(Ts))]     # copies: no estimate pins x
 
 
 def _exact_norm(T) -> OperatorNormEstimate:
@@ -181,7 +181,7 @@ def _exact_norm(T) -> OperatorNormEstimate:
     l1 = desc.uniform_exponent == 1
     sums = np.abs(m).sum(axis=0 if l1 else 1)
     i = int(np.argmax(sums))
-    w = (np.eye(desc.total_dim, dtype=desc.dtype)[i] if l1
+    w = (np.eye(desc.total_dim, dtype=desc.dtype)[i].copy() if l1
          else np.conj(phase(m[i])))
     return OperatorNormEstimate(float(sums[i]), w, "exact")
 

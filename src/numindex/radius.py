@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import _apply_rows, _exact_norm, apply, op_norm, operator_stack
-from .optimize import maximize_stack
+from .optimize import check_stack, maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
                      SpaceError, conj_sign, eval_pair, phase)
 
@@ -136,6 +136,7 @@ def radius_stack(Ts, budget: int, rngs, method: str = "auto", resolution: int = 
     ``method``.  The ascents run as one batch, member k drawing from
     ``rngs[k]``; the grid sweeps each member on its own.  Every estimate
     equals the one-member call bit for bit."""
+    check_stack(Ts, rngs)
     backend = _backend(Ts[0], method, absolute)
     if backend == "enumerate":
         return [radius_enumerate(T) for T in Ts]

@@ -164,8 +164,12 @@ def _check_total_dim(dim: int):
         raise SpaceError(f"total dimension {dim} exceeds the cap {MAX_TOTAL_DIM}")
 
 
+_LEAVES = {field: SpaceDescriptor(None, (), field) for field in (REAL, COMPLEX)}
+
+
 def scalar(field: str = REAL) -> SpaceDescriptor:
-    return SpaceDescriptor(None, (), field)
+    """The scalar leaf of ``field``: one frozen node shared by every tree."""
+    return _LEAVES[field] if field in (REAL, COMPLEX) else SpaceDescriptor(None, (), field)
 
 
 def lp(p: float, dim: int, field: str = REAL) -> SpaceDescriptor:

@@ -175,6 +175,19 @@ def test_op_norm_witness_certificate():
         assert norm(desc, T.matrix @ w) == pytest.approx(est.value, abs=1e-9)
 
 
+def test_op_norm_witness_is_its_own_array():
+    """A witness is a copy, alone and stacked, so an estimate keeps neither
+    its search's start array nor the identity its exact column comes from."""
+    desc = lp(3, 3)
+    Ts = [Operator(np.random.default_rng(j).standard_normal((3, 3)), desc) for j in range(2)]
+    assert op_norm(Ts[0], budget=8, rng=0).witness.base is None
+    for est in op_norm_stack(Ts, 8, [np.random.default_rng(j) for j in range(2)]):
+        assert est.method == "fixed-point" and est.witness.base is None
+    for p in (1, math.inf):
+        est = op_norm(Operator(Ts[0].matrix, lp(p, 3)))
+        assert est.method == "exact" and est.witness.base is None
+
+
 def _assert_witness(T, est):
     assert norm(T.descriptor, est.witness) == pytest.approx(1.0, abs=1e-12)
     assert norm(T.descriptor, T.matrix @ est.witness) == pytest.approx(est.value, abs=1e-12)

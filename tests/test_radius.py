@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from numindex.operators import Operator, identity, apply, op_norm
+from numindex.operators import Operator, identity, apply, op_norm, op_norm_stack
 from numindex.radius import (
     BudgetExceeded,
     RadiusEstimate,
@@ -493,3 +493,18 @@ def test_search_budget_below_one_raises(budget):
             engine(T, budget=budget, rng=0)
     # the exact backends read no budget
     assert numerical_radius(Operator(T.matrix, lp(1, 2)), budget=budget).value > 0
+
+
+@pytest.mark.parametrize("engine", ["op_norm", "ascent", "enumerate"])
+def test_stack_needs_one_generator_per_map(engine):
+    """A one-member stack given three generators raises, naming both
+    counts, before any start is drawn, whichever backend it would run."""
+    T = Operator([[0.6, -0.3], [0.2, 0.7]], lp(1 if engine == "enumerate" else 3, 2))
+    rngs = [np.random.default_rng(j) for j in range(3)]
+    before = [r.bit_generator.state for r in rngs]
+    with pytest.raises(DegenerateInput, match="a stack of 1 maps got 3 generators"):
+        if engine == "op_norm":
+            op_norm_stack([T], 16, rngs)
+        else:
+            radius_stack([T], 16, rngs, engine)
+    assert [r.bit_generator.state for r in rngs] == before

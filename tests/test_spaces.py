@@ -129,6 +129,23 @@ def test_descriptor_equality_is_exact_and_hash_consistent():
     assert len({a, b, lp(4.4219797384991075, 2)}) == 2
 
 
+def test_trees_share_their_leaves():
+    """Every tree holds the one leaf of its field; sharing it changes no
+    equality, hash, dual or text form."""
+    a, b = lp(2, 3), psum(1, [lp(3, 2), scalar()])
+    assert all(c is scalar() for c in a.children + b.children[0].children)
+    assert b.children[1] is scalar() is scalar("real") is lp(4, 1)
+    assert lp(2, 2, COMPLEX).children[0] is scalar(COMPLEX) is not scalar()
+    assert scalar(COMPLEX) != scalar() and hash(a) == hash(lp(2, 3)) and a == lp(2, 3)
+    for leaf in (scalar(), scalar(COMPLEX)):
+        assert dual_descriptor(leaf) is leaf
+        assert parse_descriptor(descriptor_to_text(leaf), field=leaf.field) == leaf
+    assert parse_descriptor(descriptor_to_text(b)) == b
+    for bad in ("quaternion", ["real"]):
+        with pytest.raises(SpaceError, match="unknown scalar field"):
+            scalar(bad)
+
+
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_holder_pairing(desc):
     rng = np.random.default_rng(5)
