@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -54,13 +54,16 @@ def mp_curve(p: float, t):
     return abs(t ** (p - 1.0) - t) / (1.0 + t ** p)
 
 
+@lru_cache(maxsize=256, typed=True)
 def mp_constant(p: float) -> MpResult:
     """M_p = sup over t in [0,1] of |t^{p-1} - t| / (1 + t^p).
 
     Two deterministic scans: [0, 1] at 100,001 points, then the two grid
     steps around its best point at 10,001 points, clipped to [0, 1].  The
     second scan is centred on that point, so it never ends below the first,
-    and an endpoint maximum (M_1 = 1 at t = 0) needs no special case.
+    and an endpoint maximum (M_1 = 1 at t = 0) needs no special case.  A
+    pure function of ``p`` (and of its type, which the result records), so
+    each exponent is scanned once per process.
     """
     if not (1.0 <= p < math.inf):
         raise DegenerateInput("mp_constant needs finite p >= 1")

@@ -7,10 +7,12 @@ line search scores a ladder of step sizes at once and takes the best, and
 a row stops on ``VALUE_TOL``: the rules of the ``op_norm`` fixed point.
 The restarts advance in lockstep as rows of one array, each with its own
 step size; the rows still ascending sit in compact arrays, so an iteration
-costs what its live rows cost.  Several problems on one descriptor (a
-stack) share the array: every row carries its problem index, and each
-problem keeps its own starts and its own deterministic reduction (best
-value, earliest restart wins ties).
+costs what its live rows cost.  A row also retires once, at its current
+pace, it cannot reach the best value an earlier restart of its own problem
+already holds.  Several problems on one descriptor (a stack) share the
+array: every row carries its problem index, and each problem keeps its own
+starts and its own deterministic reduction (best value, earliest restart
+wins ties).
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ def maximize_on_sphere(desc: SpaceDescriptor, objective, rng: np.random.Generato
     """Return (best_x, best_value, evals) for ``objective`` over the unit
     sphere of ``desc``: the one-problem case of :func:`maximize_stack`.  The
     starts (:func:`~numindex.spaces.sphere_starts`) for ``restarts`` are a
-    prefix of those for any larger budget, and each ascends on its own, so
-    under a shared seed a larger budget never lowers the result."""
+    prefix of those for any larger budget, and a start's trajectory depends
+    only on the starts before it, so under a shared seed the first starts
+    end bit for bit alike at any larger budget, which never lowers the
+    result."""
     return maximize_stack(desc, objective, [rng], restarts)[0]
 
 
@@ -57,9 +61,9 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs,
     values; ``evals`` counts a problem's evaluated rows, every step size
     the line search scored included, and does not depend on the problems
     beside it.  Problem k draws its starts from ``rngs[k]`` as
-    :func:`maximize_on_sphere` does, and every restart follows the
-    trajectory it would follow alone (:func:`_ascend`), so each result
-    equals the one-problem call bit for bit."""
+    :func:`maximize_on_sphere` does, and a restart's trajectory depends
+    only on the restarts before it in its own problem (:func:`_ascend`), so
+    each result equals the one-problem call bit for bit."""
     cplx = desc.field == COMPLEX
     plan = desc.plan
     starts = np.concatenate([sphere_starts(desc, rng, restarts) for rng in rngs])
@@ -80,7 +84,8 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs,
         out[ok] = scored(x[ok], n[ok], rows[ok])
         return out
 
-    ys, vals = _ascend(normed_obj, _to_params(starts / plan.norm(starts)[:, None], cplx))
+    ys, vals = _ascend(normed_obj, _to_params(starts / plan.norm(starts)[:, None], cplx),
+                       restarts)
     evals = np.bincount(group[np.concatenate(evaluated)], minlength=len(rngs))
     found = []
     for k, best in enumerate(best_rows(vals, group, len(rngs))):
@@ -105,23 +110,32 @@ def best_rows(vals: np.ndarray, group: np.ndarray, n: int) -> list[int]:
     return best
 
 
-def _ascend(obj, y: np.ndarray):
+def _ascend(obj, y: np.ndarray, restarts: int):
     """Gradient ascent of every row of ``y``; returns (y, values).  ``obj``
-    takes a batch and the row of ``y`` each batch row belongs to.  The rows
-    still ascending keep their point, value and step size s in compact
-    arrays, written back to ``y`` when a row stops.  An iteration takes
-    their central differences in one batch, then scores the sizes 4s, 2s,
-    ..., s/32 above 1e-14 of every row still searching in one batch; a row
-    takes the best that improves it, the earliest on ties, as its next s (at
-    most 4), and with none it scores the ladder at s/2^8 next.  A row stops
-    once an iteration raises it by less than ``VALUE_TOL``, as in
-    :func:`~numindex.operators.op_norm`, which ends a row with no step."""
+    takes a batch and the row of ``y`` each batch row belongs to; the rows
+    are problem-major, ``restarts`` rows per problem.  The rows still
+    ascending keep their point, value and step size s in compact arrays,
+    written back to ``y`` when a row stops.  An iteration takes their central differences
+    in one batch, then scores the sizes 4s, 2s, ..., s/32 above 1e-14 of
+    every row still searching in one batch; a row takes the best that
+    improves it, the earliest on ties, as its next s (at most 4), and with
+    none it scores the ladder at s/2^8 next.  A row stops once an iteration
+    raises it by less than ``VALUE_TOL``, as in
+    :func:`~numindex.operators.op_norm`, which ends a row with no step.  It
+    also retires once its value v, raised by this iteration's gain for each
+    iteration left, stays below the best value of the earlier rows of its
+    problem (their current values, or final ones if stopped): at its current
+    pace it cannot catch them.  That is a heuristic, since a row's steps may
+    still grow, so a retired row may end a little below where it would have
+    ended.  A row's trajectory depends only on the rows before it in its
+    own problem."""
     r, d = y.shape
     val = obj(y, np.arange(r))
     a, ya, va, step = np.arange(r), y.copy(), val.copy(), np.full(r, 0.25)
     offsets = FD_STEP * np.concatenate([np.eye(d), -np.eye(d)])
     ladder = 4.0 * 0.5 ** np.arange(LINE_SEARCH_WIDTH)
-    for _ in range(MAX_ITERS):
+    lead = np.full((r // restarts, restarts), -np.inf)    # best value of the earlier rows
+    for i in range(MAX_ITERS):
         if a.size == 0:
             break
         fd = obj((ya[:, None, :] + offsets).reshape(-1, d), a.repeat(2 * d))
@@ -145,8 +159,11 @@ def _ascend(obj, y: np.ndarray):
             s = s * 0.5 ** LINE_SEARCH_WIDTH
             miss = ~hit & (s * ladder[0] > 1e-14)
             k, s, direction = k[miss], s[miss], direction[miss]
-        stop = va - prev < VALUE_TOL
-        y[a[stop]], val[a[stop]] = ya[stop], va[stop]
+        val[a] = va
+        np.maximum.accumulate(val.reshape(lead.shape)[:, :-1], axis=1, out=lead[:, 1:])
+        stop = (va - prev < VALUE_TOL) | (va + (va - prev) * (MAX_ITERS - i - 1)
+                                          < lead.ravel()[a])
+        y[a[stop]] = ya[stop]
         a, ya, va, step = a[~stop], ya[~stop], va[~stop], step[~stop]
-    y[a], val[a] = ya, va
+    y[a] = ya
     return y, val

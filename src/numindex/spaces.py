@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -102,8 +102,9 @@ class SpaceDescriptor:
 
     @cached_property
     def plan(self) -> "NormPlan":
-        """Batched norm / norming-functional evaluator, built on first use."""
-        return NormPlan(self)
+        """Batched norm / norming-functional evaluator, compiled once per
+        distinct tree: equal descriptors share one plan."""
+        return _compiled_plan(self)
 
     @cached_property
     def _dual(self) -> "SpaceDescriptor":
@@ -288,6 +289,11 @@ class NormPlan:
         return f if w is None else w * f, levels[-1][:, 0]
 
 
+#: equal descriptors (the hash is structural) share one plan; the bound
+#: keeps a long sweep over many trees from holding every plan
+_compiled_plan = lru_cache(maxsize=256)(NormPlan)
+
+
 class _Stage:
     """One reduction of a :class:`NormPlan`."""
 
@@ -437,27 +443,41 @@ def gaussian(desc: SpaceDescriptor, rng: np.random.Generator, shape=None) -> np.
     return g
 
 
+def _sphere_samples(desc: SpaceDescriptor, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Gaussian directions normalized to ||x|| = 1, drawn in one batch
+    in the order of :func:`gaussian` per sample (on a complex space the d
+    real parts, then the d imaginary parts).  Samples holding an exact zero
+    are dropped and the shortfall is drawn again, so almost surely every
+    coordinate is nonzero and the samples lie in the dense smooth-point set;
+    the first samples of a larger ``n`` are the samples of a smaller one."""
+    d, out = desc.total_dim, []
+    while n > 0:
+        g = rng.standard_normal((n, 2, d) if desc.field == COMPLEX else (n, d))
+        if desc.field == COMPLEX:
+            g = g[:, 0] + 1j * g[:, 1]
+        g = g[(g != 0).all(axis=1)]
+        out.append(g / desc.plan.norm(g)[:, None])
+        n -= len(g)
+    return np.concatenate(out) if out else np.empty((0, d), desc.dtype)
+
+
 def unit_sphere_sample(desc: SpaceDescriptor, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian direction normalized to ||x|| = 1; almost surely all
-    coordinates are nonzero, so samples lie in the dense smooth-point set."""
-    while True:
-        g = gaussian(desc, rng, (desc.total_dim,))
-        if np.all(g != 0):
-            break
-    return g / norm(desc, g)
+    """One Gaussian direction normalized to ||x|| = 1, with every
+    coordinate nonzero: the one-sample case of the start draws."""
+    return _sphere_samples(desc, rng, 1)[0]
 
 
 def sphere_starts(desc: SpaceDescriptor, rng: np.random.Generator,
                   count: int) -> np.ndarray:
     """``count`` (at least one) nonzero start rows of a multi-start search:
-    the coordinate directions, then sphere samples from ``rng``.  The rows
-    for ``count`` are a prefix of the rows for any larger count."""
+    the coordinate directions, then sphere samples from ``rng``, the same
+    as successive :func:`unit_sphere_sample` draws.  The rows for ``count``
+    are a prefix of the rows for any larger count."""
     if count < 1:
         raise DegenerateInput(f"start budget must be >= 1, got {count}")
-    starts = list(np.eye(desc.total_dim, dtype=desc.dtype)[:count])
-    while len(starts) < count:
-        starts.append(unit_sphere_sample(desc, rng))
-    return np.array(starts)
+    d = desc.total_dim
+    return np.concatenate([np.eye(d, dtype=desc.dtype)[:count],
+                           _sphere_samples(desc, rng, count - d)])
 
 
 # ---------------------------------------------------------------------------

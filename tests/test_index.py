@@ -76,6 +76,12 @@ def test_mp_continuity_in_p():
     assert diffs[ps[1:] >= 1.55].max() < 0.1
 
 
+def test_mp_scans_each_exponent_once():
+    """The scan is cached per exponent and its type, which the result keeps."""
+    assert mp_constant(3.0) is mp_constant(3.0)
+    assert type(mp_constant(3).p) is int and type(mp_constant(3.0).p) is float
+
+
 def test_mp_rejects_bad_p():
     with pytest.raises(DegenerateInput):
         mp_constant(0.5)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numindex import optimize
 from numindex.operators import Operator
 from numindex.optimize import FD_STEP, VALUE_TOL, maximize_on_sphere, maximize_stack
-from numindex.radius import radius_objective
+from numindex.radius import numerical_radius, radius_grid_oracle, radius_objective
 from numindex.spaces import (COMPLEX, REAL, dual_descriptor, lp, psum, tower,
                              unit_sphere_sample)
 
@@ -262,15 +262,80 @@ def test_lockstep_ascent_matches_scalar_reference(desc):
     assert batched == pytest.approx(scalar, abs=1e-9)
 
 
-@pytest.mark.parametrize("desc", ASCENT_SPACES, ids=str)
+NEAR_ONE_SPACES = [lp(1.25, 3), lp(1.25, 4), psum(1.25, [lp(2, 1), lp(1.25, 3), lp(2, 1)])]
+
+
+def _ascent_ends(desc, objective, seed, restarts):
+    """(final points, final values) of every row of the ascent behind one
+    :func:`maximize_on_sphere` call, and its result value."""
+    ascend, ends = optimize._ascend, []
+
+    def spy(obj, y, restarts):
+        y, val = ascend(obj, y, restarts)
+        ends.append((y.copy(), val.copy()))
+        return y, val
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_ascend", spy)
+        _, value, _ = maximize_on_sphere(desc, objective, np.random.default_rng(seed),
+                                         restarts=restarts)
+    (y, val), = ends
+    return y, val, value
+
+
+@pytest.mark.parametrize("desc", ASCENT_SPACES + NEAR_ONE_SPACES, ids=str)
 def test_ascent_budget_prefix(desc):
-    # a start's trajectory does not depend on the starts beside it, so the
+    # a start's trajectory depends only on the starts before it, so the
     # first eight starts end bit for bit where they end at budget 8
-    for seed in range(3):
+    for seed in range(20):
         g = radius_objective(_operator(desc, seed))
-        _, v8, _ = maximize_on_sphere(desc, g, np.random.default_rng(seed), restarts=8)
-        _, v16, _ = maximize_on_sphere(desc, g, np.random.default_rng(seed), restarts=16)
+        y8, val8, v8 = _ascent_ends(desc, g, seed, 8)
+        y16, val16, v16 = _ascent_ends(desc, g, seed, 16)
+        assert y16[:8].tobytes() == y8.tobytes() and val16[:8].tobytes() == val8.tobytes()
         assert v8 <= v16
+
+
+@pytest.mark.parametrize("desc,resolution", [(lp(1.25, 2), 2 ** 16), (lp(1.1, 2), 2 ** 16),
+                                             (lp(1.25, 3), 2 ** 14)], ids=str)
+def test_ascent_reaches_the_grid_near_p_one(desc, resolution):
+    """Near p = 1 the budget-16 ascent ends no lower than a fine grid
+    sweep of the sphere, for 30 Gaussian maps."""
+    for seed in range(30):
+        T = _operator(desc, seed)
+        ascent = numerical_radius(T, "ascent", 16, seed).value
+        assert ascent >= radius_grid_oracle(T, resolution).value, seed
+
+
+def _race_objective(y, rows):
+    """Row 0 is concave with maximum 1 at (1, 0); row 1 is the slow linear
+    1e-6 y_0, which gains at most 1.6e-5 an iteration."""
+    return np.where(rows == 0, 1.0 - (y[:, 0] - 1.0) ** 2 - y[:, 1] ** 2, 1e-6 * y[:, 0])
+
+
+@pytest.mark.parametrize("order", ["fast-first", "slow-first"])
+def test_ascent_retires_rows_that_cannot_catch_an_earlier_row(order):
+    """A slow row behind a higher row of its own problem retires within a
+    few iterations; first in its problem, or alone in it, it runs to
+    ``MAX_ITERS``, and the fast row ends at 1 either way."""
+    fast, slow = (0, 1) if order == "fast-first" else (1, 0)
+    y0 = np.zeros((2, 2))
+    y0[fast] = (0.9, 0.0)
+    seen = []
+
+    def obj(y, rows):
+        seen.append(rows)
+        return _race_objective(y, (rows != fast).astype(int))
+
+    for restarts, retires in ((2, order == "fast-first"), (1, False)):
+        seen.clear()
+        _, val = optimize._ascend(obj, y0.copy(), restarts)
+        scored = np.bincount(np.concatenate(seen), minlength=2)
+        assert val[fast] == pytest.approx(1.0, abs=1e-9)
+        # each iteration scores 4 differences and 8 step sizes of the row
+        if retires:
+            assert scored[slow] <= 1 + 3 * 12
+        else:
+            assert scored[slow] == 1 + optimize.MAX_ITERS * 12
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +366,7 @@ def test_speculative_line_search_edge_rows():
         seen.append(rows)
         return _edge_objective(y, rows)
 
-    y, val = optimize._ascend(obj, y0.copy())
+    y, val = optimize._ascend(obj, y0.copy(), 1)
     scored = np.bincount(np.concatenate(seen), minlength=4)
     # row 0: start, 4 differences and the 47 sizes 2^-j > 1e-14, j = 0..46
     assert scored[0] == 52 and np.array_equal(y[0], y0[0]) and val[0] == 0.0
@@ -331,9 +396,9 @@ def test_stacked_ascent_equals_one_member_calls(degree, desc, seed):
     maps = _maps(desc, degree, seed)
     ascend, ends = optimize._ascend, []
 
-    def spy(obj, y):
+    def spy(obj, y, restarts):
         start = obj(y, np.arange(len(y)))
-        y, val = ascend(obj, y)
+        y, val = ascend(obj, y, restarts)
         ends.append((start, val))
         return y, val
 

@@ -27,6 +27,7 @@ from numindex.spaces import (
     parse_descriptor,
     psum,
     scalar,
+    sphere_starts,
     summand,
     tower,
     tower_levels,
@@ -127,6 +128,16 @@ def test_descriptor_equality_is_exact_and_hash_consistent():
     assert a != b
     assert a == lp(4.4219797384991075, 2) and hash(a) == hash(lp(4.4219797384991075, 2))
     assert len({a, b, lp(4.4219797384991075, 2)}) == 2
+
+
+def test_equal_descriptors_share_one_plan():
+    """Each distinct tree compiles its norm plan once: separately parsed
+    equal descriptors share it, unequal ones do not."""
+    text = "psum(p=3,[lp(p=1.5,dim=2),lp(p=2,dim=1)])"
+    a, b = parse_descriptor(text), parse_descriptor(text)
+    assert a is not b and a.plan is b.plan
+    assert parse_descriptor(text, field=COMPLEX).plan is not a.plan
+    assert parse_descriptor("psum(p=4,[lp(p=1.5,dim=2),lp(p=2,dim=1)])").plan is not a.plan
 
 
 def test_trees_share_their_leaves():
@@ -266,6 +277,43 @@ def test_sampler_norm_and_support(desc):
         x = unit_sphere_sample(desc, rng)
         assert abs(norm(desc, x) - 1.0) <= DEFAULT_TOL
         assert np.all(x != 0)
+
+
+class _Stream:
+    """A generator stand-in whose normal draws are a fixed sequence, read
+    in order whatever shape each call asks for."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        out = self.values[self.used:self.used + n].reshape(shape)
+        self.used += n
+        return out
+
+
+@pytest.mark.parametrize("desc", [lp(3, 2), lp(1.5, 3), lp(2, 2, COMPLEX),
+                                  psum(1, [lp(3, 2, COMPLEX), scalar(COMPLEX)])], ids=str)
+def test_sphere_starts_equal_the_sequential_draws(desc):
+    """The batch of start samples equals the unit_sphere_sample draws one
+    by one, bit for bit, and leaves the generator in the same state; with
+    exact zeros in the stream both reject the same samples."""
+    d = desc.total_dim
+    for count in (1, d, d + 1, 3 * d + 5):
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        rows = sphere_starts(desc, rng, count)
+        want = list(np.eye(d, dtype=desc.dtype)[:count])
+        want += [unit_sphere_sample(desc, ref) for _ in range(count - len(want))]
+        assert rows.tobytes() == np.array(want).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+    values = np.random.default_rng(5).standard_normal(40 * d)
+    # 6d and 7d zero both parts of one complex coordinate
+    values[[1, 2 * d + 1, 2 * d + 3, 5 * d, 6 * d, 7 * d]] = 0.0
+    batch, alone = _Stream(values), _Stream(values)
+    rows = sphere_starts(desc, batch, d + 8)
+    want = [unit_sphere_sample(desc, alone) for _ in range(8)]
+    assert rows[d:].tobytes() == np.array(want).tobytes() and batch.used == alone.used
 
 
 # ---------------------------------------------------------------------------
