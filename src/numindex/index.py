@@ -256,24 +256,23 @@ def rank_r_index_estimate(desc: SpaceDescriptor, r: int, budget: int = 200,
     rng = np.random.default_rng(rng)
     ddual = dual_descriptor(desc)
 
-    def factored(F) -> tuple:
-        # a candidate: the operator of the (r, 2, d) factor pairs (f, y), and F
-        return Operator(sum(np.outer(y, f) for f, y in F), desc), F
+    def operator(F) -> Operator:
+        # the operator of the (r, 2, d) factor pairs (f, y)
+        return Operator(sum(np.outer(y, f) for f, y in F), desc)
 
-    candidates = [factored(np.array([(unit_sphere_sample(ddual, rng),
-                                      unit_sphere_sample(desc, rng)) for _ in range(r)]))
-                  for _ in range(8)]
+    candidates = [np.array([(unit_sphere_sample(ddual, rng), unit_sphere_sample(desc, rng))
+                            for _ in range(r)]) for _ in range(8)]
     best, evals = _minimize_ratio(
         candidates, lambda _rng: np.array([gaussian(desc, _rng, (2, d)) for _ in range(r)]),
-        lambda TF, scale, noise: factored(TF[1] + scale * noise),
-        lambda TFs: _ratios([T for T, _ in TFs], 4, radius_stack),
+        lambda F, scale, noise: F + scale * noise,
+        lambda Fs: _ratios([operator(F) for F in Fs], 4, radius_stack),
         budget, rng)
     # n_r(X) >= n(X), and n_1(X) >= 1/e on every space
     n = theoretical_bounds(desc)
     lb, tag = n.lower, n.lower_tag
     if r == 1 and INV_E >= lb:
         lb, tag = INV_E, "rank-one-lower-bound"
-    return IndexEstimate(float(best[0]), best[1][0], evals, best[2],
+    return IndexEstimate(float(best[0]), operator(best[1]), evals, best[2],
                          BoundsInterval(lb, 1.0, tag, "index-range"))
 
 

@@ -302,17 +302,34 @@ def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None) -> 
     k; a count that is no such power is checked against the least one above
     it.  A one-dimensional space reads as degree 1: there every degree has
     one coefficient and the same radius and norm.  ``descriptor`` replaces
-    the file's own."""
-    obj = json.loads(text)
+    the file's own.  An unknown field, or a matrix that is no list or holds
+    an entry of the wrong kind, is named in a :class:`DescriptorMismatch`."""
+    obj = json.loads(text, parse_int=float)     # an integer past the float range is inf
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise DescriptorMismatch('expected a JSON object with a "matrix" field')
-    desc = descriptor or parse_descriptor(obj["descriptor"], field=obj.get("field", REAL))
-    raw, d, k = obj["matrix"], desc.total_dim, 1
+    field, raw = obj.get("field", REAL), obj["matrix"]
+    if field not in (REAL, COMPLEX):
+        raise DescriptorMismatch(f'unknown "field" {json.dumps(field)}; '
+                                 f'expected "{REAL}" or "{COMPLEX}"')
+    if not isinstance(raw, list):
+        raise DescriptorMismatch(f'"matrix" must be a list, got {json.dumps(raw)}')
+    desc = descriptor or parse_descriptor(obj["descriptor"], field=field)
+    d, k = desc.total_dim, 1
     while d > 1 and d ** (k + 1) < len(raw):
         k += 1
     shape = poly_shape(desc, k)
     if len(raw) != d ** (k + 1):
         raise DescriptorMismatch(f"matrix field has {len(raw)} entries, expected {d ** (k + 1)}")
-    if obj.get("field", REAL) == COMPLEX:
-        return Operator(np.array([complex(re, im) for re, im in raw]).reshape(shape), desc)
-    return Operator(np.array(raw, dtype=float).reshape(shape), desc)
+    entries = [_coefficient(v, i, field == COMPLEX) for i, v in enumerate(raw)]
+    return Operator(np.array(entries).reshape(shape), desc)
+
+
+def _coefficient(v, i: int, complex_field: bool):
+    """Entry ``i`` of a "matrix" field, read with every number a float: a
+    number, or an [re, im] pair of numbers in a complex file.  A JSON
+    boolean is no number."""
+    parts = v if complex_field and isinstance(v, list) else [v]
+    if len(parts) == 1 + complex_field and all(type(x) is float for x in parts):
+        return complex(*parts) if complex_field else v
+    kind = "an [re, im] pair of numbers" if complex_field else "a number"
+    raise DescriptorMismatch(f"matrix entry {i} is {json.dumps(v)}, not {kind}")

@@ -1,44 +1,31 @@
 """Multi-start maximization of a scalar objective over a unit sphere.
 
-The sphere is the norm-one set of a space descriptor.  Complex
-coordinates are optimized as interleaved real/imaginary parameters.
-Gradients are central finite differences of the normalized objective; the
-line search scores a ladder of step sizes at once and takes the best, and
-a row stops on ``VALUE_TOL``: the rules of the ``op_norm`` fixed point.
-The restarts advance in lockstep as rows of one array, each with its own
-step size; the rows still ascending sit in compact arrays, so an iteration
-costs what its live rows cost.  A row also retires once, at its current
-pace, it cannot reach the best value an earlier restart of its own problem
-already holds.  Several problems on one descriptor (a stack) share the
-array: every row carries its problem index, and each problem keeps its own
-starts and its own deterministic reduction (best value, earliest restart
-wins ties).
+The sphere is the norm-one set of a space descriptor, and a point is a row
+of its field: a complex row is stepped as it is and differenced along its
+2d real axes.  Gradients are central finite differences of the normalized
+objective; the line search scores a ladder of step sizes at once and takes
+the best, and a row stops on ``VALUE_TOL``: the rules of the ``op_norm``
+fixed point.  The restarts advance in lockstep as rows of one array, each
+with its own step size; the rows still ascending sit in compact arrays, so
+an iteration costs what its live rows cost.  A row also retires once, at
+its current pace, it cannot reach the best value an earlier restart of its
+own problem already holds.  Several problems on one descriptor (a stack)
+share the array: every row carries its problem index, and each problem
+keeps its own starts and its own deterministic reduction (best value,
+earliest restart wins ties).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spaces import COMPLEX, DegenerateInput, SpaceDescriptor, norm, sphere_starts
+from .spaces import DegenerateInput, SpaceDescriptor, norm, sphere_starts
 
 FD_STEP = 1e-6
 MAX_ITERS = 500
 VALUE_TOL = 1e-10
 #: step sizes one line-search batch scores per searching row
 LINE_SEARCH_WIDTH = 8
-
-
-def _to_params(x: np.ndarray, complex_field: bool) -> np.ndarray:
-    if not complex_field:
-        return x.astype(float)
-    return np.concatenate([x.real, x.imag], axis=-1)
-
-
-def _from_params(y: np.ndarray, complex_field: bool) -> np.ndarray:
-    if not complex_field:
-        return y
-    d = y.shape[-1] // 2
-    return y[..., :d] + 1j * y[..., d:]
 
 
 def maximize_on_sphere(desc: SpaceDescriptor, objective, rng: np.random.Generator,
@@ -57,14 +44,14 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs,
                    restarts: int = 64) -> list[tuple]:
     """Maximize one objective per generator in ``rngs`` at once; returns
     (best_x, best_value, evals) of each.  ``objective`` maps a (B, d) batch
-    of norm-one rows and the (B,) problem index of every row to their B
-    values; ``evals`` counts a problem's evaluated rows, every step size
-    the line search scored included, and does not depend on the problems
-    beside it.  Problem k draws its starts from ``rngs[k]`` as
-    :func:`maximize_on_sphere` does, and a restart's trajectory depends
-    only on the restarts before it in its own problem (:func:`_ascend`), so
-    each result equals the one-problem call bit for bit."""
-    cplx = desc.field == COMPLEX
+    of norm-one rows of the descriptor's field (complex rows on a complex
+    space) and the (B,) problem index of every row to their B values;
+    ``evals`` counts a problem's evaluated rows, every step size the line
+    search scored included, and does not depend on the problems beside it.
+    Problem k draws its starts from ``rngs[k]`` as :func:`maximize_on_sphere`
+    does, and a restart's trajectory depends only on the restarts before it
+    in its own problem (:func:`_ascend`), so each result equals the
+    one-problem call bit for bit."""
     plan = desc.plan
     starts = np.concatenate([sphere_starts(desc, rng, restarts) for rng in rngs])
     group = np.repeat(np.arange(len(rngs)), len(starts) // len(rngs))
@@ -74,24 +61,19 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs,
         evaluated.append(rows)
         return objective(x / n[:, None], group[rows])
 
-    def normed_obj(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        x = _from_params(y, cplx)
+    def normed_obj(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         n = plan.norm(x)
         if n.all():
             return scored(x, n, rows)
         ok = n != 0.0                     # zero rows score 0, unevaluated
-        out = np.zeros(len(y))
+        out = np.zeros(len(x))
         out[ok] = scored(x[ok], n[ok], rows[ok])
         return out
 
-    ys, vals = _ascend(normed_obj, _to_params(starts / plan.norm(starts)[:, None], cplx),
-                       restarts)
+    xs, vals = _ascend(normed_obj, starts / plan.norm(starts)[:, None], restarts)
     evals = np.bincount(group[np.concatenate(evaluated)], minlength=len(rngs))
-    found = []
-    for k, best in enumerate(best_rows(vals, group, len(rngs))):
-        x = _from_params(ys[best], cplx)
-        found.append((x / norm(desc, x), float(vals[best]), int(evals[k])))
-    return found
+    return [(xs[best] / norm(desc, xs[best]), float(vals[best]), int(evals[k]))
+            for k, best in enumerate(best_rows(vals, group, len(rngs)))]
 
 
 def check_stack(Ts, rngs):
@@ -115,12 +97,15 @@ def _ascend(obj, y: np.ndarray, restarts: int):
     takes a batch and the row of ``y`` each batch row belongs to; the rows
     are problem-major, ``restarts`` rows per problem.  The rows still
     ascending keep their point, value and step size s in compact arrays,
-    written back to ``y`` when a row stops.  An iteration takes their central differences
-    in one batch, then scores the sizes 4s, 2s, ..., s/32 above 1e-14 of
-    every row still searching in one batch; a row takes the best that
-    improves it, the earliest on ties, as its next s (at most 4), and with
-    none it scores the ladder at s/2^8 next.  A row stops once an iteration
-    raises it by less than ``VALUE_TOL``, as in
+    written back to ``y`` when a row stops.  An iteration takes their
+    central differences in one batch, along the axes e_j of a real row and
+    the 2d real axes e_j, then i e_j, of a complex one; the direction is
+    those partials over their 2-norm, the second half of a complex row's
+    turned into imaginary parts.  It then scores the sizes 4s, 2s, ...,
+    s/32 above 1e-14 of every row still searching in one batch; a row takes
+    the best that improves it, the earliest on ties, as its next s (at most
+    4), and with none it scores the ladder at s/2^8 next.  A row stops once
+    an iteration raises it by less than ``VALUE_TOL``, as in
     :func:`~numindex.operators.op_norm`, which ends a row with no step.  It
     also retires once its value v, raised by this iteration's gain for each
     iteration left, stays below the best value of the earlier rows of its
@@ -132,18 +117,23 @@ def _ascend(obj, y: np.ndarray, restarts: int):
     r, d = y.shape
     val = obj(y, np.arange(r))
     a, ya, va, step = np.arange(r), y.copy(), val.copy(), np.full(r, 0.25)
-    offsets = FD_STEP * np.concatenate([np.eye(d), -np.eye(d)])
+    axes = np.eye(d)
+    if np.iscomplexobj(y):
+        axes = np.concatenate([axes, 1j * axes])      # the 2d real axes of C^d
+    offsets = FD_STEP * np.concatenate([axes, -axes])
     ladder = 4.0 * 0.5 ** np.arange(LINE_SEARCH_WIDTH)
     lead = np.full((r // restarts, restarts), -np.inf)    # best value of the earlier rows
     for i in range(MAX_ITERS):
         if a.size == 0:
             break
-        fd = obj((ya[:, None, :] + offsets).reshape(-1, d), a.repeat(2 * d))
-        fd = fd.reshape(a.size, 2, d)
+        fd = obj((ya[:, None, :] + offsets).reshape(-1, d), a.repeat(len(offsets)))
+        fd = fd.reshape(a.size, 2, len(axes))
         grad = (fd[:, 0] - fd[:, 1]) / (2 * FD_STEP)
         gn = np.sqrt((grad * grad).sum(axis=1))
         k = (gn >= 1e-12).nonzero()[0]       # a vanishing gradient ends the row
         direction = grad[k] / gn[k, None]
+        if len(axes) > d:
+            direction = direction[:, :d] + 1j * direction[:, d:]
         prev, s = va.copy(), step[k]
         while k.size:
             sizes = s[:, None] * ladder               # (K, W), largest first

@@ -15,11 +15,11 @@ degree of the map, not its class, decides which backends apply:
 At every unit x one rule, :func:`_functional`, picks the norming functional
 x*: on spaces isometric to flat l1 / linf, where a corner of the ball has a
 whole face of them, the one that maximizes |x*(Tx)|, and the canonical J(x)
-elsewhere.  The ascent and grid objectives score it, and
-every estimate stores it with x as its witness pair and re-derives its value
-from that pair, so reported values are certified lower bounds of the radius
-(the enumeration's value is the exact closed form).  The absolute radius
-picks x* by the same rule and re-derives sum_i |x*_i| |(Tx)_i|.
+elsewhere.  One objective, :func:`radius_objective`, scores |x*(Tx)| or,
+for the absolute radius, sum_i |x*_i| |(Tx)_i| for the ascent and the grid,
+and every estimate stores x* with x as its witness pair and re-derives the
+same value from that pair, so reported values are certified lower bounds of
+the radius (the enumeration's value is the exact closed form).
 """
 
 from __future__ import annotations
@@ -88,15 +88,18 @@ def _functional(desc: SpaceDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarr
     return f * (np.arange(x.shape[1]) == i[:, None])
 
 
-def radius_objective(T):
-    """Unit rows x of problem k -> |x*(T_k x)| with x* from :func:`_functional`,
-    whose sup over the unit sphere is nu(T_k); ``T`` is one operator or
-    polynomial, or a stack of them sharing a descriptor and degree."""
+def radius_objective(T, absolute: bool = False):
+    """Unit rows x of problem k -> |x*(T_k x)| or, if ``absolute``,
+    sum_i |x*_i| |(T_k x)_i|, with x* from :func:`_functional`: the value
+    :func:`_estimate_at` re-derives, whose sup over the unit sphere is the
+    radius of T_k.  ``T`` is one operator or polynomial, or a stack of them
+    sharing a descriptor and degree."""
     desc, m = operator_stack(T)
 
     def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         y = _apply_rows(m, x, k)
-        return np.abs((_functional(desc, x, y) * y).sum(axis=1))
+        f = _functional(desc, x, y)
+        return (np.abs(f) * np.abs(y)).sum(axis=1) if absolute else np.abs((f * y).sum(axis=1))
 
     return g
 
@@ -141,7 +144,7 @@ def radius_stack(Ts, budget: int, rngs, method: str = "auto", resolution: int = 
     if backend == "enumerate":
         return [radius_enumerate(T) for T in Ts]
     desc = Ts[0].descriptor
-    objective = (absolute_radius_objective if absolute else radius_objective)(Ts)
+    objective = radius_objective(Ts, absolute)
     if backend == "grid":
         found = [_grid_sweep(desc, resolution, objective, k) for k in range(len(Ts))]
     else:
@@ -201,18 +204,6 @@ def _grid_sweep(desc: SpaceDescriptor, resolution: int, objective, k: int):
 # ---------------------------------------------------------------------------
 # absolute numerical radius
 # ---------------------------------------------------------------------------
-
-def absolute_radius_objective(T):
-    """Unit rows x (flat lp^m) of problem k -> sum_i |x_i|^{p-1} |(T_k x)_i|
-    (weight 1 at p=1); ``T`` is one operator or a stack sharing a descriptor."""
-    desc, m = operator_stack(T)
-    pm1 = desc.p - 1.0
-
-    def h(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return (np.abs(x) ** pm1 * np.abs(_apply_rows(m, x, k))).sum(axis=1)
-
-    return h
-
 
 def absolute_radius(T, budget: int = DEFAULT_RESTARTS, rng=None,
                     method: str = "ascent", resolution: int = 2000) -> RadiusEstimate:

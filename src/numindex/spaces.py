@@ -251,8 +251,9 @@ class NormPlan:
 
     Coordinates stay in leaf order.  Stage h reduces contiguous segments of
     the block norms below it (``np.add.reduceat`` of |.|^p, a max-reduce at
-    p = inf) into the nodes of height h; a block whose parent sits higher
-    passes through as a one-column segment with exponent 1, which is exact.
+    p = inf) into the nodes of height h; a block whose parent sits higher,
+    and the only child of a node, pass through as a one-column segment with
+    exponent 1, which is exact.
     The norming functional runs back down, multiplying block weights; its
     divisions by a norm put inf in the denominator where that norm is 0, so
     zero rows and zero blocks get exact zeros and no warning."""
@@ -334,7 +335,7 @@ def _segments(desc: SpaceDescriptor, h: int) -> list:
     if desc.height < h:
         return [(1, 1.0)]
     if desc.height == h:
-        return [(len(desc.children), desc.p)]
+        return [(len(desc.children), desc.p if len(desc.children) > 1 else 1.0)]
     return [seg for c in desc.children for seg in _segments(c, h)]
 
 

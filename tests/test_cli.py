@@ -109,6 +109,21 @@ def test_radius_rejects_non_finite_entries(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_radius_names_a_bad_matrix_file(tmp_path, capsys):
+    """An unknown field, which once ran as real with exit 0, a string entry
+    and an integer past the float range, which once ended in a traceback,
+    exit 2 with a message that names them."""
+    path = tmp_path / "bad.json"
+    for obj, named in (({"field": "quaternion", "matrix": [1.0, 0.0, 0.0, 1.0]},
+                        'unknown "field" "quaternion"'),
+                       ({"matrix": [1.0, "a", 0.0, 1.0]}, 'matrix entry 1 is "a", not a number'),
+                       ({"matrix": [1, 0, 0, 10 ** 400]}, "non-finite entries")):
+        path.write_text(json.dumps(obj))
+        code = main(["radius", "--space", "lp(p=2,dim=2)", "--matrix", str(path)])
+        assert code == EXIT_INPUT
+        assert named in capsys.readouterr().err
+
+
 def test_radius_poly_complex_tensor(tmp_path, capsys):
     space = "lp(p=2,dim=2,field=complex)"
     path = tmp_path / "cid2.json"

@@ -606,6 +606,32 @@ def test_json_round_trip_reads_the_degree_from_the_entry_count(k, field):
     assert back.matrix.tobytes() == P.matrix.tobytes()
 
 
+#: (file, what the error must name): an unknown field and the four kinds
+#: of bad "matrix" that once gave a Python error, or none for a boolean
+BAD_JSON_FILES = [
+    ({"field": "quaternion", "matrix": [1.0, 0.0, 0.0, 1.0]}, 'unknown "field" "quaternion"'),
+    ({"matrix": 5}, '"matrix" must be a list, got 5'),
+    ({"matrix": [1.0, "a", 0.0, 1.0]}, 'matrix entry 1 is "a", not a number'),
+    ({"field": "complex", "matrix": [[1.0, 0.0], [2.0], [0.0, 0.0], [1.0, 0.0]]},
+     r"matrix entry 1 is \[2.0\], not an \[re, im\] pair of numbers"),
+    ({"matrix": [1.0, 0.0, True, 1.0]}, "matrix entry 2 is true, not a number"),
+    ({"field": "complex", "matrix": [[1.0, 0.0], [0.0, False], [0.0, 0.0], [1.0, 0.0]]},
+     r"matrix entry 1 is \[0.0, false\], not an \[re, im\] pair"),
+]
+
+
+@pytest.mark.parametrize("obj,named", BAD_JSON_FILES,
+                         ids=["unknown-field", "matrix-not-a-list", "string-entry",
+                              "short-pair", "boolean-entry", "boolean-in-pair"])
+def test_json_bad_file_names_the_problem(obj, named):
+    """With the descriptor given or read from the file, a bad field or
+    matrix entry raises a DescriptorMismatch that names it."""
+    text = json.dumps({"descriptor": "lp(p=2,dim=2)", **obj})
+    for desc in (lp(2, 2, COMPLEX if obj.get("field") == COMPLEX else REAL), None):
+        with pytest.raises(DescriptorMismatch, match=named):
+            operator_from_json(text, desc)
+
+
 def test_json_one_dimensional_file_is_degree_one():
     """On a line every degree has one coefficient and the same radius and
     norm, so one entry reads as degree 1 and any other count fails."""

@@ -10,15 +10,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numindex import optimize
 from numindex.operators import Operator
 from numindex.optimize import FD_STEP, VALUE_TOL, maximize_on_sphere, maximize_stack
 from numindex.radius import numerical_radius, radius_grid_oracle, radius_objective
-from numindex.spaces import (COMPLEX, REAL, dual_descriptor, lp, psum, tower,
-                             unit_sphere_sample)
+from numindex.spaces import (COMPLEX, REAL, dual_descriptor, lp, parse_descriptor, psum,
+                             tower, unit_sphere_sample)
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -145,6 +145,9 @@ def _batch(desc, seed):
 
 @given(descriptors(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
+# a one-child node whose row has norm 3 ties with its linf sibling
+@example(desc=parse_descriptor("psum(p=inf,[psum(p=3,[lp(p=1,dim=3)]),lp(p=1,dim=3)])"),
+         seed=3)
 def test_plan_matches_recursive_reference(desc, seed):
     x = _batch(desc, seed)
     dual = dual_descriptor(desc)

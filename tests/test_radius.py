@@ -11,16 +11,18 @@ from numindex.operators import Operator, identity, apply, op_norm, op_norm_stack
 from numindex.radius import (
     BudgetExceeded,
     RadiusEstimate,
+    _functional,
     _grid_points,
     absolute_radius,
     numerical_radius,
     poly_radius,
     radius_enumerate,
     radius_grid_oracle,
+    radius_objective,
     radius_stack,
 )
 from numindex.spaces import (DegenerateInput, eval_pair, lp, psum, scalar,
-                             sphere_starts)
+                             sphere_starts, tower)
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -371,6 +373,29 @@ def test_absolute_equals_radius_for_positive_entries(desc):
         a = absolute_radius(T, budget=16, rng=rng)
         v = numerical_radius(T, budget=16, rng=rng).value
         assert abs(v - a.value) <= 1e-4
+
+
+@pytest.mark.parametrize("desc", [lp(p, d, field) for field in ("real", "complex")
+                                  for p, d in ((1, 3), (1.25, 3), (3, 2))]
+                         + [psum(1.5, [lp(4, 2), scalar()]), tower([3, 1.5], [2, 1, 2])],
+                         ids=str)
+def test_absolute_objective_scores_what_the_estimate_reports(desc):
+    """On unit rows the absolute objective is sum_i |x*_i| |(Tx)_i| with x*
+    from ``_functional``, the value an estimate re-derives from its witness
+    pair, on flat and nested spaces alike."""
+    rng = np.random.default_rng(12)
+    T = _rand_op(desc, rng)
+    x = rng.standard_normal((50, desc.total_dim))
+    if desc.field == "complex":
+        x = x + 1j * rng.standard_normal(x.shape)
+    x = x / desc.plan.norm(x)[:, None]
+    expected = []
+    for v in x:
+        image = T.matrix @ v
+        f = _functional(desc, v[None], image[None])[0]
+        expected.append(np.sum(np.abs(f) * np.abs(image)))
+    got = radius_objective(T, absolute=True)(x, np.zeros(len(x), dtype=int))
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
 
 def test_absolute_radius_shape_errors():
