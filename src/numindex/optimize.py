@@ -2,8 +2,9 @@
 
 The sphere is the norm-one set of a space descriptor, and a point is a row
 of its field: a complex row is stepped as it is and differenced along its
-2d real axes.  Gradients are central finite differences of the normalized
-objective; the line search scores a ladder of step sizes at once and takes
+2d real axes.  The objective is scale-invariant, so the points step off the
+sphere and are normalized only at the end.  Gradients are central finite
+differences; the line search scores a ladder of step sizes at once and takes
 the best, and a row stops on ``VALUE_TOL``: the rules of the ``op_norm``
 fixed point.  The restarts advance in lockstep as rows of one array, each
 with its own step size; the rows still ascending sit in compact arrays, so
@@ -43,34 +44,28 @@ def maximize_on_sphere(desc: SpaceDescriptor, objective, rng: np.random.Generato
 def maximize_stack(desc: SpaceDescriptor, objective, rngs,
                    restarts: int = 64) -> list[tuple]:
     """Maximize one objective per generator in ``rngs`` at once; returns
-    (best_x, best_value, evals) of each.  ``objective`` maps a (B, d) batch
-    of norm-one rows of the descriptor's field (complex rows on a complex
-    space) and the (B,) problem index of every row to their B values;
-    ``evals`` counts a problem's evaluated rows, every step size the line
-    search scored included, and does not depend on the problems beside it.
-    Problem k draws its starts from ``rngs[k]`` as :func:`maximize_on_sphere`
-    does, and a restart's trajectory depends only on the restarts before it
-    in its own problem (:func:`_ascend`), so each result equals the
-    one-problem call bit for bit."""
-    plan = desc.plan
+    (best_x, best_value, evals) of each, best_x normalized.  ``objective``
+    maps a (B, d) batch of rows of the descriptor's field (complex rows on a
+    complex space) and the (B,) problem index of every row to their B
+    values.  The rows are the ascent's raw points, off the unit sphere, so
+    the objective must be scale-invariant, a function of the direction
+    x / ||x|| alone, and score a zero row 0; it normalizes for itself, which
+    lets one pass of the norm plan give it both J(x) and ||x||.  ``evals``
+    counts a problem's evaluated rows, every step size the line search
+    scored included, and does not depend on the problems beside it.  Problem k
+    draws its starts from ``rngs[k]`` as :func:`maximize_on_sphere` does,
+    and a restart's trajectory depends only on the restarts before it in
+    its own problem (:func:`_ascend`), so each result equals the one-problem
+    call bit for bit."""
     starts = np.concatenate([sphere_starts(desc, rng, restarts) for rng in rngs])
     group = np.repeat(np.arange(len(rngs)), len(starts) // len(rngs))
     evaluated = []       # rows of every evaluation, counted per problem at the end
 
-    def scored(x: np.ndarray, n: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def counted(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         evaluated.append(rows)
-        return objective(x / n[:, None], group[rows])
+        return objective(x, group[rows])
 
-    def normed_obj(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        n = plan.norm(x)
-        if n.all():
-            return scored(x, n, rows)
-        ok = n != 0.0                     # zero rows score 0, unevaluated
-        out = np.zeros(len(x))
-        out[ok] = scored(x[ok], n[ok], rows[ok])
-        return out
-
-    xs, vals = _ascend(normed_obj, starts / plan.norm(starts)[:, None], restarts)
+    xs, vals = _ascend(counted, starts, restarts)
     evals = np.bincount(group[np.concatenate(evaluated)], minlength=len(rngs))
     return [(xs[best] / norm(desc, xs[best]), float(vals[best]), int(evals[k]))
             for k, best in enumerate(best_rows(vals, group, len(rngs)))]

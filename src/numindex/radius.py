@@ -5,7 +5,8 @@ polynomials, both pairings and three backends; :func:`numerical_radius`,
 :func:`absolute_radius` and the grid oracle are its one-member calls.  The
 degree of the map, not its class, decides which backends apply:
 
-* ``ascent``    -- multi-start sphere maximization over the unit sphere;
+* ``ascent``    -- multi-start sphere maximization over the unit sphere, of
+                   X* for T* where that side is smooth (:func:`_ascent_side`);
 * ``enumerate`` -- exact finite enumeration on flat l1 / linf spaces, for
                    the numerical radius of every degree-1 map;
 * ``grid``      -- dense sweep of a nested mesh of at most two angles
@@ -15,11 +16,11 @@ degree of the map, not its class, decides which backends apply:
 At every unit x one rule, :func:`_functional`, picks the norming functional
 x*: on spaces isometric to flat l1 / linf, where a corner of the ball has a
 whole face of them, the one that maximizes |x*(Tx)|, and the canonical J(x)
-elsewhere.  One objective, :func:`radius_objective`, scores |x*(Tx)| or,
-for the absolute radius, sum_i |x*_i| |(Tx)_i| for the ascent and the grid,
-and every estimate stores x* with x as its witness pair and re-derives the
-same value from that pair, so reported values are certified lower bounds of
-the radius (the enumeration's value is the exact closed form).
+elsewhere.  One scale-invariant objective, :func:`radius_objective`, scores
+|x*(Tx)| or, for the absolute radius, sum_i |x*_i| |(Tx)_i| for the ascent
+and the grid, and every estimate stores x* with a unit x of X as its witness
+pair and re-derives the same value from that pair, so reported values are
+certified lower bounds of the radius (the enumeration's is the closed form).
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import _apply_rows, _exact_norm, apply, op_norm, operator_stack
+from .operators import (_apply_rows, _exact_norm, adjoint, apply, op_norm,
+                        operator_stack)
 from .optimize import check_stack, maximize_stack
 from .spaces import (COMPLEX, DegenerateInput, NormingPair, SpaceDescriptor,
-                     SpaceError, conj_sign, eval_pair, phase)
+                     SpaceError, conj_sign, dual_descriptor, eval_pair, norm, phase)
 
 #: default restart budget for the ascent backend
 DEFAULT_RESTARTS = 64
@@ -89,17 +91,23 @@ def _functional(desc: SpaceDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
 
 def radius_objective(T, absolute: bool = False):
-    """Unit rows x of problem k -> |x*(T_k x)| or, if ``absolute``,
-    sum_i |x*_i| |(T_k x)_i|, with x* from :func:`_functional`: the value
-    :func:`_estimate_at` re-derives, whose sup over the unit sphere is the
-    radius of T_k.  ``T`` is one operator or polynomial, or a stack of them
-    sharing a descriptor and degree."""
+    """Rows x of problem k -> |x*(T_k x)| or, if ``absolute``,
+    sum_i |x*_i| |(T_k x)_i|, over ||x||^degree, with x* from :func:`_functional`
+    at x / ||x||: scale-invariant, 0 on a zero row, the value :func:`_estimate_at`
+    re-derives at a unit x, whose sup is the radius of T_k.  One pass of the
+    norm plan gives J(x) and ||x||; the l1 / linf face rule's tie tolerance is
+    absolute, so there rows are normalized first.  ``T`` is one operator or
+    polynomial, or a stack of them sharing a descriptor and degree."""
     desc, m = operator_stack(T)
+    plan, degree, face = desc.plan, m.ndim - 2, desc.is_l1_linf
 
     def g(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        if face:
+            x = x / np.where((n := plan.norm(x)) > 0, n, np.inf)[:, None]
         y = _apply_rows(m, x, k)
-        f = _functional(desc, x, y)
-        return (np.abs(f) * np.abs(y)).sum(axis=1) if absolute else np.abs((f * y).sum(axis=1))
+        f, n = (_functional(desc, x, y), 1.0) if face else plan.norming(x)
+        v = (np.abs(f) * np.abs(y)).sum(axis=1) if absolute else np.abs((f * y).sum(axis=1))
+        return v / np.where(n > 0, n, np.inf) ** degree
 
     return g
 
@@ -137,19 +145,35 @@ def radius_stack(Ts, budget: int, rngs, method: str = "auto", resolution: int = 
     absolute radius of every operator, or every polynomial of one degree, of
     a stack sharing one descriptor, by the backend :func:`_backend` picks for
     ``method``.  The ascents run as one batch, member k drawing from
-    ``rngs[k]``; the grid sweeps each member on its own.  Every estimate
-    equals the one-member call bit for bit."""
+    ``rngs[k]``, on the side of the duality :func:`_ascent_side` picks; the
+    grid sweeps each member on its own.  Every estimate is re-derived on X
+    and equals the one-member call bit for bit."""
     check_stack(Ts, rngs)
     backend = _backend(Ts[0], method, absolute)
     if backend == "enumerate":
         return [radius_enumerate(T) for T in Ts]
-    desc = Ts[0].descriptor
-    objective = radius_objective(Ts, absolute)
+    desc, _ = operator_stack(Ts)      # a mixed stack fails before any adjoint
+    side = desc if backend == "grid" else _ascent_side(Ts[0], absolute)
+    objective = radius_objective(Ts if side is desc else [adjoint(T) for T in Ts], absolute)
     if backend == "grid":
         found = [_grid_sweep(desc, resolution, objective, k) for k in range(len(Ts))]
     else:
-        found = [(x, n) for x, _, n in maximize_stack(desc, objective, rngs, budget)]
+        found = [(x, n) for x, _, n in maximize_stack(side, objective, rngs, budget)]
+    if side is not desc:      # the unit phi of X* is J(x) at x = conj(J(phi)) of X
+        found = [(np.conj(side.plan.norming(phi[None])[0][0]), n) for phi, n in found]
     return [_estimate_at(T, x, backend, n, absolute) for T, (x, n) in zip(Ts, found)]
+
+
+def _ascent_side(T, absolute: bool) -> SpaceDescriptor:
+    """X* if every exponent of the tree of ``T`` lies in (1, 2], one below 2,
+    and ``T`` is an operator scored for its numerical radius: nu(T*) = nu(T)
+    (Bonsall & Duncan, *Numerical Ranges of Operators on Normed Spaces*, 1971),
+    and J carries |x_i|^(p-1), whose cusps at zero coordinates slow the
+    ascent on X, but is smooth on X*, whose exponents are >= 2.  X otherwise."""
+    desc = T.descriptor
+    exps = desc.exponents
+    smooth_dual = exps and 1 < min(exps) < 2 and max(exps) <= 2
+    return dual_descriptor(desc) if smooth_dual and T.degree == 1 and not absolute else desc
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +216,12 @@ def radius_grid_oracle(T, resolution: int = 2000) -> RadiusEstimate:
 
 
 def _grid_sweep(desc: SpaceDescriptor, resolution: int, objective, k: int):
-    """(point, grid size) of the first best row of problem ``k`` of a batched
-    objective over the direction grid normalized onto the unit sphere; the
-    point is a copy, so a stored witness does not keep the grid."""
+    """(point, grid size) of the first best row of problem ``k`` of a batched,
+    scale-invariant objective over the direction grid; only that row is
+    normalized, into a new array, so a stored witness does not keep the grid."""
     xs = _grid_points(desc, resolution).astype(desc.dtype)
-    xs = xs / desc.plan.norm(xs)[:, None]
-    vals = objective(xs, np.full(len(xs), k))
-    return xs[int(np.argmax(vals))].copy(), len(xs)
+    best = xs[int(np.argmax(objective(xs, np.full(len(xs), k))))]
+    return best / norm(desc, best), len(xs)
 
 
 # ---------------------------------------------------------------------------

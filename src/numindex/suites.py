@@ -212,7 +212,11 @@ def monotone_sweep(p: float, m_values, budget: int = 120,
 def duality_check(desc: SpaceDescriptor, cases: int = 50, budget: int = 32,
                   seed: int = 0, index_budget: int = 80) -> SuiteReport:
     """nu(T*) = nu(T) case by case, plus the coarse index comparison
-    n(X*) <= n(X) (equality at finite dimension) on best-found bounds."""
+    n(X*) <= n(X) (equality at finite dimension) on best-found bounds.  Where
+    every exponent of X lies in (1, 2], one below 2, the radius engine
+    ascends nu(T) on (X*, T*) as well, so both sides search one landscape
+    from their own starts, and the check rests on each side's value
+    re-derived from a norming pair of its own space."""
     report = _invariance_cases(
         _report("duality", [desc, dual_descriptor(desc)], seed), desc, [adjoint],
         cases, seed, budget, lambda vals: {"radius": vals[0], "radius_adjoint": vals[1]})

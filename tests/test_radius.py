@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from numindex import radius as radius_module
 from numindex.operators import Operator, identity, apply, op_norm, op_norm_stack
+from numindex.optimize import maximize_stack
 from numindex.radius import (
     BudgetExceeded,
     RadiusEstimate,
@@ -21,8 +23,8 @@ from numindex.radius import (
     radius_objective,
     radius_stack,
 )
-from numindex.spaces import (DegenerateInput, eval_pair, lp, psum, scalar,
-                             sphere_starts, tower)
+from numindex.spaces import (DegenerateInput, dual_descriptor, eval_pair, gaussian, lp,
+                             psum, scalar, sphere_starts, tower)
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -533,3 +535,94 @@ def test_stack_needs_one_generator_per_map(engine):
         else:
             radius_stack([T], 16, rngs, engine)
     assert [r.bit_generator.state for r in rngs] == before
+
+
+# ---------------------------------------------------------------------------
+# the smooth side of the duality, and the scale-invariant objective
+# ---------------------------------------------------------------------------
+
+#: trees whose exponents all lie in (1, 2], one below 2: the ascent runs on X*
+DUAL_SIDE_TREES = [lp(1.5, 3), lp(1.25, 2, "complex"), lp(1.5, 2, "complex"),
+                   psum(1.5, [lp(1.25, 2), scalar()]), psum(2, [lp(1.5, 2), scalar()]),
+                   tower([1.5, 2], [2, 1, 1])]
+PRIMAL_SIDE_TREES = [lp(2, 3), lp(2, 2, "complex"), lp(1, 3), lp(math.inf, 2),
+                     lp(3, 2), psum(1.5, [lp(3, 2), scalar()]),
+                     psum(1, [lp(1.5, 2), scalar()]), psum(1.5, [lp(2, 2), lp(1, 2)]),
+                     scalar(), scalar("complex")]
+
+
+def _ascent_spaces(run):
+    """Descriptors every ``maximize_stack`` call of ``run()`` ascends on."""
+    seen, maximize = [], radius_module.maximize_stack
+
+    def spy(desc, *args):
+        seen.append(desc)
+        return maximize(desc, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius_module, "maximize_stack", spy)
+        run()
+    return seen
+
+
+@pytest.mark.parametrize("desc", DUAL_SIDE_TREES + PRIMAL_SIDE_TREES, ids=str)
+def test_ascent_runs_on_the_smooth_side(desc):
+    """The numerical radius of an operator ascends on X* exactly where every
+    exponent of X lies in (1, 2] and one lies below 2; the absolute radius
+    and polynomials always ascend on X."""
+    rng = np.random.default_rng(3)
+    T = _rand_op(desc, rng)
+    side = dual_descriptor(desc) if desc in DUAL_SIDE_TREES else desc
+    assert _ascent_spaces(lambda: numerical_radius(T, "ascent", 4, 0)) == [side]
+    P = Operator(rng.standard_normal((desc.total_dim,) * 3), desc)
+    assert _ascent_spaces(lambda: numerical_radius(P, "ascent", 4, 0)) == [desc]
+    if desc.is_flat and desc.p != math.inf:
+        assert _ascent_spaces(lambda: absolute_radius(T, 4, 0)) == [desc]
+
+
+@pytest.mark.parametrize("desc", DUAL_SIDE_TREES, ids=str)
+def test_dual_side_ascent_matches_the_primal(desc):
+    """On X* the budget-64 ascent ends where the ascent on X ends (1e-8
+    relative) and no lower than the grid (1e-5) where it applies; its
+    witness pair lies on X with slack <= 1e-12 and re-derives the value."""
+    grid_ok = desc.total_dim <= (2 if desc.field == "complex" else 3)
+    for seed in range(4):
+        T = _rand_op(desc, np.random.default_rng([21, seed]))
+        est = numerical_radius(T, "ascent", 64, seed)
+        _, primal, _ = maximize_stack(desc, radius_objective([T]),
+                                      [np.random.default_rng(seed)], 64)[0]
+        assert est.value == pytest.approx(primal, rel=1e-8), seed
+        if grid_ok:
+            assert est.value >= radius_grid_oracle(T, 2000).value - 1e-5, seed
+        assert est.witness.slack <= 1e-12
+        assert _witness_value(T, est) == pytest.approx(est.value, rel=1e-12)
+
+
+def test_dual_side_ascent_keeps_the_budget_prefix():
+    T = _rand_op(lp(1.25, 3), np.random.default_rng(8))
+    v8 = numerical_radius(T, "ascent", 8, 5).value
+    assert numerical_radius(T, "ascent", 16, 5).value >= v8
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("desc", [lp(1.5, 3), lp(4, 2, "complex"), lp(1, 3),
+                                  lp(math.inf, 2, "complex"),
+                                  psum(1.5, [lp(3, 2), scalar()]),
+                                  psum(1, [lp(1, 2), scalar()]),
+                                  psum(math.inf, [lp(1, 2, "complex"), lp(1.25, 2, "complex")])],
+                         ids=str)
+def test_objective_is_scale_invariant(desc, degree):
+    """The objective scores a scaled row as its unit row (1e-14 relative) and
+    a zero row 0, with no floating-point warning."""
+    rng = np.random.default_rng(degree)
+    shape = (desc.total_dim,) * (degree + 1)
+    T = Operator(gaussian(desc, rng, shape), desc)
+    x = sphere_starts(desc, rng, 20)[desc.total_dim:]
+    rows = np.zeros(len(x), dtype=int)
+    for absolute in (False, True) if degree == 1 else (False,):
+        g = radius_objective(T, absolute)
+        unit = g(x, rows)
+        for c in (1e-3, 7.5, 1e3):
+            np.testing.assert_allclose(g(c * x, rows), unit, rtol=1e-14, atol=0)
+        with np.errstate(all="raise"):
+            assert g(np.zeros((1, desc.total_dim), desc.dtype), rows[:1])[0] == 0.0
