@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .optimize import LINE_SEARCH_WIDTH, VALUE_TOL, best_rows, check_stack
+from .optimize import LINE_SEARCH_WIDTH, MAX_ITERS, VALUE_TOL, best_rows, check_stack
 from .spaces import (COMPLEX, REAL, DegenerateInput, DescriptorMismatch,
                      SpaceDescriptor, descriptor_to_text, dual_descriptor,
                      SpaceError, parse_descriptor, phase, sphere_starts, summand)
-
-OP_NORM_MAX_ITERS = 500
 
 #: dense symmetric tensors only make sense at desk scale
 POLY_TENSOR_CAP = 100_000
@@ -127,10 +125,10 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     x + s (F(x) - x) of a row at once: the plain step s = 1, then the row's
     multiplier times 1/2, 1, ..., 32.  The row takes the best, the earliest
     on a tie, and its multiplier becomes that s.  It stops when its value
-    rises by less than ``VALUE_TOL``, as the ascent does; where it falls by
-    at least that (never at degree 1, where ||T.|| is convex), the row keeps
-    its point and divides its multiplier by 2^``LINE_SEARCH_WIDTH`` until
-    the multiplier drops below 1e-12."""
+    rises by less than ``VALUE_TOL`` or after ``MAX_ITERS`` steps, as the
+    ascent does; where it falls by at least that (never at degree 1, where
+    ||T.|| is convex), the row keeps its point and divides its multiplier by
+    2^``LINE_SEARCH_WIDTH`` until the multiplier drops below 1e-12."""
     check_stack(Ts, rngs)
     if not Ts:
         return []
@@ -147,7 +145,7 @@ def op_norm_stack(Ts, budget: int, rngs) -> list[OperatorNormEstimate]:
     # and multiplier sit in compact arrays
     a, xa, ga, va, fa, sa = np.arange(len(x)), x, g, val, f, np.ones(len(x))
     w, powers = LINE_SEARCH_WIDTH, 2.0 ** np.arange(-1, LINE_SEARCH_WIDTH - 2)
-    for _ in range(OP_NORM_MAX_ITERS):
+    for _ in range(MAX_ITERS):
         if a.size == 0:
             break
         # A(f; ., x, ..., x), at degree 1 the bilinear adjoint of the pairing;
@@ -302,8 +300,10 @@ def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None) -> 
     k; a count that is no such power is checked against the least one above
     it.  A one-dimensional space reads as degree 1: there every degree has
     one coefficient and the same radius and norm.  ``descriptor`` replaces
-    the file's own.  An unknown field, or a matrix that is no list or holds
-    an entry of the wrong kind, is named in a :class:`DescriptorMismatch`."""
+    the file's own "descriptor" text.  An unknown field, a matrix that is no
+    list or holds an entry of the wrong kind, or, with no ``descriptor``, a
+    "descriptor" that is missing or no string, is named in a
+    :class:`DescriptorMismatch`."""
     obj = json.loads(text, parse_int=float)     # an integer past the float range is inf
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise DescriptorMismatch('expected a JSON object with a "matrix" field')
@@ -313,6 +313,9 @@ def operator_from_json(text: str, descriptor: SpaceDescriptor | None = None) -> 
                                  f'expected "{REAL}" or "{COMPLEX}"')
     if not isinstance(raw, list):
         raise DescriptorMismatch(f'"matrix" must be a list, got {json.dumps(raw)}')
+    if descriptor is None and not isinstance(obj.get("descriptor"), str):
+        got = json.dumps(obj["descriptor"]) if "descriptor" in obj else "no such field"
+        raise DescriptorMismatch(f'"descriptor" must be a descriptor text, got {got}')
     desc = descriptor or parse_descriptor(obj["descriptor"], field=field)
     d, k = desc.total_dim, 1
     while d > 1 and d ** (k + 1) < len(raw):

@@ -57,6 +57,8 @@ def maximize_stack(desc: SpaceDescriptor, objective, rngs,
     and a restart's trajectory depends only on the restarts before it in
     its own problem (:func:`_ascend`), so each result equals the one-problem
     call bit for bit."""
+    if not rngs:
+        return []
     starts = np.concatenate([sphere_starts(desc, rng, restarts) for rng in rngs])
     group = np.repeat(np.arange(len(rngs)), len(starts) // len(rngs))
     evaluated = []       # rows of every evaluation, counted per problem at the end

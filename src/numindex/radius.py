@@ -149,6 +149,8 @@ def radius_stack(Ts, budget: int, rngs, method: str = "auto", resolution: int = 
     grid sweeps each member on its own.  Every estimate is re-derived on X
     and equals the one-member call bit for bit."""
     check_stack(Ts, rngs)
+    if not Ts:
+        return []
     backend = _backend(Ts[0], method, absolute)
     if backend == "enumerate":
         return [radius_enumerate(T) for T in Ts]

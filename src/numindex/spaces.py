@@ -483,7 +483,6 @@ def sphere_starts(desc: SpaceDescriptor, rng: np.random.Generator,
 
 # ---------------------------------------------------------------------------
 # text format:  lp(p=2,dim=3)  |  psum(p=inf,[lp(p=1,dim=2),lp(p=2,dim=1)])
-# field selected by field=real|complex at the root.
 # ---------------------------------------------------------------------------
 
 def _fmt_p(p: float) -> str:
@@ -504,94 +503,78 @@ def descriptor_to_text(desc: SpaceDescriptor, root: bool = True) -> str:
     return f"psum(p={_fmt_p(desc.p)},[{inner}]{suffix})"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text.replace(" ", "")
-        self.i = 0
-        self.total_dim = 0
-
-    def error(self, what: str):
-        raise SpaceError(f"descriptor parse error at position {self.i}: {what} "
-                         f"(in {self.text!r})")
-
-    def expect(self, tok: str):
-        if not self.text.startswith(tok, self.i):
-            self.error(f"expected {tok!r}")
-        self.i += len(tok)
-
-    def peek(self, tok: str) -> bool:
-        return self.text.startswith(tok, self.i)
-
-    def number(self) -> float:
-        if self.peek("inf"):
-            self.i += 3
-            return math.inf
-        j = self.i
-        while j < len(self.text) and (self.text[j].isdigit() or self.text[j] in ".eE+-"):
-            j += 1
-        if j == self.i:
-            self.error("expected a number")
-        try:
-            val = float(self.text[self.i:j])
-        except ValueError:
-            self.error(f"bad number {self.text[self.i:j]!r}")
-        self.i = j
-        return val
-
-    def field_opt(self):
-        """Skip a ,field= annotation; parse_descriptor reads them all first."""
-        if self.peek(",field="):
-            self.i += len(",field=")
-            for f in (REAL, COMPLEX):
-                if self.peek(f):
-                    self.i += len(f)
-                    return
-            self.error("field must be real or complex")
-
-    def space(self, field: str, depth: int = 1):
-        if depth > MAX_DEPTH:
-            self.error(f"descriptor nests deeper than {MAX_DEPTH} levels")
-        if self.peek("lp("):
-            self.expect("lp(")
-            self.expect("p=")
-            p = self.number()
-            self.expect(",dim=")
-            dim = self.number()
-            if not math.isfinite(dim) or dim != int(dim) or dim < 1:
-                self.error("dim must be a positive integer")
-            self.total_dim += int(dim)
-            if self.total_dim > MAX_TOTAL_DIM:
-                self.error(f"total dimension exceeds the cap {MAX_TOTAL_DIM}")
-            self.field_opt()
-            self.expect(")")
-            return lp(p, int(dim), field)
-        if self.peek("psum("):
-            self.expect("psum(")
-            self.expect("p=")
-            p = self.number()
-            self.expect(",[")
-            children = [self.space(field, depth + 1)]
-            while self.peek(","):
-                if self.peek(",field="):
-                    break
-                self.expect(",")
-                children.append(self.space(field, depth + 1))
-            self.expect("]")
-            self.field_opt()
-            self.expect(")")
-            return psum(p, children, field)
-        self.error("expected lp( or psum(")
+#: one token of the text format; a field annotation is a token only before a ")",
+#: and any other character is a token of its own, which no rule accepts
+_TOKEN = re.compile(r",field=(?:real|complex)(?=\))|lp\(p=|psum\(p=|,dim=|,\[|\]|\)|,"
+                    r"|inf|[\d.eE+-]+|.", re.S)
 
 
 def parse_descriptor(text: str, field: str | None = None) -> SpaceDescriptor:
-    """Parse the descriptor text format; ``field`` overrides the default
-    real field but not an explicit field= in the text.  The field must be
-    uniform, so conflicting field= annotations are an error."""
-    parser = _Parser(text)
-    fields = set(re.findall(r",field=(real|complex)", parser.text))
+    """Parse the descriptor text format, spaces ignored.  Its grammar has two
+    productions::
+
+        space := lp(p=NUM,dim=NUM[,field=F])
+               | psum(p=NUM,[space{,space}][,field=F])
+
+    where NUM is a decimal number or ``inf``, a ``dim`` is a finite positive
+    integer, and F is ``real`` or ``complex``.  The field must be uniform, so
+    conflicting field= annotations are an error; ``field`` overrides the
+    default real field but not a field= in the text.  Two caps hold while
+    parsing, before any node of the offending size is built: at most
+    ``MAX_DEPTH`` nested levels, and a total dimension of at most
+    ``MAX_TOTAL_DIM``, counted as each ``lp(`` is read."""
+    text = text.replace(" ", "")
+    fields = set(re.findall(r",field=(real|complex)", text))
     if len(fields) > 1:
-        raise SpaceError(f"conflicting field annotations in {parser.text!r}")
-    desc = parser.space(fields.pop() if fields else field or REAL)
-    if parser.i != len(parser.text):
-        parser.error("trailing characters")
+        raise SpaceError(f"conflicting field annotations in {text!r}")
+    field = fields.pop() if fields else field or REAL
+    tokens = [(m.start(), m[0]) for m in _TOKEN.finditer(text)
+              if not m[0].startswith(",field=")] + [(len(text), "")]     # "" ends the text
+    i, total_dim = 0, 0
+
+    def fail(what: str):
+        raise SpaceError(f"descriptor parse error at position {tokens[i][0]}: {what} "
+                         f"(in {text!r})")
+
+    def take(*wanted: str) -> str:
+        nonlocal i
+        if tokens[i][1] not in wanted:
+            fail("expected " + " or ".join(map(repr, wanted)))
+        i += 1
+        return tokens[i - 1][1]
+
+    def number() -> float:
+        nonlocal i
+        try:
+            value = float(tokens[i][1])       # "inf" included
+        except ValueError:
+            fail("expected a number")
+        i += 1
+        return value
+
+    def space(depth: int) -> SpaceDescriptor:
+        nonlocal total_dim
+        if depth > MAX_DEPTH:
+            fail(f"descriptor nests deeper than {MAX_DEPTH} levels")
+        head, p = take("lp(p=", "psum(p="), number()
+        if head == "lp(p=":
+            take(",dim=")
+            dim = number()
+            if not math.isfinite(dim) or dim != int(dim) or dim < 1:
+                fail("dim must be a positive integer")
+            total_dim += int(dim)
+            if total_dim > MAX_TOTAL_DIM:
+                fail(f"total dimension exceeds the cap {MAX_TOTAL_DIM}")
+            take(")")
+            return lp(p, int(dim), field)
+        take(",[")
+        children = [space(depth + 1)]
+        while take("]", ",") == ",":
+            children.append(space(depth + 1))
+        take(")")
+        return psum(p, children, field)
+
+    desc = space(1)
+    if tokens[i][1]:
+        fail("trailing characters")
     return desc

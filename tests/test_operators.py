@@ -617,19 +617,29 @@ BAD_JSON_FILES = [
     ({"matrix": [1.0, 0.0, True, 1.0]}, "matrix entry 2 is true, not a number"),
     ({"field": "complex", "matrix": [[1.0, 0.0], [0.0, False], [0.0, 0.0], [1.0, 0.0]]},
      r"matrix entry 1 is \[0.0, false\], not an \[re, im\] pair"),
+    # a "descriptor" of None is left out of the file
+    ({"descriptor": None, "matrix": [1.0, 0.0, 0.0, 1.0]},
+     '"descriptor" must be a descriptor text, got no such field'),
+    ({"descriptor": 5, "matrix": [1.0, 0.0, 0.0, 1.0]},
+     '"descriptor" must be a descriptor text, got 5.0'),
 ]
 
 
 @pytest.mark.parametrize("obj,named", BAD_JSON_FILES,
                          ids=["unknown-field", "matrix-not-a-list", "string-entry",
-                              "short-pair", "boolean-entry", "boolean-in-pair"])
+                              "short-pair", "boolean-entry", "boolean-in-pair",
+                              "missing-descriptor", "number-descriptor"])
 def test_json_bad_file_names_the_problem(obj, named):
     """With the descriptor given or read from the file, a bad field or
-    matrix entry raises a DescriptorMismatch that names it."""
-    text = json.dumps({"descriptor": "lp(p=2,dim=2)", **obj})
-    for desc in (lp(2, 2, COMPLEX if obj.get("field") == COMPLEX else REAL), None):
+    matrix entry raises a DescriptorMismatch that names it; read from the
+    file, so does a "descriptor" that is missing or no text."""
+    file = {k: v for k, v in {"descriptor": "lp(p=2,dim=2)", **obj}.items() if v is not None}
+    # a given descriptor replaces the file's, so only a good file's can be given
+    field = COMPLEX if obj.get("field") == COMPLEX else REAL
+    given = [] if "descriptor" in obj else [lp(2, 2, field)]
+    for desc in given + [None]:
         with pytest.raises(DescriptorMismatch, match=named):
-            operator_from_json(text, desc)
+            operator_from_json(json.dumps(file), desc)
 
 
 def test_json_one_dimensional_file_is_degree_one():

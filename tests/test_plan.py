@@ -3,7 +3,8 @@
 The references are the recursive one-vector forms of the norm and the
 canonical norming functional, and the one-restart-at-a-time ascent loop;
 the batched code must agree with them to rounding.  A stacked ascent must
-equal its one-member calls bit for bit.
+equal its one-member calls bit for bit.  The random trees also check that
+the descriptor text format round-trips every tree.
 """
 
 import math
@@ -17,8 +18,8 @@ from numindex import optimize
 from numindex.operators import Operator
 from numindex.optimize import FD_STEP, VALUE_TOL, maximize_on_sphere, maximize_stack
 from numindex.radius import numerical_radius, radius_grid_oracle, radius_objective
-from numindex.spaces import (COMPLEX, REAL, dual_descriptor, lp, parse_descriptor, psum,
-                             tower, unit_sphere_sample)
+from numindex.spaces import (COMPLEX, REAL, SpaceError, descriptor_to_text, dual_descriptor,
+                             lp, parse_descriptor, psum, tower, unit_sphere_sample)
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -176,6 +177,60 @@ def test_dual_descriptor_is_an_involution_at_every_node(desc):
         assert dual_descriptor(dual) is node
         assert all(dc is dual_descriptor(c) for dc, c in zip(dual.children, node.children))
         nodes.extend(node.children)
+
+
+@given(descriptors())
+@settings(max_examples=200, deadline=None)
+def test_text_round_trips_every_tree(desc):
+    """Nested, real and complex, one-child nodes included."""
+    assert parse_descriptor(descriptor_to_text(desc)) == desc
+
+
+#: numbers and field annotations of near-grammatical texts, bad ones included
+TEXT_NUMBERS = ["2", "1.5", "inf", "0", "-1", "513", "1e400", "2.5", "1e", "."]
+TEXT_FIELDS = ["", ",field=real", ",field=complex", ",field="]
+#: every token of the text format, and a space
+TEXT_TOKENS = ["lp(p=", "psum(p=", ",dim=", ",[", "]", ")", ",", " "] + TEXT_NUMBERS + TEXT_FIELDS
+
+
+def _commas(kids):
+    """The token lists ``kids`` joined by "," tokens."""
+    out = []
+    for kid in kids:
+        out += ([","] if out else []) + kid
+    return out
+
+
+@st.composite
+def texts(draw):
+    """Token lists of texts, most nearly grammatical: a random tree over
+    good and bad numbers and annotations, then a few tokens inserted or
+    deleted."""
+    num, ann = st.sampled_from(TEXT_NUMBERS), st.sampled_from(TEXT_FIELDS)
+    leaves = st.tuples(num, num, ann).map(lambda t: ["lp(p=", t[0], ",dim=", t[1], t[2], ")"])
+    tokens = draw(st.recursive(leaves, lambda kids: st.tuples(
+        num, st.lists(kids, max_size=3), ann).map(
+            lambda t: ["psum(p=", t[0], ",["] + _commas(t[1]) + ["]", t[2], ")"]),
+        max_leaves=5))
+    for at, token in draw(st.lists(st.tuples(st.integers(0, 99),
+                                             st.sampled_from(TEXT_TOKENS + [None])),
+                                   max_size=3)):
+        if token is None:
+            del tokens[at % len(tokens)]
+        else:
+            tokens.insert(at % (len(tokens) + 1), token)
+    return tokens
+
+
+@given(st.one_of(texts(), st.lists(st.sampled_from(TEXT_TOKENS), max_size=40)),
+       st.sampled_from([None, REAL, COMPLEX]))
+@settings(max_examples=500, deadline=None)
+def test_any_token_string_parses_or_raises_space_error(tokens, field):
+    """Never an IndexError, ValueError, OverflowError or RecursionError."""
+    try:
+        parse_descriptor("".join(tokens), field=field)
+    except SpaceError:
+        pass
 
 
 def test_plan_inf_ties_pick_lowest_block():

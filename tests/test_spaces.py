@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numindex import spaces
 from numindex.operators import compose_with_projection, identity
 from numindex.spaces import (
     COMPLEX,
@@ -391,6 +392,29 @@ def test_parse_caps_nesting_depth():
     assert parse_descriptor(text).total_dim == 2
     with pytest.raises(SpaceError, match=f"nests deeper than {MAX_DEPTH} levels"):
         parse_descriptor(f"psum(p=1,[lp(p=3,dim=1),{text}])")
+
+
+def test_parse_caps_hold_before_the_node_is_built(monkeypatch):
+    """The depth cap stops a text before its innermost node exists, and the
+    dimension cap stops the lp( that passes it before that leaf is built."""
+    built = []
+
+    def recorded(p, dim, field):
+        built.append(dim)
+        return lp(p, dim, field)
+
+    monkeypatch.setattr(spaces, "lp", recorded)
+    deep = "lp(p=2,dim=2)"
+    for _ in range(MAX_DEPTH):
+        deep = f"psum(p=2,[{deep}])"
+    with pytest.raises(SpaceError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        parse_descriptor(deep)
+    assert built == []
+    half = MAX_TOTAL_DIM // 2 + 1
+    with pytest.raises(SpaceError, match=r"^descriptor parse error at position \d+: total "
+                                         r"dimension exceeds the cap \d+ \(in '.*'\)$"):
+        parse_descriptor(f"psum(p=1,[lp(p=2,dim={half}),lp(p=3,dim={half})])")
+    assert built == [half]
 
 
 def test_depth_cap_holds_for_trees_built_in_code():
